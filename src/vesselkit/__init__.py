@@ -92,6 +92,7 @@ from .vessel_core import (
     transfer_at_nodes,
     transfer_pde_residual,
     transfer_pde_residual_values,
+    transfer_sweep,
     verify_vessel,
 )
 

@@ -245,12 +245,11 @@ def cmd_verify(args) -> int:
         {"name": k, "value": report.residuals[k], "passed": bool(report.passed[k])}
         for k in report.residuals
     ]
-    sym_worst = 0.0
-    pde_worst = 0.0
-    for lam in lambdas:
-        pde_worst = max(pde_worst, core.transfer_pde_residual(v, lam))
-        for node in nodes:
-            sym_worst = max(sym_worst, core.adjoint_symmetry_residual(v, lam, node))
+    sweep = core.transfer_sweep(v, lambdas)
+    pde_worst = max((core.transfer_pde_residual_values(s, v.sigma1, v.sigma2, v.gamma,
+                                                       v.gamma_star, lam, v.grid)
+                     for s, lam in zip(sweep, lambdas)), default=0.0)
+    sym_worst = core.adjoint_symmetry_residual(v, lambdas, nodes)
     sym_pass = sym_worst <= args.tol + report.h2_allowance
     pde_pass = pde_worst <= args.tol + report.h2_allowance
     rows.append({"name": "adjoint_symmetry", "value": sym_worst, "passed": bool(sym_pass)})
@@ -299,11 +298,12 @@ def cmd_synthesize(args) -> int:
 
 def cmd_transfer(args) -> int:
     v = vessel_from_document(load_json(args.vessel))
+    node = _node(args, v.grid)
     lambdas = _probe_lambdas(args, v.A1.max_norm())
+    sweep = core.transfer_sweep(v, lambdas, node)[:, 0]
     values = [
-        {"lambda": _enc_complex(lam), "node": args.node,
-         "matrix": _enc_matrix(core.eval_transfer(v, lam, args.node))}
-        for lam in lambdas
+        {"lambda": _enc_complex(lam), "node": node, "matrix": _enc_matrix(s)}
+        for lam, s in zip(lambdas, sweep)
     ]
     _emit({"schema_version": SCHEMA_VERSION, "command": "transfer", "values": values}, args.output)
     return _EXIT_OK
@@ -382,6 +382,7 @@ def cmd_multint(args) -> int:
 def cmd_factor(args) -> int:
     t0 = time.monotonic()
     v = vessel_from_document(load_json(args.vessel))
+    _node(args, v.grid)
     which = _parse_complex(args.which) if "," in args.which else int(args.which)
     result = synth.extract_elementary(v, which, node_ref=args.node, tol=args.tol)
     res = synth.residue_norm(lambda lam: result.quotient_transfer(lam, args.node),
@@ -418,9 +419,10 @@ def cmd_realize(args) -> int:
     realized = zero_pole_realize(triple, gamma_star, sigma1, sigma2)
     res = sylvester_residuals(triple, sigma1)
     lambdas = _probe_lambdas(args, float(np.max(np.abs(np.linalg.eigvals(a_pi)))))
+    every_node = np.arange(grid.n_nodes)
     pde = max(
         core.transfer_pde_residual_values(
-            [realized.transfer(lam, i) for i in range(grid.n_nodes)],
+            realized.transfer(lam, every_node),
             sigma1, sigma2, realized.gamma, gamma_star, lam, grid,
         )
         for lam in lambdas
@@ -443,6 +445,7 @@ def cmd_gauge(args) -> int:
     t0 = time.monotonic()
     v1 = vessel_from_document(load_json(args.first))
     v2 = vessel_from_document(load_json(args.second))
+    _node(args, v1.grid)
     verdict = core.gauge_equivalence(v1, v2, node=args.node, probes=args.probes,
                                      tol=args.tol, seed=args.seed)
     if isinstance(verdict, core.NotEquivalent):
@@ -460,6 +463,12 @@ def cmd_gauge(args) -> int:
     doc["U"] = _enc_family(verdict.U)
     _emit(doc, args.output)
     return _EXIT_OK
+
+
+def _node(args, grid: TimeGrid) -> int:
+    if not 0 <= args.node <= grid.n_steps:
+        raise InputError(f"--node {args.node} outside the grid nodes [0, {grid.n_steps}]")
+    return args.node
 
 
 def _timing(t0: float, args) -> float | None:

@@ -19,8 +19,8 @@ class Config:
     eps_spec_rel: float = 1e-9
     # Relative positive-definiteness floor for Hermitian square roots.
     eps_pd_rel: float = 1e-12
-    # Absolute determinant floor for coupling-matrix inversion.
-    eps_det: float = 1e-10
+    # Relative floor sigma_min / sigma_max below which a coupling matrix is singular.
+    eps_coupling_rel: float = 1e-10
 
 
 def load_config(path: str | None = None) -> Config:

@@ -47,6 +47,8 @@ from .matrix_kernel import (
     frob,
     hermitian_part,
     hermitian_sqrt,
+    max_frob,
+    resolvent,
     solve_sylvester,
 )
 from .ode_engine import GridOperatorFamily, TimeGrid, _interp4, _rk4_path, family_derivative
@@ -188,14 +190,10 @@ def _pair_ode_residual(
     sigma1: GridOperatorFamily,
     sigma2: GridOperatorFamily,
 ) -> float:
-    dc = family_derivative(c)
-    dbn = family_derivative(bn)
-    worst = 0.0
-    for i in range(len(c)):
-        rc = sigma1[i] @ dc[i] - sigma2[i] @ c[i] @ a_pi - gamma_star[i] @ c[i]
-        rb = dbn[i] @ sigma1[i] + a_xi @ bn[i] @ sigma2[i] + bn[i] @ gamma_star[i]
-        worst = max(worst, frob(rc), frob(rb))
-    return worst
+    s1, s2, gs, cc, bb = (f.data for f in (sigma1, sigma2, gamma_star, c, bn))
+    rc = s1 @ family_derivative(c).data - s2 @ cc @ a_pi - gs @ cc
+    rb = family_derivative(bn).data @ s1 + a_xi @ bb @ s2 + bb @ gs
+    return max(max_frob(rc), max_frob(rb))
 
 
 def sylvester_residuals(triple: NullPoleTriple, sigma1: GridOperatorFamily) -> np.ndarray:
@@ -261,7 +259,7 @@ def zero_pole_realize(
     gamma_star: GridOperatorFamily,
     sigma1: GridOperatorFamily,
     sigma2: GridOperatorFamily,
-    eps_det: float | None = None,
+    rtol: float | None = None,
 ) -> RealizedTransfer:
     """Unique intertwining transfer function realized from a null-pole triple.
 
@@ -270,7 +268,10 @@ def zero_pole_realize(
 
         gamma = sigma2 C Xinv Bn sigma1 - sigma1 C Xinv Bn sigma2 + gamma_star.
 
-    Nodes where det X falls under `eps_det` are reported in `singular_nodes`
+    `node` is one grid index or an array of them (then the result is a
+    stack, with one resolvent of A_pi for all of them).  Nodes where the
+    smallest singular value of X is at most `rtol` (default
+    ``eps_coupling_rel``) times its largest are reported in `singular_nodes`
     and only fail on evaluation there (loss of invertibility along the line
     is genuine behavior of coupling families, not an error of the data).
     The returned vessel carries A1 = A_pi, A2 = 0 and B = X^(-1) Bn; its own
@@ -280,43 +281,30 @@ def zero_pole_realize(
     n, k = triple.A_pi.shape[0], triple.A_xi.shape[0]
     if n != k:
         raise ShapeMismatch("realization needs square coupling (n == k)")
-    if eps_det is None:
-        eps_det = DEFAULTS.eps_det
+    if rtol is None:
+        rtol = DEFAULTS.eps_coupling_rel
     grid = triple.grid
-    nn = grid.n_nodes
     m = triple.C.shape[0]
-    singular = []
-    xinv = [None] * nn
-    for i in range(nn):
-        if abs(np.linalg.det(triple.X[i])) <= eps_det:
-            singular.append(i)
-        else:
-            xinv[i] = np.linalg.inv(triple.X[i])
+    sv = np.linalg.svd(triple.X.data, compute_uv=False)
+    regular = sv[:, -1] > rtol * sv[:, 0]
+    singular = np.flatnonzero(~regular).tolist()
+    xinv = np.zeros_like(triple.X.data)
+    xinv[regular] = np.linalg.inv(triple.X.data[regular])
+    on = regular[:, None, None]
+    b_tilde = np.where(on, xinv @ triple.Bn.data, 0.0)
+    cb = triple.C.data @ b_tilde
+    s1, s2, gs = sigma1.data, sigma2.data, gamma_star.data
+    gam = np.where(on, s2 @ cb @ s1 - s1 @ cb @ s2 + gs, gs)
 
-    def xinv_at(i: int) -> np.ndarray:
-        if xinv[i] is None:
-            raise CouplingSingular(
-                f"coupling matrix singular at node {i}", nodes=list(singular)
-            )
-        return xinv[i]
-
-    gam = np.empty((nn, m, m), dtype=complex)
-    b_tilde = np.empty((nn, n, m), dtype=complex)
-    for i in range(nn):
-        if xinv[i] is None:
-            b_tilde[i] = 0.0
-            gam[i] = gamma_star[i]
-            continue
-        bt = xinv[i] @ triple.Bn[i]
-        b_tilde[i] = bt
-        cb = triple.C[i] @ bt
-        gam[i] = sigma2[i] @ cb @ sigma1[i] - sigma1[i] @ cb @ sigma2[i] + gamma_star[i]
-
-    def transfer(lam: complex, node: int) -> np.ndarray:
-        from .matrix_kernel import resolvent
-
+    def transfer(lam: complex, node) -> np.ndarray:
         r = resolvent(triple.A_pi, lam)
-        return np.eye(m, dtype=complex) + triple.C[node] @ r @ xinv_at(node) @ triple.Bn[node] @ sigma1[node]
+        idx = np.arange(grid.n_nodes)[node]
+        hit = np.intersect1d(idx, singular)
+        if hit.size:
+            raise CouplingSingular(f"coupling matrix singular at node {hit[0]}",
+                                   nodes=list(singular))
+        return (np.eye(m, dtype=complex)
+                + triple.C.data[idx] @ r @ xinv[idx] @ triple.Bn.data[idx] @ s1[idx])
 
     gamma_fam = GridOperatorFamily(grid, gam)
     vessel = DifferentialVessel(
@@ -426,8 +414,6 @@ def hermitian_realize(
     jumps = [frob(x_data[i + 1] - x_data[i]) for i in range(nn - 1)]
 
     def transfer(lam: complex, node: int) -> np.ndarray:
-        from .matrix_kernel import resolvent
-
         r = resolvent(-a1, lam)  # (lam I + A1)^(-1)
         xinv = np.linalg.inv(x_data[node])
         return np.eye(m, dtype=complex) + c[node] @ r @ xinv @ c[node].conj().T @ sigma1[node]

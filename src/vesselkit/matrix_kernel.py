@@ -28,9 +28,11 @@ __all__ = [
     "as_matrix",
     "as_hermitian",
     "frob",
+    "max_frob",
     "hermitian_part",
     "spectrum_report",
     "resolvent",
+    "resolvent_stack",
     "hermitian_sqrt",
     "solve_sylvester",
     "matrix_exp",
@@ -97,8 +99,57 @@ def spectrum_report(a) -> SpectrumReport:
     return SpectrumReport(tuple(complex(z) for z in ev), float(gap))
 
 
-def _spectral_distance(a: np.ndarray, lam: complex) -> float:
-    return float(np.min(np.abs(np.linalg.eigvals(a) - lam)))
+def max_frob(stack) -> float:
+    """Largest :func:`frob` over a stack of matrices, bit for bit (0.0 if empty).
+
+    The batched norm sums in another order, so it only shortlists the
+    matrices within 1e-12 relative of the top; :func:`frob` decides.
+    """
+    flat = np.asarray(stack).reshape((-1,) + np.shape(stack)[-2:])
+    est = np.linalg.norm(flat, axis=(1, 2))
+    top = est.max(initial=0.0)
+    if top == 0.0:
+        return 0.0
+    return max(frob(flat[k]) for k in np.flatnonzero(est >= top * (1.0 - 1e-12)))
+
+
+def resolvent_stack(a, lam: complex, spectra, eps_spec=None, nodes=None) -> np.ndarray:
+    """(lam*I - a[k])^(-1) for a stack `a` (N, n, n), guarded per operand as in
+    :func:`resolvent`, whose default ``eps_spec`` is taken per operand.
+
+    `spectra` (N, n) are the eigenvalues of the operands, computed once by a
+    caller that sweeps lam.  A failing operand is named by ``nodes[k]``.
+    """
+    lam = complex(lam)
+    if not (np.isfinite(lam.real) and np.isfinite(lam.imag)):
+        raise NonFinite("resolvent spectral parameter is not finite")
+    if eps_spec is None:
+        eps_spec = DEFAULTS.eps_spec_rel * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
+    eps_spec = np.broadcast_to(eps_spec, a.shape[:1])
+    dist = np.min(np.abs(spectra - lam), axis=1)
+    clash = np.flatnonzero(dist <= eps_spec)
+    if clash.size:
+        k = clash[0]
+        raise SpectrumClash(f"lambda={lam} lies within {dist[k]:.3e} of the spectrum"
+                            f"{_at(nodes, k)} (threshold {eps_spec[k]:.3e})")
+    n = a.shape[-1]
+    shifted = lam * np.eye(n) - a
+    try:
+        r = np.linalg.solve(shifted, np.eye(n, dtype=complex))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by dist check
+        raise SingularSystem(f"resolvent solve failed: {exc}") from exc
+    residual = np.linalg.norm(shifted @ r - np.eye(n), axis=(1, 2))
+    scale = np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(shifted, axis=(1, 2))
+    bad = np.flatnonzero(residual > 1e-10 * np.maximum(1.0, scale))
+    if bad.size:
+        k = bad[0]
+        raise SingularSystem(f"resolvent residual {residual[k]:.3e} too large{_at(nodes, k)} "
+                             "(ill conditioning)")
+    return r
+
+
+def _at(nodes, k: int) -> str:
+    return "" if nodes is None else f" at node {nodes[k]}"
 
 
 def resolvent(a, lam: complex, eps_spec: float | None = None) -> np.ndarray:
@@ -111,26 +162,7 @@ def resolvent(a, lam: complex, eps_spec: float | None = None) -> np.ndarray:
     m = as_matrix(a, "resolvent operand")
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"resolvent needs a square matrix, got {m.shape}")
-    lam = complex(lam)
-    if not (np.isfinite(lam.real) and np.isfinite(lam.imag)):
-        raise NonFinite("resolvent spectral parameter is not finite")
-    if eps_spec is None:
-        eps_spec = DEFAULTS.eps_spec_rel * max(frob(m), 1.0)
-    dist = _spectral_distance(m, lam)
-    if dist <= eps_spec:
-        raise SpectrumClash(
-            f"lambda={lam} lies within {dist:.3e} of the spectrum (threshold {eps_spec:.3e})"
-        )
-    n = m.shape[0]
-    shifted = lam * np.eye(n) - m
-    try:
-        r = np.linalg.solve(shifted, np.eye(n, dtype=complex))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by dist check
-        raise SingularSystem(f"resolvent solve failed: {exc}") from exc
-    residual = frob(shifted @ r - np.eye(n))
-    if residual > 1e-10 * max(1.0, frob(r) * frob(shifted)):
-        raise SingularSystem(f"resolvent residual {residual:.3e} too large (ill conditioning)")
-    return r
+    return resolvent_stack(m[None], lam, np.linalg.eigvals(m)[None], eps_spec)[0]
 
 
 def hermitian_sqrt(x, require_pd: bool = False, eps_pd: float | None = None) -> np.ndarray:

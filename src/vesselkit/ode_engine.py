@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .errors import GridMismatch, NonFinite, ShapeMismatch, SingularSigma1
-from .matrix_kernel import as_matrix, frob
+from .matrix_kernel import as_matrix, max_frob
 
 __all__ = [
     "TimeGrid",
@@ -117,7 +117,7 @@ class GridOperatorFamily:
         )
 
     def max_norm(self) -> float:
-        return max(frob(self.data[i]) for i in range(len(self)))
+        return max_frob(self.data)
 
 
 def family_derivative(fam: GridOperatorFamily) -> GridOperatorFamily:
@@ -255,13 +255,14 @@ class FundamentalMatrix:
         return self.family[i]
 
 
-def _check_sigma1(sigma1: GridOperatorFamily, eps: float) -> None:
-    for i in range(len(sigma1)):
-        smin = np.linalg.svd(sigma1[i], compute_uv=False)[-1]
-        if smin <= eps:
-            raise SingularSigma1(
-                f"sigma1 not invertible at node {i}: min singular value {smin:.3e}"
-            )
+def _check_sigma1(sigma1: GridOperatorFamily) -> None:
+    """SingularSigma1 at the first node with sigma_min <= eps_spec_rel * max(max_norm, 1)."""
+    eps = DEFAULTS.eps_spec_rel * max(sigma1.max_norm(), 1.0)
+    smin = np.linalg.svd(sigma1.data, compute_uv=False)[:, -1]
+    bad = np.flatnonzero(smin <= eps)
+    if bad.size:
+        i = bad[0]
+        raise SingularSigma1(f"sigma1 not invertible at node {i}: min singular value {smin[i]:.3e}")
 
 
 def fundamental_matrix(
@@ -284,8 +285,7 @@ def fundamental_matrix(
     m = sigma1.shape[0]
     if sigma1.shape != (m, m) or sigma2.shape != (m, m) or gamma.shape != (m, m):
         raise ShapeMismatch("coefficient families must share a square shape")
-    eps = DEFAULTS.eps_spec_rel * max(sigma1.max_norm(), 1.0)
-    _check_sigma1(sigma1, eps)
+    _check_sigma1(sigma1)
     if not (0 <= base_index <= grid.n_steps):
         raise GridMismatch(f"base_index {base_index} outside the grid")
 
@@ -334,13 +334,8 @@ def phi_symmetry_residual(
         raise GridMismatch("phi_conj must be sampled at -conj(lambda)")
     if not sigma1.grid.compatible(phi.grid):
         raise GridMismatch("sigma1 lives on a different grid")
-    s_base = sigma1[phi.base_index]
-    worst = 0.0
-    for i in range(len(sigma1)):
-        lhs = sigma1[i] @ phi[i]
-        rhs = np.linalg.inv(phi_conj[i]).conj().T @ s_base
-        worst = max(worst, frob(lhs - rhs))
-    return worst
+    rhs = np.linalg.inv(phi_conj.family.data).conj().transpose(0, 2, 1) @ sigma1[phi.base_index]
+    return max_frob(sigma1.data @ phi.family.data - rhs)
 
 
 def phi_bilinear_residual(
@@ -361,12 +356,8 @@ def phi_bilinear_residual(
     h = phi_mu.grid.h
     lam = phi_lam.lam
     mu = phi_mu.lam
-    g = np.stack(
-        [phi_mu[i].conj().T @ sigma1[i] @ phi_lam[i] for i in range(len(sigma1))]
-    )
-    worst = 0.0
-    for i in range(1, len(sigma1) - 1):
-        lhs = (g[i + 1] - g[i - 1]) / (2.0 * h)
-        rhs = (lam + np.conj(mu)) * (phi_mu[i].conj().T @ sigma2[i] @ phi_lam[i])
-        worst = max(worst, frob(lhs - rhs))
-    return worst
+    mu_h = phi_mu.family.data.conj().transpose(0, 2, 1)
+    g = mu_h @ sigma1.data @ phi_lam.family.data
+    mid = slice(1, len(sigma1) - 1)
+    rhs = (lam + np.conj(mu)) * (mu_h[mid] @ sigma2.data[mid] @ phi_lam.family.data[mid])
+    return max_frob((g[2:] - g[:-2]) / (2.0 * h) - rhs)

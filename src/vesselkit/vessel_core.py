@@ -31,20 +31,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .config import DEFAULTS
 from .errors import (
     ChainMismatch,
     GridMismatch,
+    NotHermitian,
     NotMinimal,
     ShapeMismatch,
+    SingularSystem,
     SpectrumClash,
 )
-from .matrix_kernel import as_matrix, frob, hermitian_part, resolvent
+from .matrix_kernel import (
+    frob,
+    hermitian_part,
+    max_frob,
+    resolvent,
+    resolvent_stack,
+)
 from .ode_engine import (
     FundamentalMatrix,
     GridOperatorFamily,
     TimeGrid,
+    _check_sigma1,
     family_derivative,
     fundamental_matrix,
 )
@@ -57,6 +67,7 @@ __all__ = [
     "NotEquivalent",
     "eval_transfer",
     "transfer_at_nodes",
+    "transfer_sweep",
     "verify_vessel",
     "couple",
     "adjoint_symmetry_residual",
@@ -115,17 +126,13 @@ class DifferentialVessel:
             if not fam.grid.compatible(grid):
                 raise GridMismatch(f"{name} lives on a different grid")
         for name in ("sigma1", "sigma2"):
-            fam = getattr(self, name)
-            for i in range(len(fam)):
-                defect = frob(fam[i] - fam[i].conj().T)
-                if defect > 1e-9 * max(1.0, frob(fam[i])):
-                    raise ShapeMismatch(f"{name} not Hermitian at node {i} (defect {defect:.2e})")
-        eps = DEFAULTS.eps_spec_rel * max(self.sigma1.max_norm(), 1.0)
-        for i in range(len(self.sigma1)):
-            if np.linalg.svd(self.sigma1[i], compute_uv=False)[-1] <= eps:
-                from .errors import SingularSigma1
-
-                raise SingularSigma1(f"sigma1 singular at node {i}")
+            data = getattr(self, name).data
+            defect = np.linalg.norm(data - data.conj().transpose(0, 2, 1), axis=(1, 2))
+            bad = np.flatnonzero(defect > 1e-9 * np.maximum(1.0, np.linalg.norm(data, axis=(1, 2))))
+            if bad.size:
+                i = bad[0]
+                raise NotHermitian(f"{name} not Hermitian at node {i} (defect {defect[i]:.2e})")
+        _check_sigma1(self.sigma1)
 
     @property
     def grid(self) -> TimeGrid:
@@ -197,19 +204,37 @@ class NotEquivalent:
     defect: float
 
 
+def transfer_sweep(v: DifferentialVessel, lams, nodes=None) -> np.ndarray:
+    """S(lam, node) = I - B^H (lam I - A1)^(-1) B sigma1, shape (L, N, m, m),
+    for the L values `lams` at the N grid indices `nodes` (default: all).
+
+    The spectra of A1 are computed once per call; each lam then costs one
+    guarded batched resolvent over the nodes.  Raises GridMismatch for a node
+    outside [0, n_steps]; SpectrumClash names the first node a lam hits.
+    """
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    nodes = np.arange(v.grid.n_nodes) if nodes is None else np.asarray(nodes, np.intp).reshape(-1)
+    outside = nodes[(nodes < 0) | (nodes > v.grid.n_steps)]
+    if outside.size:
+        raise GridMismatch(f"node {outside[0]} outside the grid nodes [0, {v.grid.n_steps}]")
+    a1, b, s1 = v.A1.data[nodes], v.B.data[nodes], v.sigma1.data[nodes]
+    bh = b.conj().transpose(0, 2, 1)
+    spectra = np.linalg.eigvals(a1)
+    out = np.empty((lams.size, nodes.size) + v.sigma1.shape, dtype=complex)
+    for k, lam in enumerate(lams):
+        out[k] = np.eye(v.signal_dim, dtype=complex) - bh @ resolvent_stack(
+            a1, lam, spectra, nodes=nodes) @ b @ s1
+    return out
+
+
 def eval_transfer(v: DifferentialVessel, lam: complex, node: int) -> np.ndarray:
-    """S(lam, node) = I - B^H (lam I - A1)^(-1) B sigma1 at one grid node."""
-    b = v.B[node]
-    r = resolvent(v.A1[node], lam)
-    return np.eye(v.signal_dim, dtype=complex) - b.conj().T @ r @ b @ v.sigma1[node]
+    """S(lam, node) at one grid node."""
+    return transfer_sweep(v, lam, node)[0, 0]
 
 
-def transfer_at_nodes(v: DifferentialVessel, lam: complex) -> list[np.ndarray]:
-    return [eval_transfer(v, lam, i) for i in range(v.grid.n_nodes)]
-
-
-def _max_residual(samples) -> float:
-    return max(frob(s) for s in samples)
+def transfer_at_nodes(v: DifferentialVessel, lam: complex) -> np.ndarray:
+    """S(lam, node) at every grid node, shape (n_nodes, m, m)."""
+    return transfer_sweep(v, lam)[0]
 
 
 def verify_vessel(v: DifferentialVessel, tol: float | None = None) -> ConditionReport:
@@ -224,46 +249,26 @@ def verify_vessel(v: DifferentialVessel, tol: float | None = None) -> ConditionR
         raise GridMismatch("verification needs n_steps >= 2 for central differences")
     if tol is None:
         tol = DEFAULTS.tol
-    nn = v.grid.n_nodes
-    a1, a2, b = v.A1, v.A2, v.B
-    s1, s2, g, gs = v.sigma1, v.sigma2, v.gamma, v.gamma_star
-
-    da1 = family_derivative(a1)
-    bs1 = GridOperatorFamily(v.grid, np.stack([b[i] @ s1[i] for i in range(nn)]))
-    dbs1 = family_derivative(bs1)
-    bh = GridOperatorFamily(v.grid, np.conj(np.transpose(b.data, (0, 2, 1))))
-    dbh = family_derivative(bh)
-
-    lax = [da1[i] - (a2[i] @ a1[i] - a1[i] @ a2[i]) for i in range(nn)]
-    coll1 = [a1[i] + a1[i].conj().T + b[i] @ s1[i] @ b[i].conj().T for i in range(nn)]
-    coll2 = [a2[i] + a2[i].conj().T + b[i] @ s2[i] @ b[i].conj().T for i in range(nn)]
-    inp = [
-        dbs1[i] - a2[i] @ b[i] @ s1[i] + a1[i] @ b[i] @ s2[i] + b[i] @ g[i]
-        for i in range(nn)
-    ]
-    out = [
-        s1[i] @ dbh[i] + s1[i] @ bh[i] @ a2[i] - s2[i] @ bh[i] @ a1[i] - gs[i] @ bh[i]
-        for i in range(nn)
-    ]
-    link = [
-        gs[i] - g[i] - s2[i] @ bh[i] @ b[i] @ s1[i] + s1[i] @ bh[i] @ b[i] @ s2[i]
-        for i in range(nn)
-    ]
-
+    a1, a2, b = v.A1.data, v.A2.data, v.B.data
+    s1, s2, g, gs = v.sigma1.data, v.sigma2.data, v.gamma.data, v.gamma_star.data
+    bh = b.conj().transpose(0, 2, 1)
+    da1 = family_derivative(v.A1).data
+    dbs1 = family_derivative(GridOperatorFamily(v.grid, b @ s1)).data
+    dbh = family_derivative(GridOperatorFamily(v.grid, bh)).data
     residuals = {
-        "lax": _max_residual(lax),
-        "colligation1": _max_residual(coll1),
-        "colligation2": _max_residual(coll2),
-        "input_vessel": _max_residual(inp),
-        "output_vessel": _max_residual(out),
-        "linkage": _max_residual(link),
+        "lax": max_frob(da1 - (a2 @ a1 - a1 @ a2)),
+        "colligation1": max_frob(a1 + a1.conj().transpose(0, 2, 1) + b @ s1 @ bh),
+        "colligation2": max_frob(a2 + a2.conj().transpose(0, 2, 1) + b @ s2 @ bh),
+        "input_vessel": max_frob(dbs1 - a2 @ b @ s1 + a1 @ b @ s2 + b @ g),
+        "output_vessel": max_frob(s1 @ dbh + s1 @ bh @ a2 - s2 @ bh @ a1 - gs @ bh),
+        "linkage": max_frob(gs - g - s2 @ bh @ b @ s1 + s1 @ bh @ b @ s2),
     }
     # Truncation allowance: third derivatives of operator products scale like
     # the cube of the largest coefficient norm.  Only the conditions that
     # contain a d/dt actually carry the stencil error; the algebraic ones
     # (colligations, linkage) are judged against tol alone.
-    scale = max(a1.max_norm(), a2.max_norm(), b.max_norm(), s1.max_norm(),
-                s2.max_norm(), g.max_norm(), gs.max_norm(), 1.0)
+    scale = max(*(f.max_norm() for f in (v.A1, v.A2, v.B, v.sigma1, v.sigma2, v.gamma,
+                                          v.gamma_star)), 1.0)
     allowance = (v.grid.h ** 2) * scale ** 3
     differential = {"lax", "input_vessel", "output_vessel"}
     passed = {
@@ -289,28 +294,21 @@ def couple(v_first: DifferentialVessel, v_second: DifferentialVessel,
     for name in ("sigma1", "sigma2"):
         if not getattr(v_first, name).allclose(getattr(v_second, name), tol):
             raise ShapeMismatch(f"coupled vessels must share {name}")
-    chain_defect = max(
-        frob(v_second.gamma[i] - v_first.gamma_star[i]) for i in range(v_first.grid.n_nodes)
-    )
+    chain_defect = max_frob(v_second.gamma.data - v_first.gamma_star.data)
     if chain_defect > tol:
         raise ChainMismatch(
             f"gamma of the second vessel differs from gamma_star of the first by {chain_defect:.3e}"
         )
     n1, n2 = v_first.state_dim, v_second.state_dim
-    nn = v_first.grid.n_nodes
-    a1 = np.zeros((nn, n1 + n2, n1 + n2), dtype=complex)
+    b1, b2 = v_first.B.data, v_second.B.data
+    a1 = np.zeros((v_first.grid.n_nodes, n1 + n2, n1 + n2), dtype=complex)
     a2 = np.zeros_like(a1)
-    bb = np.zeros((nn, n1 + n2, v_first.signal_dim), dtype=complex)
-    for i in range(nn):
-        b1, b2 = v_first.B[i], v_second.B[i]
-        a1[i, :n1, :n1] = v_first.A1[i]
-        a1[i, n1:, n1:] = v_second.A1[i]
-        a1[i, n1:, :n1] = -b2 @ v_first.sigma1[i] @ b1.conj().T
-        a2[i, :n1, :n1] = v_first.A2[i]
-        a2[i, n1:, n1:] = v_second.A2[i]
-        a2[i, n1:, :n1] = -b2 @ v_first.sigma2[i] @ b1.conj().T
-        bb[i, :n1] = b1
-        bb[i, n1:] = b2
+    for a, name in ((a1, "A1"), (a2, "A2")):
+        a[:, :n1, :n1] = getattr(v_first, name).data
+        a[:, n1:, n1:] = getattr(v_second, name).data
+    a1[:, n1:, :n1] = -b2 @ v_first.sigma1.data @ b1.conj().transpose(0, 2, 1)
+    a2[:, n1:, :n1] = -b2 @ v_first.sigma2.data @ b1.conj().transpose(0, 2, 1)
+    bb = np.concatenate([b1, b2], axis=1)
     grid = v_first.grid
     return DifferentialVessel(
         A1=GridOperatorFamily(grid, a1),
@@ -323,16 +321,18 @@ def couple(v_first: DifferentialVessel, v_second: DifferentialVessel,
     )
 
 
-def adjoint_symmetry_residual(v: DifferentialVessel, lam: complex, node: int) -> float:
-    """|| S(-conj(lam))^H sigma1 S(lam) - sigma1 ||_F at one node.
+def adjoint_symmetry_residual(v: DifferentialVessel, lam, node) -> float:
+    """|| S(-conj(lam))^H sigma1 S(lam) - sigma1 ||_F, maximized over lam x node.
 
-    Exactly zero in exact arithmetic whenever the first colligation holds at
-    the node, for every admissible lam.
+    `lam` and `node` are each one value or a sequence.  Exactly zero in exact
+    arithmetic whenever the first colligation holds at the node, for every
+    admissible lam.
     """
-    s_lam = eval_transfer(v, lam, node)
-    s_ref = eval_transfer(v, -np.conj(lam), node)
-    s1 = v.sigma1[node]
-    return frob(s_ref.conj().T @ s1 @ s_lam - s1)
+    lams = np.asarray(lam, dtype=complex).reshape(-1)
+    s_lam = transfer_sweep(v, lams, node)
+    s_ref = transfer_sweep(v, -np.conj(lams), node)
+    s1 = v.sigma1.data[np.asarray(node, np.intp).reshape(-1)]
+    return max_frob(s_ref.conj().transpose(0, 1, 3, 2) @ s1 @ s_lam - s1)
 
 
 def expansivity_factor_form(v: DifferentialVessel, lam: complex, node: int) -> np.ndarray:
@@ -372,8 +372,6 @@ def expansivity_check(
             ff = expansivity_factor_form(v, lam, node)
             defect = frob(d - ff)
             if defect > 1e-10 * max(1.0, frob(d), frob(ff)):
-                from .errors import SingularSystem
-
                 raise SingularSystem(
                     f"metric defect disagrees with its Gram form by {defect:.3e}"
                 )
@@ -393,18 +391,17 @@ def transfer_pde_residual_values(
 
     Max over interior nodes of
     || dS/dt - sigma1^(-1)(sigma2 lam + gamma_star) S + S sigma1^(-1)(sigma2 lam + gamma) ||_F.
+    `s_values` holds one sample per node, as a sequence or an (N, m, m) stack.
     """
-    s = [as_matrix(x) for x in s_values]
-    if len(s) != grid.n_nodes:
+    if len(s_values) != grid.n_nodes:
         raise GridMismatch("need one transfer sample per node")
-    h = grid.h
-    worst = 0.0
-    for i in range(1, grid.n_nodes - 1):
-        ds = (s[i + 1] - s[i - 1]) / (2.0 * h)
-        left = np.linalg.solve(sigma1[i], lam * sigma2[i] + gamma_star[i]) @ s[i]
-        right = s[i] @ np.linalg.solve(sigma1[i], lam * sigma2[i] + gamma[i])
-        worst = max(worst, frob(ds - left + right))
-    return worst
+    s = GridOperatorFamily(grid, s_values).data
+    mid = slice(1, grid.n_nodes - 1)
+    s1, s2 = sigma1.data[mid], sigma2.data[mid]
+    ds = (s[2:] - s[:-2]) / (2.0 * grid.h)
+    left = np.linalg.solve(s1, lam * s2 + gamma_star.data[mid]) @ s[mid]
+    right = s[mid] @ np.linalg.solve(s1, lam * s2 + gamma.data[mid])
+    return max_frob(ds - left + right)
 
 
 def transfer_pde_residual(v: DifferentialVessel, lam: complex) -> float:
@@ -432,12 +429,8 @@ def intertwining_residual(
     """Max over nodes of || S(t) Phi(t, base) - Phi_star(t, base) S(base) ||_F."""
     if not phi.grid.compatible(phi_star.grid) or phi.base_index != phi_star.base_index:
         raise GridMismatch("fundamental matrices are incompatible")
-    s = [as_matrix(x) for x in s_values]
-    base = phi.base_index
-    worst = 0.0
-    for i in range(phi.grid.n_nodes):
-        worst = max(worst, frob(s[i] @ phi[i] - phi_star[i] @ s[base]))
-    return worst
+    s = GridOperatorFamily(phi.grid, s_values).data
+    return max_frob(s @ phi.family.data - phi_star.family.data @ s[phi.base_index])
 
 
 def simulate(v: DifferentialVessel, lam: complex, u0) -> Trajectory:
@@ -452,29 +445,18 @@ def simulate(v: DifferentialVessel, lam: complex, u0) -> Trajectory:
     u0 = np.asarray(u0, dtype=complex).reshape(-1)
     if u0.shape[0] != v.signal_dim:
         raise ShapeMismatch(f"u0 must have length {v.signal_dim}")
-    nn = v.grid.n_nodes
     phi = input_fundamental(v, lam)
-    u = np.stack([phi[i] @ u0.reshape(-1, 1) for i in range(nn)])
-    x = np.empty((nn, v.state_dim, 1), dtype=complex)
-    y = np.empty_like(u)
-    defect_t1 = np.empty(nn)
-    for i in range(nn):
-        s1 = v.sigma1[i]
-        b = v.B[i]
-        x[i] = resolvent(v.A1[i], lam) @ b @ s1 @ u[i]
-        y[i] = u[i] - b.conj().T @ x[i]
-        drive = v.A1[i] @ x[i] + b @ s1 @ u[i]
-        e_flow = 2.0 * np.real(np.vdot(x[i], drive))
-        e_out = np.real(np.vdot(y[i], s1 @ y[i]))
-        e_in = np.real(np.vdot(u[i], s1 @ u[i]))
-        defect_t1[i] = e_flow + e_out - e_in
-    h = v.grid.h
-    defect_t2 = 0.0
-    for i in range(1, nn - 1):
-        dxx = (np.real(np.vdot(x[i + 1], x[i + 1])) - np.real(np.vdot(x[i - 1], x[i - 1]))) / (2.0 * h)
-        s2 = v.sigma2[i]
-        balance = np.real(np.vdot(u[i], s2 @ u[i])) - np.real(np.vdot(y[i], s2 @ y[i]))
-        defect_t2 = max(defect_t2, abs(dxx - balance))
+    u = phi.family.data @ u0.reshape(-1, 1)
+    a1, b, s1, s2 = v.A1.data, v.B.data, v.sigma1.data, v.sigma2.data
+    x = resolvent_stack(a1, lam, np.linalg.eigvals(a1), nodes=range(len(a1))) @ b @ s1 @ u
+    y = u - b.conj().transpose(0, 2, 1) @ x
+    drive = a1 @ x + b @ s1 @ u
+    defect_t1 = 2.0 * _re_inner(x, drive) + _re_inner(y, s1 @ y) - _re_inner(u, s1 @ u)
+    xx = _re_inner(x, x)
+    dxx = (xx[2:] - xx[:-2]) / (2.0 * v.grid.h)
+    mid = slice(1, len(a1) - 1)
+    balance = _re_inner(u[mid], s2[mid] @ u[mid]) - _re_inner(y[mid], s2[mid] @ y[mid])
+    defect_t2 = np.max(np.abs(dxx - balance), initial=0.0)
     grid = v.grid
     return Trajectory(
         lam=complex(lam),
@@ -486,6 +468,11 @@ def simulate(v: DifferentialVessel, lam: complex, u0) -> Trajectory:
     )
 
 
+def _re_inner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Re <p[i], q[i]> for stacks of column vectors, one value per node."""
+    return np.real(p.conj().transpose(0, 2, 1) @ q)[:, 0, 0]
+
+
 def gauge_transform(v: DifferentialVessel, gmap: GaugeMap) -> DifferentialVessel:
     """Change of state frame: A1 -> U A1 U^H, B -> U B, A2 -> U A2 U^H + dU U^H."""
     n = v.state_dim
@@ -493,20 +480,12 @@ def gauge_transform(v: DifferentialVessel, gmap: GaugeMap) -> DifferentialVessel
         raise ShapeMismatch(f"gauge map must be {n}x{n}, got {gmap.U.shape}")
     if not gmap.U.grid.compatible(v.grid):
         raise GridMismatch("gauge map lives on a different grid")
-    nn = v.grid.n_nodes
-    a1 = np.empty((nn, n, n), dtype=complex)
-    a2 = np.empty_like(a1)
-    bb = np.empty((nn, n, v.signal_dim), dtype=complex)
-    for i in range(nn):
-        u = gmap.U[i]
-        uh = u.conj().T
-        a1[i] = u @ v.A1[i] @ uh
-        a2[i] = u @ v.A2[i] @ uh + gmap.dU[i] @ uh
-        bb[i] = u @ v.B[i]
+    u = gmap.U.data
+    uh = u.conj().transpose(0, 2, 1)
     return DifferentialVessel(
-        A1=GridOperatorFamily(v.grid, a1),
-        A2=GridOperatorFamily(v.grid, a2),
-        B=GridOperatorFamily(v.grid, bb),
+        A1=GridOperatorFamily(v.grid, u @ v.A1.data @ uh),
+        A2=GridOperatorFamily(v.grid, u @ v.A2.data @ uh + gmap.dU.data @ uh),
+        B=GridOperatorFamily(v.grid, u @ v.B.data),
         sigma1=v.sigma1,
         sigma2=v.sigma2,
         gamma=v.gamma,
@@ -535,8 +514,6 @@ def krylov_rank(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10) -> int:
 
 def _orthonormal_frame(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     """Unitary Q from QR of the Krylov matrix, diagonal of R made real positive."""
-    import scipy.linalg
-
     k = krylov_matrix(a1, b)
     q, r = scipy.linalg.qr(k, mode="economic")
     diag = np.diagonal(r)[: q.shape[1]]
@@ -590,9 +567,7 @@ def gauge_equivalence(
                 raise
             return NotEquivalent(f"Krylov rank deficient at node {i}: {exc}", defect=np.inf)
         u_data[i] = q2 @ q1.conj().T
-    unitary_defect = max(
-        frob(u_data[i].conj().T @ u_data[i] - np.eye(n)) for i in range(nn)
-    )
+    unitary_defect = max_frob(u_data.conj().transpose(0, 2, 1) @ u_data - np.eye(n))
     if unitary_defect > tol:
         return NotEquivalent("gauge frame is not unitary", defect=unitary_defect)
 

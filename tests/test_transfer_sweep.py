@@ -1,0 +1,283 @@
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+
+import vesselkit as vk
+from vesselkit import cli
+from vesselkit.errors import GridMismatch, NotHermitian, SingularSigma1, SpectrumClash
+from vesselkit.matrix_kernel import frob, max_frob, resolvent_stack
+
+from helpers import SIGMA1_INDEFINITE, const, rand_complex, rand_skew, skew_chain_vessel
+
+
+def run_cli(args):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(args)
+    return code, buf.getvalue()
+
+
+def _family(grid, data):
+    return vk.GridOperatorFamily(grid, data)
+
+
+@pytest.fixture(scope="module")
+def moving_vessel():
+    """Vessel whose A1 and B change along the grid (no condition enforced)."""
+    grid = vk.TimeGrid(0.0, 1.0, 30)
+    rng = np.random.default_rng(3)
+    n, m = 3, 2
+    t = grid.nodes()[:, None, None]
+    a1 = rand_complex(rng, (1, n, n)) - 2.0 * np.eye(n) + t * rand_complex(rng, (1, n, n))
+    b = rand_complex(rng, (1, n, m)) + t * rand_complex(rng, (1, n, m))
+    zero = const(np.zeros((m, m)), grid)
+    return vk.DifferentialVessel(
+        A1=_family(grid, a1), A2=const(np.zeros((n, n)), grid), B=_family(grid, b),
+        sigma1=const(SIGMA1_INDEFINITE, grid), sigma2=zero, gamma=zero, gamma_star=zero,
+    )
+
+
+def _reference(v, lam, node):
+    """Node-by-node S(lam, node), in the arithmetic order of the batched sweep."""
+    a, b = v.A1[node], v.B[node]
+    n = a.shape[0]
+    r = np.linalg.solve(lam * np.eye(n) - a, np.eye(n, dtype=complex))
+    return np.eye(v.signal_dim, dtype=complex) - b.conj().T @ r @ b @ v.sigma1[node]
+
+
+class TestTransferSweep:
+    def test_bit_identical_to_node_by_node(self, moving_vessel):
+        v = moving_vessel
+        lams = [1.5 + 0.5j, -0.3 + 2.0j, 4.0]
+        sweep = vk.transfer_sweep(v, lams)
+        for k, lam in enumerate(lams):
+            for node in range(v.grid.n_nodes):
+                assert np.array_equal(sweep[k, node], _reference(v, lam, node))
+
+    def test_shapes(self, moving_vessel):
+        v = moving_vessel
+        nn, m = v.grid.n_nodes, v.signal_dim
+        assert vk.transfer_sweep(v, [1.0, 2.0, 3.0]).shape == (3, nn, m, m)
+        assert vk.transfer_sweep(v, [1.0, 2.0], [0, 7, 30]).shape == (2, 3, m, m)
+        assert vk.transfer_sweep(v, 1.0 + 1.0j, 4).shape == (1, 1, m, m)
+        assert vk.transfer_sweep(v, [1.0 + 1.0j], [4]).shape == (1, 1, m, m)
+
+    def test_wrappers_are_sweep_entries(self, moving_vessel):
+        v = moving_vessel
+        lam = 0.7 - 1.1j
+        sweep = vk.transfer_sweep(v, [lam])[0]
+        assert np.array_equal(vk.transfer_at_nodes(v, lam), sweep)
+        assert np.array_equal(vk.eval_transfer(v, lam, 11), sweep[11])
+
+    def test_clash_at_one_pair_names_the_node(self, moving_vessel):
+        v = moving_vessel
+        node = 17
+        lam = complex(np.linalg.eigvals(v.A1[node])[0])
+        others = [i for i in range(v.grid.n_nodes) if i != node]
+        vk.transfer_sweep(v, [lam], others)  # every other node is clear of lam
+        vk.transfer_sweep(v, [lam + 0.5], [node])
+        with pytest.raises(SpectrumClash, match=f"at node {node} "):
+            vk.transfer_sweep(v, [1.0 + 0.2j, lam])
+        with pytest.raises(SpectrumClash):
+            vk.eval_transfer(v, lam, node)
+
+    @pytest.mark.parametrize("nodes", [[-1], [31], [0, 99999]])
+    def test_out_of_range_nodes_rejected(self, moving_vessel, nodes):
+        with pytest.raises(GridMismatch):
+            vk.transfer_sweep(moving_vessel, [1.0], nodes)
+
+    def test_symmetry_residual_over_sequences_is_the_max(self):
+        grid = vk.TimeGrid(0.0, 1.0, 40)
+        v, _ = skew_chain_vessel(grid, seed=5, n_points=2)
+        lams, nodes = [1.3 + 0.4j, 0.2 - 1.7j], [0, 9, 40]
+        single = [vk.adjoint_symmetry_residual(v, lam, node) for lam in lams for node in nodes]
+        assert vk.adjoint_symmetry_residual(v, lams, nodes) == max(single)
+        assert vk.adjoint_symmetry_residual(v, [], []) == 0.0
+
+
+class TestBatchedResiduals:
+    def test_pde_residual_matches_node_loop(self, moving_vessel):
+        v = moving_vessel
+        lam = 1.2 + 0.3j
+        s = vk.transfer_at_nodes(v, lam)
+        worst = 0.0
+        for i in range(1, v.grid.n_nodes - 1):
+            ds = (s[i + 1] - s[i - 1]) / (2.0 * v.grid.h)
+            left = np.linalg.solve(v.sigma1[i], lam * v.sigma2[i] + v.gamma_star[i]) @ s[i]
+            right = s[i] @ np.linalg.solve(v.sigma1[i], lam * v.sigma2[i] + v.gamma[i])
+            worst = max(worst, frob(ds - left + right))
+        got = vk.transfer_pde_residual_values(list(s), v.sigma1, v.sigma2, v.gamma,
+                                              v.gamma_star, lam, v.grid)
+        assert got == worst
+        assert vk.transfer_pde_residual(v, lam) == worst
+
+    def test_simulate_matches_node_loop(self, moving_vessel):
+        v = moving_vessel
+        lam, u0 = 0.9 + 0.6j, np.array([1.0, -0.4 + 0.3j])
+        traj = vk.simulate(v, lam, u0)
+        phi = vk.input_fundamental(v, lam)
+        for i in range(v.grid.n_nodes):
+            u = phi[i] @ u0.reshape(-1, 1)
+            x = vk.resolvent(v.A1[i], lam) @ v.B[i] @ v.sigma1[i] @ u
+            y = u - v.B[i].conj().T @ x
+            drive = v.A1[i] @ x + v.B[i] @ v.sigma1[i] @ u
+            defect = (2.0 * np.real(np.vdot(x, drive)) + np.real(np.vdot(y, v.sigma1[i] @ y))
+                      - np.real(np.vdot(u, v.sigma1[i] @ u)))
+            assert np.array_equal(traj.x[i], x)
+            assert np.array_equal(traj.y[i], y)
+            assert traj.energy_defect_t1[i] == defect
+
+    def test_max_frob_is_exact(self):
+        rng = np.random.default_rng(8)
+        stack = rand_complex(rng, (5, 40, 3, 3))
+        assert max_frob(stack) == max(frob(a) for a in stack.reshape(-1, 3, 3))
+        assert max_frob(np.zeros((0, 2, 2))) == 0.0
+        assert max_frob(np.zeros((4, 2, 2))) == 0.0
+
+    def test_resolvent_stack_is_resolvent_per_operand(self, moving_vessel):
+        a = moving_vessel.A1.data
+        lam = 0.4 + 0.9j
+        r = resolvent_stack(a, lam, np.linalg.eigvals(a))
+        for k in range(len(a)):
+            assert np.array_equal(r[k], vk.resolvent(a[k], lam))
+
+
+class TestVesselValidation:
+    def test_non_hermitian_sigma_raises_not_hermitian(self, moving_vessel):
+        v = moving_vessel
+        grid = v.grid
+        s2 = np.zeros((grid.n_nodes, 2, 2), dtype=complex)
+        s2[5, 0, 1] = 1.0
+        with pytest.raises(NotHermitian, match="sigma2 not Hermitian at node 5"):
+            vk.DifferentialVessel(A1=v.A1, A2=v.A2, B=v.B, sigma1=v.sigma1,
+                                  sigma2=_family(grid, s2), gamma=v.gamma,
+                                  gamma_star=v.gamma_star)
+
+    def test_singular_sigma1_names_first_node(self, moving_vessel):
+        v = moving_vessel
+        grid = v.grid
+        s1 = np.broadcast_to(np.eye(2, dtype=complex), (grid.n_nodes, 2, 2)).copy()
+        s1[[8, 20], 1, 1] = 0.0
+        sigma1 = _family(grid, s1)
+        with pytest.raises(SingularSigma1, match="at node 8:"):
+            vk.DifferentialVessel(A1=v.A1, A2=v.A2, B=v.B, sigma1=sigma1, sigma2=v.sigma2,
+                                  gamma=v.gamma, gamma_star=v.gamma_star)
+        with pytest.raises(SingularSigma1, match="at node 8:"):
+            vk.fundamental_matrix(1.0, sigma1, v.sigma2, v.gamma, grid)
+
+    def test_cli_non_hermitian_sigma1_is_input_error(self, moving_vessel, tmp_path):
+        doc = cli.vessel_to_document(moving_vessel)
+        doc["sigma1"] = [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+        path = tmp_path / "bad.json"
+        path.write_text(cli.dump_json(doc))
+        code, out = run_cli(["verify", str(path)])
+        assert code == 1
+        assert "not Hermitian" in json.loads(out)["error"]["message"]
+
+
+def _triple(grid, x_matrix, n, m=2, seed=2):
+    rng = np.random.default_rng(seed)
+    a_pi = -np.eye(n) + 0.1 * rand_skew(rng, n)
+    return vk.NullPoleTriple(
+        C=const(rand_complex(rng, (m, n)), grid), A_pi=a_pi, A_xi=-a_pi.conj().T,
+        Bn=const(rand_complex(rng, (n, m)), grid), X=const(x_matrix, grid))
+
+
+class TestCouplingSingularityIsRelative:
+    def setup_method(self):
+        self.grid = vk.TimeGrid(0.0, 1.0, 6)
+        zero = const(np.zeros((2, 2)), self.grid)
+        self.coeffs = (zero, const(SIGMA1_INDEFINITE, self.grid), zero)
+
+    def test_small_well_conditioned_x_is_regular(self):
+        real = vk.zero_pole_realize(_triple(self.grid, 0.005 * np.eye(5), 5), *self.coeffs)
+        assert real.singular_nodes == ()
+        assert np.all(np.isfinite(real.transfer(1.5 + 0.5j, 3)))
+
+    def test_huge_condition_number_is_singular(self):
+        x = np.diag([1e6, 1e6, 1e6, 1e6, 1e-12])
+        real = vk.zero_pole_realize(_triple(self.grid, x, 5), *self.coeffs)
+        assert real.singular_nodes == tuple(range(self.grid.n_nodes))
+        with pytest.raises(vk.CouplingSingular):
+            real.transfer(1.5 + 0.5j, 3)
+
+    def test_rtol_argument(self):
+        triple = _triple(self.grid, np.diag([1.0, 1e-6]), 2)
+        assert vk.zero_pole_realize(triple, *self.coeffs).singular_nodes == ()
+        strict = vk.zero_pole_realize(triple, *self.coeffs, rtol=1e-5)
+        assert strict.singular_nodes == tuple(range(self.grid.n_nodes))
+
+    def test_stacked_transfer_is_per_node_transfer(self):
+        real = vk.zero_pole_realize(_triple(self.grid, np.diag([2.0, 0.5, 1.0]), 3),
+                                    *self.coeffs)
+        lam = 0.8 - 0.6j
+        stack = real.transfer(lam, np.arange(self.grid.n_nodes))
+        for i in range(self.grid.n_nodes):
+            assert np.array_equal(stack[i], real.transfer(lam, i))
+
+
+@pytest.fixture(scope="module")
+def chain_doc():
+    grid = vk.TimeGrid(0.0, 1.0, 40)
+    v, data = skew_chain_vessel(grid, seed=5, n_points=2)
+    return v, data, cli.dump_json(cli.vessel_to_document(v))
+
+
+@pytest.fixture()
+def chain_file(chain_doc, tmp_path):
+    path = tmp_path / "vessel.json"
+    path.write_text(chain_doc[2])
+    return str(path)
+
+
+class TestCliNodesAndClashes:
+    @pytest.mark.parametrize("node", ["99999", "-1"])
+    @pytest.mark.parametrize("command", ["transfer", "factor", "gauge"])
+    def test_node_outside_grid_is_input_error(self, chain_file, command, node):
+        args = [command, chain_file] + ([chain_file] if command == "gauge" else [])
+        code, out = run_cli(args + [f"--node={node}"])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input"
+        assert f"--node {node}" in err["message"]
+
+    def test_transfer_reports_every_lambda_at_the_node(self, chain_doc, chain_file):
+        v = chain_doc[0]
+        code, out = run_cli(["transfer", chain_file, "--lambda", "2.0,0.5",
+                             "--lambda=-1.0,0.3", "--node", "40"])
+        assert code == 0
+        values = json.loads(out)["values"]
+        assert [item["node"] for item in values] == [40, 40]
+        for item, lam in zip(values, (2.0 + 0.5j, -1.0 + 0.3j)):
+            got = np.array([[complex(*e) for e in row] for row in item["matrix"]])
+            assert np.array_equal(got, vk.eval_transfer(v, lam, 40))
+
+    def test_verify_clash_is_numerical(self, chain_doc, chain_file):
+        z = chain_doc[1][0].z
+        code, out = run_cli(["verify", chain_file, f"--lambda={z.real},{z.imag}"])
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "SpectrumClash"
+
+    def test_realize_clash_is_numerical(self, chain_doc, tmp_path):
+        v = chain_doc[0]
+        triple = vk.extract_null_pole(v, node_ref=0)
+        doc = {
+            "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 40},
+            "sigma1": cli._enc_matrix(v.sigma1[0]),
+            "sigma2": cli._enc_matrix(v.sigma2[0]),
+            "gamma_star": cli._enc_family(v.gamma_star),
+            "C": cli._enc_family(triple.C),
+            "Bn": cli._enc_family(triple.Bn),
+            "A_pi": cli._enc_matrix(triple.A_pi),
+            "A_xi": cli._enc_matrix(triple.A_xi),
+            "X0": cli._enc_matrix(triple.X[0]),
+        }
+        path = tmp_path / "triple.json"
+        path.write_text(cli.dump_json(doc))
+        z = complex(np.linalg.eigvals(triple.A_pi)[0])
+        code, out = run_cli(["realize", str(path), f"--lambda={z.real},{z.imag}"])
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "SpectrumClash"
