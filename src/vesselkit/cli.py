@@ -2,13 +2,16 @@
 
 Exit codes: 0 all checks pass, 1 input/validation error, 2 numerical failure
 (spectrum clash, singular sigma1, ...), 3 condition failure.  stdout carries
-the result document, stderr the human log.  All randomized probe choices are
-drawn from --seed (default 0), so reports are byte-identical across runs.
+the result document, written compactly on one line; stderr carries the human
+log, ending in one line of stage times (load, decode, compute, encode, emit)
+and the exit code.  All randomized probe choices are drawn from --seed
+(default 0), so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -18,7 +21,7 @@ import numpy as np
 from . import spectral_synthesis as synth
 from . import vessel_core as core
 from .config import load_config
-from .errors import VesselKitError, NonFinite, ShapeMismatch
+from .errors import VesselKitError, ShapeMismatch
 from .interpolation import (
     NullPoleTriple,
     evolve_coupling,
@@ -54,74 +57,63 @@ class InputError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# JSON codecs
+# JSON codecs: each operator array crosses the JSON boundary in one numpy
+# conversion, complex entries as a trailing [re, im] axis.
 
 
-def _enc_complex(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _enc_array(a) -> list:
+    """Complex array (or scalar) as nested lists ending in [re, im] pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _enc_matrix(m) -> list:
-    arr = np.asarray(m, dtype=complex)
-    return [[_enc_complex(arr[i, j]) for j in range(arr.shape[1])] for i in range(arr.shape[0])]
+_enc_matrix = _enc_array
 
 
 def _enc_family(fam: GridOperatorFamily) -> list:
-    return [_enc_matrix(fam[i]) for i in range(len(fam))]
+    return _enc_array(fam.data)
 
 
-def _dec_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if not (isinstance(v, list) and len(v) == 2):
-        raise InputError(f"complex scalar must be [re, im], got {v!r}")
-    re, im = v
-    if not all(isinstance(x, (int, float)) for x in (re, im)):
-        raise InputError(f"complex scalar must hold numbers, got {v!r}")
-    return complex(re, im)
-
-
-def _dec_matrix(rows, name: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise InputError(f"{name}: matrix must be a non-empty list of rows")
-    if not all(isinstance(row, list) and row for row in rows):
-        raise InputError(f"{name}: every matrix row must be a non-empty list")
-    if len({len(row) for row in rows}) != 1:
-        raise InputError(f"{name}: ragged matrix rows")
-    mat = np.array([[_dec_complex(e) for e in row] for row in rows], dtype=complex)
-    if not np.all(np.isfinite(mat.real) & np.isfinite(mat.imag)):
+def _dec_array(value, name: str) -> np.ndarray:
+    """One JSON array as a float ndarray: rectangular, numeric, non-empty, finite."""
+    try:
+        arr = np.array(value)
+    except ValueError as exc:
+        raise InputError(f"{name}: ragged array, or bare reals mixed with [re, im] pairs") from exc
+    if arr.dtype.kind not in "biuf":
+        raise InputError(f"{name}: entries must be numbers (integers within the 64-bit range)")
+    if arr.size == 0:
+        raise InputError(f"{name}: empty array")
+    arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
         raise InputError(f"{name}: non-finite entry")
-    return mat
+    return arr
 
 
-def _list_depth(v, limit: int = 5) -> int:
-    d = 0
-    while isinstance(v, list) and d < limit:
-        if not v:
-            break
-        v = v[0]
-        d += 1
-    return d
+def _as_complex(arr: np.ndarray, rank: int, name: str) -> np.ndarray:
+    """`rank`-axis complex array from bare reals or from trailing [re, im] pairs."""
+    if arr.ndim == rank:
+        return arr.astype(complex)
+    if arr.ndim != rank + 1 or arr.shape[-1] != 2:
+        raise InputError(f"{name}: need {rank} axes of reals or of [re, im] pairs, "
+                         f"got shape {arr.shape}")
+    return np.ascontiguousarray(arr).view(complex)[..., 0]  # keeps -0.0 bit for bit
+
+
+def _dec_complex(value, rank: int, name: str) -> np.ndarray:
+    return _as_complex(_dec_array(value, name), rank, name)
 
 
 def _dec_family(nodes, grid: TimeGrid, name: str) -> GridOperatorFamily:
     """Operator array: list of node matrices, or one matrix for a constant family."""
-    if not isinstance(nodes, list) or not nodes:
-        raise InputError(f"{name}: operator array must be a non-empty list")
-    depth = _list_depth(nodes)
-    if depth == 4:  # [node][row][col][re, im]
-        mats = [_dec_matrix(node, name) for node in nodes]
-        if len(mats) != grid.n_nodes:
-            raise InputError(f"{name}: need {grid.n_nodes} node matrices, got {len(mats)}")
-        try:
-            return GridOperatorFamily(grid, np.stack(mats))
-        except (ShapeMismatch, NonFinite, ValueError) as exc:
-            raise InputError(f"{name}: {exc}") from exc
-    if depth == 3:  # [row][col][re, im] constant shorthand
-        return GridOperatorFamily.constant(_dec_matrix(nodes, name), grid)
-    if depth == 2:  # [row][col] real constant shorthand
-        return GridOperatorFamily.constant(_dec_matrix(nodes, name), grid)
-    raise InputError(f"{name}: cannot interpret operator array of nesting depth {depth}")
+    arr = _dec_array(nodes, name)
+    if arr.ndim == 4:  # [node][row][col][re, im]
+        if arr.shape[0] != grid.n_nodes:
+            raise InputError(f"{name}: need {grid.n_nodes} node matrices, got {arr.shape[0]}")
+        return GridOperatorFamily(grid, _as_complex(arr, 3, name))
+    if arr.ndim in (2, 3):  # [row][col] real or [row][col][re, im] constant shorthand
+        return GridOperatorFamily.constant(_as_complex(arr, 2, name), grid)
+    raise InputError(f"{name}: cannot interpret operator array of rank {arr.ndim}")
 
 
 def _dec_grid(doc, name: str = "grid", override_steps=None) -> TimeGrid:
@@ -171,7 +163,7 @@ def vessel_from_document(doc) -> core.DifferentialVessel:
 
 
 def dump_json(doc) -> str:
-    return json.dumps(doc, indent=1, allow_nan=False) + "\n"
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def load_json(path: str):
@@ -188,7 +180,44 @@ def load_json(path: str):
 
 
 # ---------------------------------------------------------------------------
-# report assembly
+# stages and report assembly
+
+
+class Stages:
+    """Wall time of one command's stages; `compute` is the time outside the others."""
+
+    def __init__(self):
+        self.start = time.perf_counter()
+        self.ms = dict.fromkeys(("load", "decode", "compute", "encode", "emit"), 0.0)
+
+    @contextlib.contextmanager
+    def __call__(self, name: str):
+        t = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.ms[name] += 1000.0 * (time.perf_counter() - t)
+
+    def line(self, command: str, code: int) -> str:
+        total = 1000.0 * (time.perf_counter() - self.start)
+        ms = dict(self.ms, compute=total - sum(self.ms.values()))
+        return (f"vesselkit {command}: " + ", ".join(f"{k} {v:.1f} ms" for k, v in ms.items())
+                + f"; exit {code}")
+
+
+def _read_object(path: str, what: str, stages: Stages) -> dict:
+    with stages("load"):
+        doc = load_json(path)
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} must be a JSON object")
+    return doc
+
+
+def _read_vessel(path: str, stages: Stages) -> core.DifferentialVessel:
+    with stages("load"):
+        doc = load_json(path)
+    with stages("decode"):
+        return vessel_from_document(doc)
 
 
 def _report(command: str, tolerances: dict, residual_rows: list, probes: dict, timing) -> dict:
@@ -202,13 +231,14 @@ def _report(command: str, tolerances: dict, residual_rows: list, probes: dict, t
     }
 
 
-def _emit(doc, out=None) -> None:
-    text = dump_json(doc)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(doc, out, stages: Stages) -> None:
+    with stages("emit"):
+        text = dump_json(doc)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
 
 
 def _probe_lambdas(args, scale: float) -> list[complex]:
@@ -234,9 +264,9 @@ def _parse_complex(s: str) -> complex:
 # commands
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, stages: Stages) -> int:
     t0 = time.monotonic()
-    v = vessel_from_document(load_json(args.vessel))
+    v = _read_vessel(args.vessel, stages)
     report = core.verify_vessel(v, tol=args.tol)
     lambdas = _probe_lambdas(args, v.A1.max_norm())
     rng = np.random.default_rng(args.seed)
@@ -254,76 +284,83 @@ def cmd_verify(args) -> int:
     pde_pass = pde_worst <= args.tol + report.h2_allowance
     rows.append({"name": "adjoint_symmetry", "value": sym_worst, "passed": bool(sym_pass)})
     rows.append({"name": "transfer_pde", "value": pde_worst, "passed": bool(pde_pass)})
-    doc = _report(
-        "verify",
-        {"tol": args.tol, "h2_allowance": report.h2_allowance},
-        rows,
-        {"lambdas": [_enc_complex(l) for l in lambdas], "nodes": nodes},
-        _timing(t0, args),
-    )
-    _emit(doc, args.output)
+    with stages("encode"):
+        doc = _report(
+            "verify",
+            {"tol": args.tol, "h2_allowance": report.h2_allowance},
+            rows,
+            {"lambdas": _enc_array(lambdas), "nodes": nodes},
+            _timing(t0, args),
+        )
+    _emit(doc, args.output, stages)
     return _EXIT_OK if all(r["passed"] for r in rows) else _EXIT_CONDITION
 
 
-def cmd_synthesize(args) -> int:
-    spec = load_json(args.spec)
-    if not isinstance(spec, dict):
-        raise InputError("synthesis spec must be a JSON object")
-    grid = _dec_grid(spec.get("grid", {}), override_steps=args.steps)
-    try:
-        sigma1 = _dec_family(spec["sigma1"], grid, "sigma1")
-        sigma2 = _dec_family(spec["sigma2"], grid, "sigma2")
-        gamma0 = _dec_family(spec["gamma0"], grid, "gamma0")
-        raw_data = spec["data"]
-    except KeyError as exc:
-        raise InputError(f"missing field {exc}") from exc
-    if not isinstance(raw_data, list) or not raw_data:
-        raise InputError("data must be a non-empty list of {z, b0, theta?}")
-    data = []
-    for item in raw_data:
-        theta = None
-        if "theta" in item:
-            theta = _dec_family(item["theta"], grid, "theta")
-        data.append(
-            synth.SpectralDatum(
-                z=_dec_complex(item["z"]),
-                b0=np.array([_dec_complex(x) for x in item["b0"]]),
-                theta=theta,
+def cmd_synthesize(args, stages: Stages) -> int:
+    spec = _read_object(args.spec, "synthesis spec", stages)
+    with stages("decode"):
+        grid = _dec_grid(spec.get("grid", {}), override_steps=args.steps)
+        try:
+            sigma1 = _dec_family(spec["sigma1"], grid, "sigma1")
+            sigma2 = _dec_family(spec["sigma2"], grid, "sigma2")
+            gamma0 = _dec_family(spec["gamma0"], grid, "gamma0")
+            raw_data = spec["data"]
+        except KeyError as exc:
+            raise InputError(f"missing field {exc}") from exc
+        if not isinstance(raw_data, list) or not raw_data:
+            raise InputError("data must be a non-empty list of {z, b0, theta?}")
+        data = []
+        for item in raw_data:
+            theta = None
+            if "theta" in item:
+                theta = _dec_family(item["theta"], grid, "theta")
+            data.append(
+                synth.SpectralDatum(
+                    z=complex(_dec_complex(item["z"], 0, "z")),
+                    b0=_dec_complex(item["b0"], 1, "b0"),
+                    theta=theta,
+                )
             )
-        )
     v = synth.build_discrete(data, gamma0, sigma1, sigma2, grid, normalize=args.normalize)
-    _emit(vessel_to_document(v), args.output)
+    with stages("encode"):
+        doc = vessel_to_document(v)
+    _emit(doc, args.output, stages)
     return _EXIT_OK
 
 
-def cmd_transfer(args) -> int:
-    v = vessel_from_document(load_json(args.vessel))
+def cmd_transfer(args, stages: Stages) -> int:
+    v = _read_vessel(args.vessel, stages)
     node = _node(args, v.grid)
     lambdas = _probe_lambdas(args, v.A1.max_norm())
     sweep = core.transfer_sweep(v, lambdas, node)[:, 0]
-    values = [
-        {"lambda": _enc_complex(lam), "node": node, "matrix": _enc_matrix(s)}
-        for lam, s in zip(lambdas, sweep)
-    ]
-    _emit({"schema_version": SCHEMA_VERSION, "command": "transfer", "values": values}, args.output)
+    with stages("encode"):
+        values = [
+            {"lambda": lam, "node": node, "matrix": s}
+            for lam, s in zip(_enc_array(lambdas), _enc_array(sweep))
+        ]
+    _emit({"schema_version": SCHEMA_VERSION, "command": "transfer", "values": values},
+          args.output, stages)
     return _EXIT_OK
 
 
-def cmd_couple(args) -> int:
-    v1 = vessel_from_document(load_json(args.first))
-    v2 = vessel_from_document(load_json(args.second))
+def cmd_couple(args, stages: Stages) -> int:
+    v1 = _read_vessel(args.first, stages)
+    v2 = _read_vessel(args.second, stages)
     v = core.couple(v1, v2, tol=args.tol)
-    _emit(vessel_to_document(v), args.output)
+    with stages("encode"):
+        doc = vessel_to_document(v)
+    _emit(doc, args.output, stages)
     return _EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, stages: Stages) -> int:
     t0 = time.monotonic()
-    v = vessel_from_document(load_json(args.vessel))
-    try:
-        u0 = [_dec_complex(x) for x in json.loads(args.u0)]
-    except json.JSONDecodeError as exc:
-        raise InputError(f"--u0 must be JSON like [[re,im],...]: {exc}") from exc
+    v = _read_vessel(args.vessel, stages)
+    with stages("decode"):
+        try:
+            u0 = _dec_complex(json.loads(args.u0), 1, "--u0")
+        except json.JSONDecodeError as exc:
+            raise InputError(f"--u0 must be JSON like [[re,im],...]: {exc}") from exc
     lam = _parse_complex(args.lam[0]) if args.lam else 1.0 + 0.5j
     traj = core.simulate(v, lam, u0)
     rows = [
@@ -332,56 +369,61 @@ def cmd_simulate(args) -> int:
         {"name": "energy_defect_t2", "value": traj.energy_defect_t2,
          "passed": bool(traj.energy_defect_t2 <= args.tol + (v.grid.h ** 2) * 100)},
     ]
-    doc = _report("simulate", {"tol": args.tol}, rows,
-                  {"lambdas": [_enc_complex(lam)], "nodes": []}, _timing(t0, args))
-    doc["y"] = _enc_family(traj.y)
-    _emit(doc, args.output)
+    with stages("encode"):
+        doc = _report("simulate", {"tol": args.tol}, rows,
+                      {"lambdas": [_enc_array(lam)], "nodes": []}, _timing(t0, args))
+        doc["y"] = _enc_family(traj.y)
+    _emit(doc, args.output, stages)
     return _EXIT_OK if all(r["passed"] for r in rows) else _EXIT_CONDITION
 
 
-def cmd_fundamental(args) -> int:
-    spec = load_json(args.coefficients)
-    grid = _dec_grid(spec.get("grid", {}), override_steps=args.steps)
-    sigma1 = _dec_family(spec["sigma1"], grid, "sigma1")
-    sigma2 = _dec_family(spec["sigma2"], grid, "sigma2")
+def cmd_fundamental(args, stages: Stages) -> int:
+    spec = _read_object(args.coefficients, "coefficient document", stages)
     key = "gamma_star" if args.side == "output" else "gamma"
-    gamma = _dec_family(spec[key], grid, key)
+    with stages("decode"):
+        grid = _dec_grid(spec.get("grid", {}), override_steps=args.steps)
+        sigma1 = _dec_family(spec["sigma1"], grid, "sigma1")
+        sigma2 = _dec_family(spec["sigma2"], grid, "sigma2")
+        gamma = _dec_family(spec[key], grid, key)
     lam = _parse_complex(args.lam[0]) if args.lam else 1.0 + 0.0j
     phi = fundamental_matrix(lam, sigma1, sigma2, gamma, grid, side=args.side, base_index=args.node)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fundamental",
-        "lambda": _enc_complex(lam),
-        "side": args.side,
-        "base_index": args.node,
-        "samples": _enc_family(phi.family),
-    }
-    _emit(doc, args.output)
+    with stages("encode"):
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "fundamental",
+            "lambda": _enc_array(lam),
+            "side": args.side,
+            "base_index": args.node,
+            "samples": _enc_family(phi.family),
+        }
+    _emit(doc, args.output, stages)
     return _EXIT_OK
 
 
-def cmd_multint(args) -> int:
-    spec = load_json(args.kernel)
-    grid = _dec_grid(spec.get("s_grid", {}), "s_grid", override_steps=args.steps)
-    kernel = _dec_family(spec["K"], grid, "K")
-    c = [float(_dec_complex(x).real) for x in spec["c"]]
+def cmd_multint(args, stages: Stages) -> int:
+    spec = _read_object(args.kernel, "kernel document", stages)
+    with stages("decode"):
+        grid = _dec_grid(spec.get("s_grid", {}), "s_grid", override_steps=args.steps)
+        kernel = _dec_family(spec["K"], grid, "K")
+        c = _dec_complex(spec["c"], 1, "c").real
     lam = _parse_complex(args.lam[0]) if args.lam else 1.0 + 0.0j
     s_upper = grid.n_steps if args.s_upper is None else args.s_upper
     w = synth.mult_integral(kernel, c, lam, s_upper)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "multint",
-        "lambda": _enc_complex(lam),
-        "s_upper": s_upper,
-        "matrix": _enc_matrix(w),
-    }
-    _emit(doc, args.output)
+    with stages("encode"):
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "multint",
+            "lambda": _enc_array(lam),
+            "s_upper": s_upper,
+            "matrix": _enc_array(w),
+        }
+    _emit(doc, args.output, stages)
     return _EXIT_OK
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args, stages: Stages) -> int:
     t0 = time.monotonic()
-    v = vessel_from_document(load_json(args.vessel))
+    v = _read_vessel(args.vessel, stages)
     _node(args, v.grid)
     which = _parse_complex(args.which) if "," in args.which else int(args.which)
     result = synth.extract_elementary(v, which, node_ref=args.node, tol=args.tol)
@@ -392,29 +434,30 @@ def cmd_factor(args) -> int:
         {"name": "eigvec_transport", "value": result.eigvec_residual,
          "passed": bool(result.eigvec_residual <= 1e-6)},
     ]
-    doc = _report("factor", {"tol": args.tol}, rows,
-                  {"lambdas": [], "nodes": [args.node]}, _timing(t0, args))
-    doc["factor"] = vessel_to_document(result.factor)
-    _emit(doc, args.output)
+    with stages("encode"):
+        doc = _report("factor", {"tol": args.tol}, rows,
+                      {"lambdas": [], "nodes": [args.node]}, _timing(t0, args))
+        doc["factor"] = vessel_to_document(result.factor)
+    _emit(doc, args.output, stages)
     return _EXIT_OK if all(r["passed"] for r in rows) else _EXIT_CONDITION
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args, stages: Stages) -> int:
     t0 = time.monotonic()
-    spec = load_json(args.triple)
-    grid = _dec_grid(spec.get("grid", {}))
-    sigma1 = _dec_family(spec["sigma1"], grid, "sigma1")
-    sigma2 = _dec_family(spec["sigma2"], grid, "sigma2")
-    gamma_star = _dec_family(spec["gamma_star"], grid, "gamma_star")
-    c = _dec_family(spec["C"], grid, "C")
-    bn = _dec_family(spec["Bn"], grid, "Bn")
-    a_pi = _dec_matrix(spec["A_pi"], "A_pi")
-    a_xi = _dec_matrix(spec["A_xi"], "A_xi")
-    if "X" in spec:
-        x = _dec_family(spec["X"], grid, "X")
-    else:
-        x = evolve_coupling(c, a_pi, a_xi, bn, _dec_matrix(spec["X0"], "X0"),
-                            sigma1, sigma2, gamma_star, grid, tol=args.tol)
+    spec = _read_object(args.triple, "null-pole triple document", stages)
+    with stages("decode"):
+        grid = _dec_grid(spec.get("grid", {}))
+        sigma1 = _dec_family(spec["sigma1"], grid, "sigma1")
+        sigma2 = _dec_family(spec["sigma2"], grid, "sigma2")
+        gamma_star = _dec_family(spec["gamma_star"], grid, "gamma_star")
+        c = _dec_family(spec["C"], grid, "C")
+        bn = _dec_family(spec["Bn"], grid, "Bn")
+        a_pi = _dec_complex(spec["A_pi"], 2, "A_pi")
+        a_xi = _dec_complex(spec["A_xi"], 2, "A_xi")
+        x = _dec_family(spec["X"], grid, "X") if "X" in spec else None
+        x0 = _dec_complex(spec["X0"], 2, "X0") if x is None else None
+    if x is None:
+        x = evolve_coupling(c, a_pi, a_xi, bn, x0, sigma1, sigma2, gamma_star, grid, tol=args.tol)
     triple = NullPoleTriple(C=c, A_pi=a_pi, A_xi=a_xi, Bn=bn, X=x)
     realized = zero_pole_realize(triple, gamma_star, sigma1, sigma2)
     res = sylvester_residuals(triple, sigma1)
@@ -433,36 +476,35 @@ def cmd_realize(args) -> int:
          "passed": bool(res.max() <= args.tol + allowance)},
         {"name": "transfer_pde", "value": float(pde), "passed": bool(pde <= args.tol + allowance)},
     ]
-    doc = _report("realize", {"tol": args.tol, "h2_allowance": allowance}, rows,
-                  {"lambdas": [_enc_complex(l) for l in lambdas], "nodes": []}, _timing(t0, args))
-    doc["vessel"] = vessel_to_document(realized.vessel)
-    doc["singular_nodes"] = list(realized.singular_nodes)
-    _emit(doc, args.output)
+    with stages("encode"):
+        doc = _report("realize", {"tol": args.tol, "h2_allowance": allowance}, rows,
+                      {"lambdas": _enc_array(lambdas), "nodes": []}, _timing(t0, args))
+        doc["vessel"] = vessel_to_document(realized.vessel)
+        doc["singular_nodes"] = list(realized.singular_nodes)
+    _emit(doc, args.output, stages)
     return _EXIT_OK if all(r["passed"] for r in rows) else _EXIT_CONDITION
 
 
-def cmd_gauge(args) -> int:
+def cmd_gauge(args, stages: Stages) -> int:
     t0 = time.monotonic()
-    v1 = vessel_from_document(load_json(args.first))
-    v2 = vessel_from_document(load_json(args.second))
+    v1 = _read_vessel(args.first, stages)
+    v2 = _read_vessel(args.second, stages)
     _node(args, v1.grid)
     verdict = core.gauge_equivalence(v1, v2, node=args.node, probes=args.probes,
                                      tol=args.tol, seed=args.seed)
-    if isinstance(verdict, core.NotEquivalent):
-        rows = [{"name": "gauge_equivalence", "value": float(verdict.defect), "passed": False}]
+    equivalent = not isinstance(verdict, core.NotEquivalent)
+    with stages("encode"):
+        value = 0.0 if equivalent else float(verdict.defect)
+        rows = [{"name": "gauge_equivalence", "value": value, "passed": equivalent}]
         doc = _report("gauge", {"tol": args.tol}, rows, {"lambdas": [], "nodes": [args.node]},
                       _timing(t0, args))
-        doc["equivalent"] = False
-        doc["reason"] = verdict.reason
-        _emit(doc, args.output)
-        return _EXIT_CONDITION
-    rows = [{"name": "gauge_equivalence", "value": 0.0, "passed": True}]
-    doc = _report("gauge", {"tol": args.tol}, rows, {"lambdas": [], "nodes": [args.node]},
-                  _timing(t0, args))
-    doc["equivalent"] = True
-    doc["U"] = _enc_family(verdict.U)
-    _emit(doc, args.output)
-    return _EXIT_OK
+        doc["equivalent"] = equivalent
+        if equivalent:
+            doc["U"] = _enc_family(verdict.U)
+        else:
+            doc["reason"] = verdict.reason
+    _emit(doc, args.output, stages)
+    return _EXIT_OK if equivalent else _EXIT_CONDITION
 
 
 def _node(args, grid: TimeGrid) -> int:
@@ -564,19 +606,22 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return _EXIT_INPUT if exc.code not in (0, None) else 0
+    stages = Stages()
     try:
-        return args.fn(args)
+        code = args.fn(args, stages)
     except InputError as exc:
         _emit_error("input", str(exc))
-        return _EXIT_INPUT
+        code = _EXIT_INPUT
     except VesselKitError as exc:
         kind = type(exc).__name__
         _emit_error(kind, str(exc))
-        return _EXIT_NUMERICAL if kind in _NUMERICAL_ERRORS else _EXIT_INPUT
+        code = _EXIT_NUMERICAL if kind in _NUMERICAL_ERRORS else _EXIT_INPUT
     except (KeyError, TypeError, ValueError) as exc:
         # malformed document structure surfacing past the codecs
         _emit_error("input", f"{type(exc).__name__}: {exc}")
-        return _EXIT_INPUT
+        code = _EXIT_INPUT
+    print(stages.line(args.command, code), file=sys.stderr)
+    return code
 
 
 def _emit_error(kind: str, message: str) -> None:
