@@ -198,13 +198,8 @@ def _pair_ode_residual(
 
 def sylvester_residuals(triple: NullPoleTriple, sigma1: GridOperatorFamily) -> np.ndarray:
     """Per-node Frobenius residual of X A_pi - A_xi X = Bn sigma1 C."""
-    out = np.empty(len(triple.X))
-    for i in range(len(triple.X)):
-        out[i] = frob(
-            triple.X[i] @ triple.A_pi - triple.A_xi @ triple.X[i]
-            - triple.Bn[i] @ sigma1[i] @ triple.C[i]
-        )
-    return out
+    x = triple.X.data
+    return frob(x @ triple.A_pi - triple.A_xi @ x - triple.Bn.data @ sigma1.data @ triple.C.data)
 
 
 def evolve_coupling(
@@ -297,8 +292,8 @@ def zero_pole_realize(
     gam = np.where(on, s2 @ cb @ s1 - s1 @ cb @ s2 + gs, gs)
 
     def transfer(lam: complex, node) -> np.ndarray:
+        idx = grid.node_indices(node)
         r = resolvent(triple.A_pi, lam)
-        idx = np.arange(grid.n_nodes)[node]
         hit = np.intersect1d(idx, singular)
         if hit.size:
             raise CouplingSingular(f"coupling matrix singular at node {hit[0]}",
@@ -330,9 +325,12 @@ def extract_null_pole(v: DifferentialVessel, node_ref: int = 0) -> NullPoleTripl
     Right pole pair (C, A_pi) = (-B^H, A1(node_ref)).  The inverse transfer is
     I + B^H (lam I - A1 - B sigma1 B^H)^(-1) B sigma1, so the left null pair
     is (A_xi, Bn) = (A1 + B sigma1 B^H at node_ref, B); under the first
-    colligation A_xi equals -A1(node_ref)^H.  The coupling family is solved
-    per node from the Sylvester equation (the identity, at node_ref exactly).
+    colligation A_xi equals -A1(node_ref)^H.  The coupling family solves the
+    Sylvester equation at every node, all nodes sharing one factorization
+    (the identity, at node_ref exactly).  GridMismatch for a node_ref off
+    the grid.
     """
+    node_ref = int(v.grid.node_indices(node_ref))
     n = v.state_dim
     rank = krylov_rank(v.A1[node_ref], v.B[node_ref])
     if rank < n:
@@ -340,20 +338,14 @@ def extract_null_pole(v: DifferentialVessel, node_ref: int = 0) -> NullPoleTripl
     a_pi = v.A1[node_ref]
     b_ref = v.B[node_ref]
     a_xi = a_pi + b_ref @ v.sigma1[node_ref] @ b_ref.conj().T
-    nn = v.grid.n_nodes
-    m = v.signal_dim
-    c_data = np.empty((nn, m, n), dtype=complex)
-    x_data = np.empty((nn, n, n), dtype=complex)
-    for i in range(nn):
-        c_data[i] = -v.B[i].conj().T
-        q = v.B[i] @ v.sigma1[i] @ c_data[i]
-        x_data[i] = solve_sylvester(a_pi, a_xi, q)
+    c_data = -v.B.data.conj().transpose(0, 2, 1)
     return NullPoleTriple(
         C=GridOperatorFamily(v.grid, c_data),
         A_pi=a_pi,
         A_xi=a_xi,
         Bn=v.B,
-        X=GridOperatorFamily(v.grid, x_data),
+        X=GridOperatorFamily(
+            v.grid, solve_sylvester(a_pi, a_xi, v.B.data @ v.sigma1.data @ c_data)),
     )
 
 
@@ -372,8 +364,10 @@ def hermitian_realize(
 
     satisfy A1~ + A1~^H + C~^H sigma1 C~ = 0 exactly and leave the transfer
     untouched.  The transfer then obeys S(lam) sigma1^(-1) S(-conj(lam))^H =
-    sigma1^(-1).  X is solved independently per node; the maximal step jump
-    of X is reported as a smoothness cross-check.
+    sigma1^(-1).  X is solved independently per node, from one factorization
+    shared by all nodes; the maximal step jump of X is reported as a
+    smoothness cross-check.  The first node where X fails to be positive
+    definite raises NotPositiveDefinite.
     """
     a1 = as_matrix(a1, "A1")
     n = a1.shape[0]
@@ -384,49 +378,39 @@ def hermitian_realize(
     if rank < n:
         raise NotMinimal(f"(A1, C) not observable: Krylov rank {rank} < {n}", rank=rank)
     grid = c.grid
-    nn = grid.n_nodes
-    x_data = np.empty((nn, n, n), dtype=complex)
-    y_data = np.empty_like(x_data)
-    ct_data = np.empty((nn, m, n), dtype=complex)
-    at_data = np.empty_like(x_data)
-    min_eig = np.inf
-    coll_res = 0.0
-    for i in range(nn):
-        q = -(c[i].conj().T @ sigma1[i] @ c[i])
-        x = solve_sylvester(a1, -a1.conj().T, q)
-        x = hermitian_part(x)
-        w = np.linalg.eigvalsh(x)
-        min_eig = min(min_eig, float(w[0]))
-        if w[0] <= 0:
-            raise NotPositiveDefinite(
-                f"coupling matrix not PD at node {i}: min eigenvalue {w[0]:.3e}"
-            )
-        y = hermitian_sqrt(x, require_pd=True)
-        yinv = np.linalg.inv(y)
-        x_data[i] = x
-        y_data[i] = y
-        ct_data[i] = c[i] @ yinv
-        at_data[i] = y @ a1 @ yinv
-        coll_res = max(
-            coll_res,
-            frob(at_data[i] + at_data[i].conj().T + ct_data[i].conj().T @ sigma1[i] @ ct_data[i]),
-        )
-    jumps = [frob(x_data[i + 1] - x_data[i]) for i in range(nn - 1)]
+    cd, s1 = c.data, sigma1.data
+    # Stacks go straight into their families (which copy them): none is held twice.
+    x = GridOperatorFamily(grid, hermitian_part(
+        solve_sylvester(a1, -a1.conj().T, -(cd.conj().transpose(0, 2, 1) @ s1 @ cd))))
+    w = np.linalg.eigvalsh(x.data)[:, 0]  # smallest eigenvalue per node
+    bad = np.flatnonzero(w <= 0)
+    # The first node to fail either test decides, as in a node-by-node pass:
+    # the square root's eps_pd test runs on the nodes before this one's.
+    y = hermitian_sqrt(x.data[: bad[0] if bad.size else None], require_pd=True)
+    if bad.size:
+        i = bad[0]
+        raise NotPositiveDefinite(f"coupling matrix not PD at node {i}: min eigenvalue {w[i]:.3e}")
+    y = GridOperatorFamily(grid, y)
+    yinv = np.linalg.inv(y.data)
+    ct = GridOperatorFamily(grid, cd @ yinv)
+    at = GridOperatorFamily(grid, y.data @ a1 @ yinv)
 
     def transfer(lam: complex, node: int) -> np.ndarray:
+        i = int(grid.node_indices(node))
         r = resolvent(-a1, lam)  # (lam I + A1)^(-1)
-        xinv = np.linalg.inv(x_data[node])
-        return np.eye(m, dtype=complex) + c[node] @ r @ xinv @ c[node].conj().T @ sigma1[node]
+        xinv = np.linalg.inv(x[i])
+        return np.eye(m, dtype=complex) + c[i] @ r @ xinv @ c[i].conj().T @ sigma1[i]
 
     return HermitianRealization(
         C=c,
         A1=a1,
-        X=GridOperatorFamily(grid, x_data),
-        Y=GridOperatorFamily(grid, y_data),
-        C_tilde=GridOperatorFamily(grid, ct_data),
-        A1_tilde=GridOperatorFamily(grid, at_data),
+        X=x,
+        Y=y,
+        C_tilde=ct,
+        A1_tilde=at,
         transfer=transfer,
-        colligation_residual=float(coll_res),
-        min_eig_X=float(min_eig),
-        max_step_jump=float(max(jumps) if jumps else 0.0),
+        colligation_residual=max_frob(at.data + at.data.conj().transpose(0, 2, 1)
+                                      + ct.data.conj().transpose(0, 2, 1) @ s1 @ ct.data),
+        min_eig_X=float(w.min()),
+        max_step_jump=max_frob(np.diff(x.data, axis=0)),
     )

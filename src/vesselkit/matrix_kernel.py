@@ -51,29 +51,59 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def frob(a) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(a), "fro"))
+def frob(a):
+    """Frobenius norm of a matrix, or the (N,) norms of an (N, r, c) stack.
+
+    Each norm of a stack is bit for bit the norm of its matrix alone: both
+    take the same two BLAS dot products over the entries in memory order.
+    """
+    a = np.asarray(a)
+    if a.ndim == 2:
+        return float(np.linalg.norm(a, "fro"))
+    if a.strides[-2] < a.strides[-1]:  # column-major matrices: keep memory order
+        a = a.swapaxes(-1, -2)
+    flat = np.ascontiguousarray(a).reshape(a.shape[0], 1, a.shape[1] * a.shape[2])
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
 
 
 def hermitian_part(a) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+
+
+def _as_stack(a, name: str):
+    """`a` as an (N, r, c) stack, validated as by :func:`as_matrix` (a matrix is
+    the N = 1 case; N = 0 is allowed), and the labels naming a failing slice
+    (None for a matrix)."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 3:
+        return as_matrix(m, name)[None], None
+    if min(m.shape[1:]) < 1:
+        raise ShapeMismatch(f"{name} must have positive dimensions, got {m.shape}")
+    if not np.all(np.isfinite(m.real) & np.isfinite(m.imag)):
+        raise NonFinite(f"{name} contains NaN or Inf")
+    return m, range(len(m))
 
 
 def as_hermitian(a, rtol: float = 1e-12, name: str = "matrix") -> np.ndarray:
     """Project `a` onto its Hermitian part after checking it is Hermitian to `rtol`.
 
     The projection removes round-off level asymmetry; genuinely non-Hermitian
-    input raises :class:`NotHermitian`.
+    input raises :class:`NotHermitian`.  `a` may be an (N, n, n) stack, each
+    matrix checked on its own scale; the first failing one is named by node.
     """
-    m = as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"{name} must be square, got {m.shape}")
-    defect = frob(m - m.conj().T)
-    scale = max(frob(m), 1.0)
-    if defect > rtol * scale:
-        raise NotHermitian(f"{name} is not Hermitian: defect {defect:.3e} > {rtol:.1e} * {scale:.3e}")
-    return hermitian_part(m)
+    m, nodes = _as_stack(a, name)
+    if m.shape[1] != m.shape[2]:
+        raise ShapeMismatch(f"{name} must be square, got {m.shape[1:]}")
+    defect = frob(m - np.swapaxes(m.conj(), 1, 2))
+    scale = np.maximum(frob(m), 1.0)
+    bad = np.flatnonzero(defect > rtol * scale)
+    if bad.size:
+        k = bad[0]
+        raise NotHermitian(f"{name} is not Hermitian{_at(nodes, k)}: defect {defect[k]:.3e} > "
+                           f"{rtol:.1e} * {scale[k]:.3e}")
+    out = hermitian_part(m)
+    return out[0] if nodes is None else out
 
 
 @dataclass(frozen=True)
@@ -100,17 +130,8 @@ def spectrum_report(a) -> SpectrumReport:
 
 
 def max_frob(stack) -> float:
-    """Largest :func:`frob` over a stack of matrices, bit for bit (0.0 if empty).
-
-    The batched norm sums in another order, so it only shortlists the
-    matrices within 1e-12 relative of the top; :func:`frob` decides.
-    """
-    flat = np.asarray(stack).reshape((-1,) + np.shape(stack)[-2:])
-    est = np.linalg.norm(flat, axis=(1, 2))
-    top = est.max(initial=0.0)
-    if top == 0.0:
-        return 0.0
-    return max(frob(flat[k]) for k in np.flatnonzero(est >= top * (1.0 - 1e-12)))
+    """Largest :func:`frob` over a stack of matrices, bit for bit (0.0 if empty)."""
+    return float(frob(np.reshape(stack, (-1,) + np.shape(stack)[-2:])).max(initial=0.0))
 
 
 def resolvent_stack(a, lam: complex, spectra, eps_spec=None, nodes=None) -> np.ndarray:
@@ -173,42 +194,54 @@ def hermitian_sqrt(x, require_pd: bool = False, eps_pd: float | None = None) -> 
     ``eps_pd_rel * ||x||_F``); without it, eigenvalues down to ``-eps_pd``
     are clamped to zero and anything more negative is rejected, since the
     principal root of an indefinite Hermitian matrix is not Hermitian.
+    `x` may be an (N, n, n) stack: each matrix gets its own default
+    ``eps_pd``, and the first failing one is named by its node.
     """
     m = as_hermitian(x, rtol=1e-12, name="hermitian_sqrt operand")
+    nodes = None if m.ndim == 2 else range(len(m))
+    m = m.reshape((-1,) + m.shape[-2:])
     if eps_pd is None:
-        eps_pd = DEFAULTS.eps_pd_rel * max(frob(m), 1.0)
+        eps_pd = DEFAULTS.eps_pd_rel * np.maximum(frob(m), 1.0)
+    eps_pd = np.broadcast_to(eps_pd, m.shape[:1])
     w, v = np.linalg.eigh(m)
-    if require_pd:
-        if w[0] <= eps_pd:
-            raise NotPositiveDefinite(
-                f"min eigenvalue {w[0]:.3e} <= eps_pd {eps_pd:.3e}"
-            )
-    elif w[0] < -eps_pd:
-        raise NotPositiveDefinite(f"matrix has negative eigenvalue {w[0]:.3e}")
+    low = w[:, 0]
+    bad = np.flatnonzero(low <= eps_pd if require_pd else low < -eps_pd)
+    if bad.size:
+        k = bad[0]
+        raise NotPositiveDefinite(
+            f"min eigenvalue {low[k]:.3e} <= eps_pd {eps_pd[k]:.3e}{_at(nodes, k)}" if require_pd
+            else f"matrix has negative eigenvalue {low[k]:.3e}{_at(nodes, k)}"
+        )
     w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return hermitian_part(root)
+    root = hermitian_part((v * np.sqrt(w)[:, None, :]) @ np.swapaxes(v.conj(), 1, 2))
+    return root[0] if nodes is None else root
 
 
 def solve_sylvester(a_pi, a_xi, q, eps_spec: float | None = None) -> np.ndarray:
     """Solve X @ a_pi - a_xi @ X = q for X, by the vectorized dense system.
 
-    `a_pi` is n-by-n, `a_xi` is k-by-k, `q` and the result are k-by-n.  The
-    spectra of the two coefficient matrices must be disjoint with a gap above
-    ``eps_spec``, which is what makes the solution unique.  Desk scale only
-    (n*k up to a few hundred): the kron system is exact and simple, and that
-    is worth more here than a Bartels-Stewart factorization.
+    `a_pi` is n-by-n, `a_xi` is k-by-k, `q` and the result are k-by-n, or
+    (N, k, n) stacks: one factorization of the system then serves all N
+    right-hand sides, and the first slice whose residual fails is named by
+    its node.  The spectra of the two coefficient matrices must be disjoint
+    with a gap above ``eps_spec`` (default ``eps_spec_rel`` times
+    ``||a_pi||_F + ||a_xi||_F``), which is what makes the solution unique.
+    Both guards are relative, so scaling a_pi, a_xi and q by c > 0 fires the
+    same ones.  Desk scale only (n*k up to a few hundred): the kron system is
+    exact and simple, and that is worth more here than a Bartels-Stewart
+    factorization.
     """
     ap = as_matrix(a_pi, "a_pi")
     ax = as_matrix(a_xi, "a_xi")
-    qq = as_matrix(q, "q")
+    qs, nodes = _as_stack(q, "q")
     if ap.shape[0] != ap.shape[1] or ax.shape[0] != ax.shape[1]:
         raise ShapeMismatch("a_pi and a_xi must be square")
     n, k = ap.shape[0], ax.shape[0]
-    if qq.shape != (k, n):
-        raise ShapeMismatch(f"q must be {k}x{n}, got {qq.shape}")
+    if qs.shape[1:] != (k, n):
+        raise ShapeMismatch(f"q must be {k}x{n}, got {qs.shape[1:]}")
+    scale = frob(ap) + frob(ax)
     if eps_spec is None:
-        eps_spec = DEFAULTS.eps_spec_rel * max(frob(ap) + frob(ax), 1.0)
+        eps_spec = DEFAULTS.eps_spec_rel * scale
     ev_pi = np.linalg.eigvals(ap)
     ev_xi = np.linalg.eigvals(ax)
     gap = float(np.min(np.abs(ev_pi[None, :] - ev_xi[:, None])))
@@ -217,18 +250,26 @@ def solve_sylvester(a_pi, a_xi, q, eps_spec: float | None = None) -> np.ndarray:
             f"spectra of a_pi and a_xi overlap within {gap:.3e} (threshold {eps_spec:.3e})"
         )
     # Column-stacking vec: vec(X a_pi) = (a_pi^T (x) I_k) vec X,
-    # vec(a_xi X) = (I_n (x) a_xi) vec X.
+    # vec(a_xi X) = (I_n (x) a_xi) vec X.  Column j of the right-hand side is
+    # vec q[j].  LAPACK (OpenBLAS) solves a single column by another path
+    # than several, with other rounding, so a zero column pads N = 1: a
+    # matrix then solves bit for bit as it does inside any stack.
     system = np.kron(ap.T, np.eye(k)) - np.kron(np.eye(n), ax)
+    rhs = np.zeros((k * n, max(len(qs), 2)), dtype=complex)
+    rhs[:, : len(qs)] = qs.transpose(0, 2, 1).reshape(len(qs), k * n).T
     try:
-        vec_x = np.linalg.solve(system, qq.reshape(k * n, order="F"))
+        vec_x = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"sylvester solve failed: {exc}") from exc
-    x = vec_x.reshape((k, n), order="F")
-    residual = frob(x @ ap - ax @ x - qq)
-    bound = 1e-10 * max((frob(ap) + frob(ax)) * max(frob(x), 1.0), frob(qq), 1.0)
-    if residual > bound:
-        raise SingularSystem(f"sylvester residual {residual:.3e} exceeds {bound:.3e}")
-    return x
+    x = np.ascontiguousarray(vec_x[:, : len(qs)].T.reshape(len(qs), n, k).transpose(0, 2, 1))
+    residual = frob(x @ ap - ax @ x - qs)
+    bound = 1e-10 * np.maximum(scale * frob(x), frob(qs))
+    bad = np.flatnonzero(~(residual <= bound))
+    if bad.size:
+        i = bad[0]
+        raise SingularSystem(f"sylvester residual {residual[i]:.3e} exceeds {bound[i]:.3e}"
+                             f"{_at(nodes, i)}")
+    return x[0] if nodes is None else x
 
 
 def matrix_exp(m) -> np.ndarray:

@@ -62,6 +62,14 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return self.t_start + self.h * np.arange(self.n_nodes)
 
+    def node_indices(self, nodes) -> np.ndarray:
+        """`nodes` (one index or several) as intp; GridMismatch for any outside [0, n_steps]."""
+        idx = np.asarray(nodes, np.intp)
+        outside = idx[(idx < 0) | (idx > self.n_steps)]
+        if outside.size:
+            raise GridMismatch(f"node {outside[0]} outside the grid nodes [0, {self.n_steps}]")
+        return idx
+
     def compatible(self, other: "TimeGrid") -> bool:
         return (
             self.n_steps == other.n_steps

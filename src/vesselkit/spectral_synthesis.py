@@ -29,7 +29,7 @@ from .errors import (
     SpectrumClash,
     TransportBreakdown,
 )
-from .matrix_kernel import as_matrix, frob, matrix_exp
+from .matrix_kernel import as_matrix, frob, matrix_exp, max_frob
 from .ode_engine import (
     GridOperatorFamily,
     TimeGrid,
@@ -133,11 +133,9 @@ def build_elementary(
         b0 = b0 / np.sqrt(p0)
 
     z = complex(datum.z)
-
-    def coeff(i: int) -> np.ndarray:
-        return np.linalg.solve(sigma1[i], z * sigma2[i] + gamma[i])
-
-    b_fam = integrate_linear_ode(coeff, b0.reshape(-1, 1), grid)
+    s1, s2 = sigma1.data, sigma2.data
+    coeff = GridOperatorFamily(grid, np.linalg.solve(s1, z * s2 + gamma.data))
+    col = integrate_linear_ode(coeff, b0.reshape(-1, 1), grid).data  # b per node
     nn = grid.n_nodes
     theta_prime = np.zeros(nn)
     if datum.theta is not None:
@@ -145,30 +143,38 @@ def build_elementary(
             raise ShapeMismatch("theta must be a scalar family on the same grid")
         theta_prime = np.real(family_derivative(datum.theta).data[:, 0, 0])
 
-    a1 = np.full((nn, 1, 1), z, dtype=complex)
-    a2 = np.empty((nn, 1, 1), dtype=complex)
-    bb = np.empty((nn, 1, m), dtype=complex)
-    gs = np.empty((nn, m, m), dtype=complex)
+    row = col.conj().transpose(0, 2, 1)  # b^H
+    p = (row @ s1 @ col)[:, 0, 0]
+    q = (row @ s2 @ col)[:, 0, 0]
     eps = DEFAULTS.eps_spec_rel * max(sigma1.max_norm(), 1.0)
-    for i in range(nn):
-        b = b_fam[i][:, 0]
-        p = complex(b.conj() @ sigma1[i] @ b)
-        q = complex(b.conj() @ sigma2[i] @ b)
-        if abs(p) <= eps:
-            raise DegenerateB(f"b^H sigma1 b vanished at node {i}")
-        a2[i, 0, 0] = -q / (2.0 * p) + 1j * theta_prime[i]
-        bb[i, 0] = b.conj()
-        bbh = np.outer(b, b.conj())
-        gs[i] = gamma[i] + sigma2[i] @ bbh @ sigma1[i] - sigma1[i] @ bbh @ sigma2[i]
+    bad = np.flatnonzero(np.abs(p) <= eps)
+    if bad.size:
+        raise DegenerateB(f"b^H sigma1 b vanished at node {bad[0]}")
     return DifferentialVessel(
-        A1=GridOperatorFamily(grid, a1),
-        A2=GridOperatorFamily(grid, a2),
-        B=GridOperatorFamily(grid, bb),
+        A1=GridOperatorFamily(grid, np.full((nn, 1, 1), z, dtype=complex)),
+        A2=GridOperatorFamily(grid, (-q / (2.0 * p) + 1j * theta_prime)[:, None, None]),
+        B=GridOperatorFamily(grid, row),
         sigma1=sigma1,
         sigma2=sigma2,
         gamma=gamma,
-        gamma_star=GridOperatorFamily(grid, gs),
+        gamma_star=_gamma_star(gamma, sigma1, sigma2, row),
     )
+
+
+def _gamma_star(gamma, sigma1, sigma2, row: np.ndarray) -> GridOperatorFamily:
+    """gamma + sigma2 b b^H sigma1 - sigma1 b b^H sigma2 at every node, `row` holding b^H."""
+    bbh = row.conj().transpose(0, 2, 1) * row
+    s1, s2 = sigma1.data, sigma2.data
+    return GridOperatorFamily(gamma.grid, gamma.data + s2 @ bbh @ s1 - s1 @ bbh @ s2)
+
+
+def _chain(data, gamma0, sigma1, sigma2, grid, normalize: bool) -> list[DifferentialVessel]:
+    """Elementary factors of `data`, each built on the gamma_star of the one before."""
+    factors = []
+    for datum in data:
+        gamma = factors[-1].gamma_star if factors else gamma0
+        factors.append(build_elementary(datum, gamma, sigma1, sigma2, grid, normalize=normalize))
+    return factors
 
 
 def discrete_chain(
@@ -180,19 +186,12 @@ def discrete_chain(
     normalize: bool = False,
 ) -> DiscreteSynthesisState:
     """Evolve every auxiliary vector along the chained gamma recurrence."""
-    factors = []
-    gamma_h = gamma0
-    chain = [gamma0]
-    for datum in data:
-        v = build_elementary(datum, gamma_h, sigma1, sigma2, grid, normalize=normalize)
-        factors.append(v)
-        gamma_h = v.gamma_star
-        chain.append(gamma_h)
-    b_evolved = tuple(
-        GridOperatorFamily(grid, np.conj(np.transpose(f.B.data, (0, 2, 1))))
-        for f in factors
+    factors = _chain(data, gamma0, sigma1, sigma2, grid, normalize)
+    return DiscreteSynthesisState(
+        gamma_chain=(gamma0, *(f.gamma_star for f in factors)),
+        b_evolved=tuple(GridOperatorFamily(grid, f.B.data.conj().transpose(0, 2, 1))
+                        for f in factors),
     )
-    return DiscreteSynthesisState(gamma_chain=tuple(chain), b_evolved=b_evolved)
 
 
 def build_discrete(
@@ -213,33 +212,18 @@ def build_discrete(
     data = list(data)
     if not data:
         raise ShapeMismatch("need at least one spectral datum")
-    factors = []
-    gamma_h = gamma0
-    for datum in data:
-        v = build_elementary(datum, gamma_h, sigma1, sigma2, grid, normalize=normalize)
-        factors.append(v)
-        gamma_h = v.gamma_star
-    n = len(factors)
-    m = sigma1.shape[0]
-    nn = grid.n_nodes
-    a1 = np.zeros((nn, n, n), dtype=complex)
-    a2 = np.zeros_like(a1)
-    bb = np.empty((nn, n, m), dtype=complex)
-    for i in range(nn):
-        bs = [f.B[i][0] for f in factors]  # rows b_h^H
-        for hi in range(n):
-            a1[i, hi, hi] = factors[hi].A1[i][0, 0]
-            a2[i, hi, hi] = factors[hi].A2[i][0, 0]
-            bb[i, hi] = bs[hi]
-            for hj in range(hi):
-                b_i = bs[hi].conj()  # column b_i
-                b_j = bs[hj].conj()
-                a1[i, hi, hj] = -(b_i.conj() @ sigma1[i] @ b_j)
-                a2[i, hi, hj] = -(b_i.conj() @ sigma2[i] @ b_j)
+    factors = _chain(data, gamma0, sigma1, sigma2, grid, normalize)
+    b = np.concatenate([f.B.data for f in factors], axis=1)  # rows b_h^H
+    bh = b.conj().transpose(0, 2, 1)
+    diag = np.arange(len(factors))
+    a1 = np.tril(-(b @ sigma1.data @ bh), -1)
+    a2 = np.tril(-(b @ sigma2.data @ bh), -1)
+    a1[:, diag, diag] = np.concatenate([f.A1.data for f in factors], axis=1)[:, :, 0]
+    a2[:, diag, diag] = np.concatenate([f.A2.data for f in factors], axis=1)[:, :, 0]
     return DifferentialVessel(
         A1=GridOperatorFamily(grid, a1),
         A2=GridOperatorFamily(grid, a2),
-        B=GridOperatorFamily(grid, bb),
+        B=GridOperatorFamily(grid, b),
         sigma1=sigma1,
         sigma2=sigma2,
         gamma=gamma0,
@@ -279,8 +263,10 @@ def extract_elementary(
 
         quotient_transfer(lam, node) = S(lam, node) @ S_factor(lam, node)^(-1)
 
-    drops the extracted point from the pole set.
+    drops the extracted point from the pole set.  GridMismatch for a
+    node_ref off the grid.
     """
+    node_ref = int(v.grid.node_indices(node_ref))
     n = v.state_dim
     a1_ref = v.A1[node_ref]
     eigs, vl = np.linalg.eig(a1_ref.conj().T)
@@ -297,38 +283,24 @@ def extract_elementary(
             )
     g0 = vl[:, idx]
     g0 = g0 / np.linalg.norm(g0)
-
-    def coeff(i: int) -> np.ndarray:
-        return -v.A2[i].conj().T
-
-    nn = v.grid.n_nodes
-    g = np.empty((nn, n), dtype=complex)
-    raw = _transport_from(coeff, g0, v.grid, node_ref)
-    worst_drift = 0.0
-    for i in range(nn):
-        norm = np.linalg.norm(raw[i])
-        if norm < 1e-8:
-            raise TransportBreakdown(f"eigenvector norm collapsed at node {i}")
-        g[i] = raw[i] / norm
-        drift = np.linalg.norm(g[i].conj() @ v.A1[i] - z * g[i].conj())
-        worst_drift = max(worst_drift, drift)
+    raw = _transport_from(-v.A2.data.conj().transpose(0, 2, 1), g0, v.grid, node_ref)
+    norm = frob(raw[:, None, :])
+    bad = np.flatnonzero(norm < 1e-8)
+    if bad.size:
+        raise TransportBreakdown(f"eigenvector norm collapsed at node {bad[0]}")
+    g = (raw / norm[:, None])[:, :, None]
+    gh = g.conj().transpose(0, 2, 1)
+    worst_drift = max_frob(gh @ v.A1.data - z * gh)
     scale = max(v.A1.max_norm(), 1.0)
     if worst_drift > 1e-6 * scale:
         raise TransportBreakdown(
             f"transported vector stopped being a left eigenvector (drift {worst_drift:.3e})"
         )
 
-    m = v.signal_dim
+    nn = v.grid.n_nodes
+    bf = gh @ v.B.data
     a1f = np.full((nn, 1, 1), z, dtype=complex)
-    a2f = np.empty((nn, 1, 1), dtype=complex)
-    bf = np.empty((nn, 1, m), dtype=complex)
-    gsf = np.empty((nn, m, m), dtype=complex)
-    for i in range(nn):
-        bf[i, 0] = g[i].conj() @ v.B[i]
-        a2f[i, 0, 0] = g[i].conj() @ v.A2[i] @ g[i]
-        b_col = bf[i, 0].conj()
-        bbh = np.outer(b_col, b_col.conj())
-        gsf[i] = v.gamma[i] + v.sigma2[i] @ bbh @ v.sigma1[i] - v.sigma1[i] @ bbh @ v.sigma2[i]
+    a2f = gh @ v.A2.data @ g
     factor = DifferentialVessel(
         A1=GridOperatorFamily(v.grid, a1f),
         A2=GridOperatorFamily(v.grid, a2f),
@@ -336,7 +308,7 @@ def extract_elementary(
         sigma1=v.sigma1,
         sigma2=v.sigma2,
         gamma=v.gamma,
-        gamma_star=GridOperatorFamily(v.grid, gsf),
+        gamma_star=_gamma_star(v.gamma, v.sigma1, v.sigma2, bf),
     )
 
     def quotient(lam: complex, node: int) -> np.ndarray:
@@ -349,9 +321,8 @@ def extract_elementary(
     )
 
 
-def _transport_from(coeff, g0: np.ndarray, grid: TimeGrid, node_ref: int) -> np.ndarray:
-    """Transport a vector both ways from an interior reference node."""
-    cdata = np.stack([as_matrix(coeff(i)) for i in range(grid.n_nodes)])
+def _transport_from(cdata: np.ndarray, g0: np.ndarray, grid: TimeGrid, node_ref: int) -> np.ndarray:
+    """Transport a vector by g' = cdata g both ways from an interior reference node."""
 
     def rhs(pos, mat):
         return _interp(cdata, pos) @ mat

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULTS
 from .errors import (
@@ -185,10 +184,10 @@ class GaugeMap:
         n = u_family.shape[0]
         if u_family.shape != (n, n):
             raise ShapeMismatch("gauge family must be square")
-        eye = np.eye(n)
-        for i in range(len(u_family)):
-            if frob(u_family[i].conj().T @ u_family[i] - eye) > unitary_tol:
-                raise ShapeMismatch(f"gauge family not unitary at node {i}")
+        u = u_family.data
+        bad = np.flatnonzero(frob(u.conj().transpose(0, 2, 1) @ u - np.eye(n)) > unitary_tol)
+        if bad.size:
+            raise ShapeMismatch(f"gauge family not unitary at node {bad[0]}")
         return cls(U=u_family, dU=family_derivative(u_family))
 
     @classmethod
@@ -213,10 +212,7 @@ def transfer_sweep(v: DifferentialVessel, lams, nodes=None) -> np.ndarray:
     outside [0, n_steps]; SpectrumClash names the first node a lam hits.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    nodes = np.arange(v.grid.n_nodes) if nodes is None else np.asarray(nodes, np.intp).reshape(-1)
-    outside = nodes[(nodes < 0) | (nodes > v.grid.n_steps)]
-    if outside.size:
-        raise GridMismatch(f"node {outside[0]} outside the grid nodes [0, {v.grid.n_steps}]")
+    nodes = np.arange(v.grid.n_nodes) if nodes is None else v.grid.node_indices(nodes).reshape(-1)
     a1, b, s1 = v.A1.data[nodes], v.B.data[nodes], v.sigma1.data[nodes]
     bh = b.conj().transpose(0, 2, 1)
     spectra = np.linalg.eigvals(a1)
@@ -494,14 +490,12 @@ def gauge_transform(v: DifferentialVessel, gmap: GaugeMap) -> DifferentialVessel
 
 
 def krylov_matrix(a1: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[B, A1 B, ..., A1^(n-1) B] with the fixed column order B first."""
-    n = a1.shape[0]
-    blocks = []
-    cur = b
-    for _ in range(n):
-        blocks.append(cur)
-        cur = a1 @ cur
-    return np.hstack(blocks)
+    """[B, A1 B, ..., A1^(n-1) B] with the fixed column order B first; for
+    (N, n, n) and (N, n, m) stacks, one such matrix per node."""
+    blocks = [b]
+    for _ in range(a1.shape[-1] - 1):
+        blocks.append(a1 @ blocks[-1])
+    return np.concatenate(blocks, axis=-1)
 
 
 def krylov_rank(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10) -> int:
@@ -512,17 +506,15 @@ def krylov_rank(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10) -> int:
     return int(np.sum(sv > rtol * sv[0]))
 
 
-def _orthonormal_frame(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    """Unitary Q from QR of the Krylov matrix, diagonal of R made real positive."""
-    k = krylov_matrix(a1, b)
-    q, r = scipy.linalg.qr(k, mode="economic")
-    diag = np.diagonal(r)[: q.shape[1]]
-    top = np.max(np.abs(diag)) if len(diag) else 0.0
-    rank = int(np.sum(np.abs(diag) > rtol * max(top, 1.0)))
-    if rank < a1.shape[0]:
-        raise NotMinimal(f"Krylov rank {rank} < state dimension {a1.shape[0]}", rank=rank)
-    phases = diag / np.abs(diag)
-    return q * phases.conj()
+def _orthonormal_frames(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10):
+    """Per node, the unitary Q from QR of the Krylov matrix with the diagonal of
+    R made real positive, and the rank read off that diagonal (one batched QR)."""
+    q, r = np.linalg.qr(krylov_matrix(a1, b))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    mag = np.abs(diag)
+    rank = np.sum(mag > rtol * np.maximum(mag.max(axis=1), 1.0)[:, None], axis=1)
+    phases = diag / np.where(mag == 0.0, 1.0, mag)
+    return q * phases.conj()[:, None, :], rank
 
 
 def gauge_equivalence(
@@ -538,13 +530,15 @@ def gauge_equivalence(
     The per-node unitary is Q2 Q1^H from consistently phase-fixed QR frames of
     the Krylov matrices.  Returns a GaugeMap when the frames are unitary to
     `tol` and the transfer functions agree at the probe points; returns
-    NotEquivalent otherwise.  Raises NotMinimal when the Krylov rank at
-    `node` is deficient.
+    NotEquivalent otherwise, naming the first rank-deficient node if there is
+    one.  Raises NotMinimal when the Krylov rank at `node` is deficient, and
+    GridMismatch for a `node` off the grid.
     """
     if v1.signal_dim != v2.signal_dim or v1.state_dim != v2.state_dim:
         return NotEquivalent("state or signal dimensions differ", defect=np.inf)
     if not v1.grid.compatible(v2.grid):
         raise GridMismatch("vessels live on different grids")
+    node = int(v1.grid.node_indices(node))
     if probes is None:
         probes = DEFAULTS.probes
     if seed is None:
@@ -556,21 +550,21 @@ def gauge_equivalence(
         rank = krylov_rank(v.A1[node], v.B[node])
         if rank < n:
             raise NotMinimal(f"Krylov rank {rank} < {n} at node {node}", rank=rank)
-    nn = v1.grid.n_nodes
-    u_data = np.empty((nn, n, n), dtype=complex)
-    for i in range(nn):
-        try:
-            q1 = _orthonormal_frame(v1.A1[i], v1.B[i])
-            q2 = _orthonormal_frame(v2.A1[i], v2.B[i])
-        except NotMinimal as exc:
-            if i == node:
-                raise
-            return NotEquivalent(f"Krylov rank deficient at node {i}: {exc}", defect=np.inf)
-        u_data[i] = q2 @ q1.conj().T
+    (q1, rank1), (q2, rank2) = (_orthonormal_frames(v.A1.data, v.B.data) for v in (v1, v2))
+    deficient = np.flatnonzero((rank1 < n) | (rank2 < n))
+    if deficient.size:
+        i = deficient[0]
+        rank = rank1[i] if rank1[i] < n else rank2[i]
+        exc = NotMinimal(f"Krylov rank {rank} < state dimension {n}", rank=int(rank))
+        if i == node:
+            raise exc
+        return NotEquivalent(f"Krylov rank deficient at node {i}: {exc}", defect=np.inf)
+    u_data = q2 @ q1.conj().transpose(0, 2, 1)
     unitary_defect = max_frob(u_data.conj().transpose(0, 2, 1) @ u_data - np.eye(n))
     if unitary_defect > tol:
         return NotEquivalent("gauge frame is not unitary", defect=unitary_defect)
 
+    nn = v1.grid.n_nodes
     rng = np.random.default_rng(seed)
     scale = max(v1.A1.max_norm(), v2.A1.max_norm(), 1.0)
     transfer_defect = 0.0
