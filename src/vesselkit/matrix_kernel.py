@@ -273,11 +273,16 @@ def solve_sylvester(a_pi, a_xi, q, eps_spec: float | None = None) -> np.ndarray:
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with Pade approximation)."""
-    mm = as_matrix(m, "matrix_exp operand")
-    if mm.shape[0] != mm.shape[1]:
-        raise ShapeMismatch(f"matrix_exp needs a square matrix, got {mm.shape}")
+    """Matrix exponential (scaling-and-squaring with Pade approximation).
+
+    `m` may be an (N, n, n) stack (N = 0 allowed): each slice comes out bit for
+    bit as on its own, and the first one that overflows is named by its node.
+    """
+    mm, nodes = _as_stack(m, "matrix_exp operand")
+    if mm.shape[1] != mm.shape[2]:
+        raise ShapeMismatch(f"matrix_exp needs a square matrix, got {mm.shape[1:]}")
     out = scipy.linalg.expm(mm)
-    if not np.all(np.isfinite(out.real) & np.isfinite(out.imag)):
-        raise NonFinite("matrix_exp overflowed")
-    return out
+    bad = np.flatnonzero(~np.all(np.isfinite(out.real) & np.isfinite(out.imag), axis=(1, 2)))
+    if bad.size:
+        raise NonFinite(f"matrix_exp overflowed{_at(nodes, bad[0])}")
+    return out[0] if nodes is None else out

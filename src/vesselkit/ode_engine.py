@@ -200,42 +200,48 @@ def _rk4_path(rhs, m0: np.ndarray, grid: TimeGrid, start: int, stop: int) -> lis
     return out
 
 
+def _march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid, base_index: int) -> np.ndarray:
+    """Samples of M' = cdata M at every node, from M = m0 at `base_index` both ways."""
+
+    def rhs(pos: float, mat: np.ndarray) -> np.ndarray:
+        return _interp(cdata, pos) @ mat
+
+    out = np.empty((grid.n_nodes,) + m0.shape, dtype=complex)
+    out[base_index:] = _rk4_path(rhs, m0, grid, base_index, grid.n_steps)
+    if base_index > 0:
+        out[: base_index + 1] = _rk4_path(rhs, m0, grid, base_index, 0)[::-1]
+    return out
+
+
+def _coefficient(sigma1: np.ndarray, sigma2: np.ndarray, gamma: np.ndarray, lam) -> np.ndarray:
+    """sigma1^(-1) (lam sigma2 + gamma) over node stacks; `lam` may broadcast."""
+    return np.linalg.solve(sigma1, lam * sigma2 + gamma)
+
+
 def integrate_linear_ode(
-    coeff,
+    coeff: GridOperatorFamily,
     m0,
     grid: TimeGrid,
     direction: str = "forward",
 ) -> GridOperatorFamily:
     """Integrate M' = coeff(t) @ M over the grid.
 
-    `coeff` is either a GridOperatorFamily or a callable of the node index
-    returning a p-by-p matrix; `m0` is the value at t_start (forward) or at
-    t_end (backward).  Backward evolution integrates the reversed ODE rather
-    than inverting forward samples.
+    `coeff` is a GridOperatorFamily of p-by-p matrices; `m0` is the value at
+    t_start (forward) or at t_end (backward).  Backward evolution integrates
+    the reversed ODE rather than inverting forward samples.
     """
     m = as_matrix(m0, "initial value")
-    if isinstance(coeff, GridOperatorFamily):
-        if not coeff.grid.compatible(grid):
-            raise GridMismatch("coefficient family grid differs from target grid")
-        cdata = coeff.data
-    else:
-        cdata = np.stack([as_matrix(coeff(i), f"coeff({i})") for i in range(grid.n_nodes)])
-    p = cdata.shape[1]
-    if cdata.shape[1] != cdata.shape[2]:
+    if not coeff.grid.compatible(grid):
+        raise GridMismatch("coefficient family grid differs from target grid")
+    p = coeff.shape[0]
+    if coeff.shape[1] != p:
         raise ShapeMismatch("coefficient matrices must be square")
     if m.shape[0] != p:
         raise ShapeMismatch(f"initial value has {m.shape[0]} rows, coefficients are {p}x{p}")
-
-    def rhs(pos: float, mat: np.ndarray) -> np.ndarray:
-        return _interp(cdata, pos) @ mat
-
-    if direction == "forward":
-        samples = _rk4_path(rhs, m, grid, 0, grid.n_steps)
-    elif direction == "backward":
-        samples = _rk4_path(rhs, m, grid, grid.n_steps, 0)[::-1]
-    else:
+    if direction not in ("forward", "backward"):
         raise ShapeMismatch(f"direction must be 'forward' or 'backward', got {direction!r}")
-    return GridOperatorFamily(grid, np.stack(samples))
+    base = 0 if direction == "forward" else grid.n_steps
+    return GridOperatorFamily(grid, _march(coeff.data, m, grid, base))
 
 
 @dataclass(frozen=True)
@@ -297,23 +303,8 @@ def fundamental_matrix(
     if not (0 <= base_index <= grid.n_steps):
         raise GridMismatch(f"base_index {base_index} outside the grid")
 
-    coeff = np.stack(
-        [
-            np.linalg.solve(sigma1[i], lam * sigma2[i] + gamma[i])
-            for i in range(grid.n_nodes)
-        ]
-    )
-
-    def rhs(pos: float, mat: np.ndarray) -> np.ndarray:
-        return _interp(coeff, pos) @ mat
-
-    eye = np.eye(m, dtype=complex)
-    data = np.empty((grid.n_nodes, m, m), dtype=complex)
-    fwd = _rk4_path(rhs, eye, grid, base_index, grid.n_steps)
-    data[base_index:] = np.stack(fwd)
-    if base_index > 0:
-        bwd = _rk4_path(rhs, eye, grid, base_index, 0)
-        data[: base_index + 1] = np.stack(bwd[::-1])
+    coeff = _coefficient(sigma1.data, sigma2.data, gamma.data, lam)
+    data = _march(coeff, np.eye(m, dtype=complex), grid, base_index)
     return FundamentalMatrix(
         lam=complex(lam), base_index=base_index, side=side, family=GridOperatorFamily(grid, data)
     )

@@ -33,8 +33,8 @@ from .matrix_kernel import as_matrix, frob, matrix_exp, max_frob
 from .ode_engine import (
     GridOperatorFamily,
     TimeGrid,
-    _interp,
-    _rk4_path,
+    _coefficient,
+    _march,
     family_derivative,
     integrate_linear_ode,
 )
@@ -134,7 +134,7 @@ def build_elementary(
 
     z = complex(datum.z)
     s1, s2 = sigma1.data, sigma2.data
-    coeff = GridOperatorFamily(grid, np.linalg.solve(s1, z * s2 + gamma.data))
+    coeff = GridOperatorFamily(grid, _coefficient(s1, s2, gamma.data, z))
     col = integrate_linear_ode(coeff, b0.reshape(-1, 1), grid).data  # b per node
     nn = grid.n_nodes
     theta_prime = np.zeros(nn)
@@ -283,12 +283,12 @@ def extract_elementary(
             )
     g0 = vl[:, idx]
     g0 = g0 / np.linalg.norm(g0)
-    raw = _transport_from(-v.A2.data.conj().transpose(0, 2, 1), g0, v.grid, node_ref)
-    norm = frob(raw[:, None, :])
+    raw = _march(-v.A2.data.conj().transpose(0, 2, 1), g0[:, None], v.grid, node_ref)
+    norm = frob(raw)
     bad = np.flatnonzero(norm < 1e-8)
     if bad.size:
         raise TransportBreakdown(f"eigenvector norm collapsed at node {bad[0]}")
-    g = (raw / norm[:, None])[:, :, None]
+    g = raw / norm[:, None, None]
     gh = g.conj().transpose(0, 2, 1)
     worst_drift = max_frob(gh @ v.A1.data - z * gh)
     scale = max(v.A1.max_norm(), 1.0)
@@ -319,21 +319,6 @@ def extract_elementary(
     return ExtractionResult(
         factor=factor, quotient_transfer=quotient, eigenvalue=z, eigvec_residual=worst_drift
     )
-
-
-def _transport_from(cdata: np.ndarray, g0: np.ndarray, grid: TimeGrid, node_ref: int) -> np.ndarray:
-    """Transport a vector by g' = cdata g both ways from an interior reference node."""
-
-    def rhs(pos, mat):
-        return _interp(cdata, pos) @ mat
-
-    out = np.empty((grid.n_nodes, g0.shape[0]), dtype=complex)
-    fwd = _rk4_path(rhs, g0.reshape(-1, 1), grid, node_ref, grid.n_steps)
-    out[node_ref:] = np.stack([s[:, 0] for s in fwd])
-    if node_ref > 0:
-        bwd = _rk4_path(rhs, g0.reshape(-1, 1), grid, node_ref, 0)
-        out[: node_ref + 1] = np.stack([s[:, 0] for s in bwd[::-1]])
-    return out
 
 
 def residue_norm(fn, z0: complex, radius: float = 1e-3, npoints: int = 16) -> float:
@@ -370,13 +355,32 @@ def mult_integral(
         raise GridMismatch(f"s_upper {s_upper} outside the grid")
     if eps_spec is None:
         eps_spec = DEFAULTS.eps_spec_rel * max(kernel.max_norm(), 1.0)
-    ds = kernel.grid.h
-    w = np.eye(m, dtype=complex)
-    for j in range(s_upper):
-        denom = lam + c_arr[j]
+    return _ordered_products(kernel.data[:s_upper], c_arr, lam, kernel.grid.h, eps_spec)[-1]
+
+
+def _ordered_products(kern: np.ndarray, c: np.ndarray, lam: complex, ds: float,
+                      eps_spec: float) -> np.ndarray:
+    """Running products W_0 = I, W_(j+1) = exp(K_j ds / (lam + c_j)) W_j over `kern`.
+
+    SpectrumClash at the first j with |lam + c_j| <= eps_spec, once the steps
+    before it are exponentiated, so an overflow there raises NonFinite first.
+    Each step factor takes one scalar division: numpy's vectorised complex
+    division rounds some of them differently.
+    """
+    steps, clash = [], None
+    for j in range(len(kern)):
+        denom = lam + c[j]
         if abs(denom) <= eps_spec:
-            raise SpectrumClash(f"lambda + c(s_{j}) = {denom} too close to zero")
-        w = matrix_exp(kernel[j] * (ds / denom)) @ w
+            clash = SpectrumClash(f"lambda + c(s_{j}) = {denom} too close to zero")
+            break
+        steps.append(kern[j] * (ds / denom))
+    exps = matrix_exp(np.reshape(steps, (-1,) + kern.shape[1:]))
+    if clash is not None:
+        raise clash
+    w = np.empty((len(kern) + 1,) + kern.shape[1:], dtype=complex)
+    w[0] = np.eye(kern.shape[1])
+    for j, e in enumerate(exps):
+        w[j + 1] = e @ w[j]
     return w
 
 
@@ -441,17 +445,12 @@ def consistent_gamma_s(
     Trapezoid accumulation, consistent to O(ds^2) with the central-difference
     check used for verification.
     """
-    ns = s_grid.n_nodes
     s1 = as_matrix(sigma1)
     s2 = as_matrix(sigma2)
     k = np.einsum("sij,skj->sik", beta0, beta0.conj()) @ s1
-    rhs = np.stack([s1 @ k[j] @ np.linalg.solve(s1, s2) - s2 @ k[j] for j in range(ns)])
-    gam = np.empty((ns,) + s1.shape, dtype=complex)
-    gam[0] = as_matrix(gamma_origin)
-    ds = s_grid.h
-    for j in range(ns - 1):
-        gam[j + 1] = gam[j] + 0.5 * ds * (rhs[j] + rhs[j + 1])
-    return gam
+    rhs = s1 @ k @ np.linalg.solve(s1, s2) - s2 @ k
+    steps = 0.5 * s_grid.h * (rhs[:-1] + rhs[1:])
+    return np.cumsum(np.concatenate([as_matrix(gamma_origin)[None], steps]), axis=0)
 
 
 def continuous_model_evolve(
@@ -477,29 +476,27 @@ def continuous_model_evolve(
     s2 = as_matrix(sigma2)
     ns = model.s_grid.n_nodes
     nt = t_grid.n_nodes
-    m, p = model.beta.shape[1:]
+    ds = model.s_grid.h
+    mid = slice(1, ns - 1)
 
     # Initial-data consistency with the gamma_s equation, checked in s.
-    dgam0 = _s_derivative(model.gamma_s, model.s_grid.h)
+    dgam0 = _s_derivative(model.gamma_s, ds)
     k0 = model.kernel_at(None, s1)
-    worst0 = 0.0
-    for j in range(1, ns - 1):
-        res = np.linalg.solve(s1, dgam0[j]) + np.linalg.solve(s1, s2 @ k0[j]) - k0[j] @ np.linalg.solve(s1, s2)
-        worst0 = max(worst0, frob(res))
-    allowance = (model.s_grid.h ** 2) * max(1.0, float(np.max(np.abs(k0))) ** 2)
+    worst0 = max_frob(np.linalg.solve(s1, dgam0[mid]) + np.linalg.solve(s1, s2 @ k0[mid])
+                      - k0[mid] @ np.linalg.solve(s1, s2))
+    allowance = (ds ** 2) * max(1.0, float(np.max(np.abs(k0))) ** 2)
     if worst0 > consistency_tol + allowance:
         raise InconsistentInitialData(
             f"gamma_s equation residual {worst0:.3e} at t_start exceeds tolerance"
         )
 
-    beta = np.empty((nt, ns, m, p), dtype=complex)
+    coeff = _coefficient(s1, s2, model.gamma_s, -model.c[:, None, None])
+    beta = np.empty((nt,) + model.beta.shape, dtype=complex)
     beta[0] = model.beta
     h = t_grid.h
-    for j in range(ns):
-        coeff = np.linalg.solve(s1, -model.c[j] * s2 + model.gamma_s[j])
-        step = matrix_exp(coeff * h)
-        for i in range(nt - 1):
-            beta[i + 1, j] = step @ beta[i, j]
+    step = matrix_exp(coeff * h)
+    for i in range(nt - 1):
+        beta[i + 1] = step @ beta[i]
 
     evolved = ContinuousSpectrumModel(
         s_grid=model.s_grid, c=model.c, beta=beta, gamma_s=model.gamma_s, t_grid=t_grid
@@ -513,47 +510,30 @@ def continuous_model_evolve(
     # (a) gamma_s equation at every (t, interior s), batched over both axes.
     res_a = worst0
     if ns > 2:
-        mid = kern[:, 1:-1]
-        r = (s1_inv @ dgam0[1:-1])[None, :, :, :] + s1_inv @ s2 @ mid - mid @ s1_inv_s2
+        km = kern[:, mid]
+        r = (s1_inv @ dgam0[mid])[None, :, :, :] + s1_inv @ s2 @ km - km @ s1_inv_s2
         res_a = max(res_a, float(np.max(np.sqrt(np.sum(np.abs(r) ** 2, axis=(-2, -1))))))
 
     # (b) kernel evolution in t at every (interior t, s).
     res_b = 0.0
     if nt > 2:
-        coeff = np.stack([
-            np.linalg.solve(s1, -model.c[j] * s2 + model.gamma_s[j]) for j in range(ns)
-        ])
         dk = (kern[2:] - kern[:-2]) / (2.0 * h)
         comm = coeff[None, :, :, :] @ kern[1:-1] - kern[1:-1] @ coeff[None, :, :, :]
         res_b = float(np.max(np.sqrt(np.sum(np.abs(dk - comm) ** 2, axis=(-2, -1)))))
 
-    # (c) product-derivative law and mixed partials at the probe points.
+    # (c) product-derivative law at the probe points.  Each product and its
+    # guard are those of mult_integral over the kernel at that t.
     res_c = 0.0
-    res_mixed = 0.0
-    ds = model.s_grid.h
-
-    def partial_products(t_index: int, lam: complex) -> list[np.ndarray]:
-        # Running left-ordered product, one exponential per s step.
-        out = [np.eye(m, dtype=complex)]
-        for j in range(ns - 1):
-            denom = lam + model.c[j]
-            if abs(denom) <= DEFAULTS.eps_spec_rel:
-                raise SpectrumClash(f"probe lambda hits -c(s_{j})")
-            out.append(matrix_exp(kern[t_index, j] * (ds / denom)) @ out[-1])
-        return out
-
     t_slices = sorted({0, nt // 2, nt - 1})
     for lam in probe_lambdas:
         w = {}
         for i in t_slices + [min(t + 1, nt - 1) for t in t_slices]:
-            if i in w:
-                continue
-            w[i] = partial_products(i, lam)
+            if i not in w:
+                eps_spec = DEFAULTS.eps_spec_rel * max(max_frob(kern[i]), 1.0)
+                w[i] = _ordered_products(kern[i, :-1], model.c, lam, ds, eps_spec)
         for i in t_slices:
-            for j in range(ns - 1):
-                dw = (w[i][j + 1] - w[i][j]) / ds
-                law = kern[i, j] / (lam + model.c[j]) @ w[i][j]
-                res_c = max(res_c, frob(dw - law))
+            law = kern[i, :-1] / (lam + model.c[:-1, None, None]) @ w[i][:-1]
+            res_c = max(res_c, max_frob((w[i][1:] - w[i][:-1]) / ds - law))
 
     # Mixed partials at the kernel level: the s-difference of the analytic
     # t-derivative against the product-rule expansion with s-differenced
@@ -562,19 +542,16 @@ def continuous_model_evolve(
     # the product W itself pure finite differences commute identically, and
     # mixing in the first-order product law would cap the agreement at
     # O(ds); the kernel form is the meaningful second-order statement.)
+    res_mixed = 0.0
     if ns > 2 and nt > 2:
-        coeff = np.stack([
-            np.linalg.solve(s1, -model.c[j] * s2 + model.gamma_s[j]) for j in range(ns)
-        ])
+        dcoeff = _s_derivative(coeff, ds)[mid]
+        cm = coeff[mid]
         for i in t_slices:
             kt = coeff @ kern[i] - kern[i] @ coeff  # analytic t-derivative
-            dkt = _s_derivative(kt, ds)
-            dk = _s_derivative(kern[i], ds)
-            dcoeff = _s_derivative(coeff, ds)
-            for j in range(1, ns - 1):
-                m2 = (dcoeff[j] @ kern[i, j] + coeff[j] @ dk[j]
-                      - dk[j] @ coeff[j] - kern[i, j] @ dcoeff[j])
-                res_mixed = max(res_mixed, frob(dkt[j] - m2))
+            dk = _s_derivative(kern[i], ds)[mid]
+            ki = kern[i, mid]
+            m2 = dcoeff @ ki + cm @ dk - dk @ cm - ki @ dcoeff
+            res_mixed = max(res_mixed, max_frob(_s_derivative(kt, ds)[mid] - m2))
 
     residuals = ContinuousModelResiduals(
         gamma_s_equation=float(res_a),

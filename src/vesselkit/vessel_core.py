@@ -54,6 +54,7 @@ from .ode_engine import (
     GridOperatorFamily,
     TimeGrid,
     _check_sigma1,
+    _coefficient,
     family_derivative,
     fundamental_matrix,
 )
@@ -395,8 +396,8 @@ def transfer_pde_residual_values(
     mid = slice(1, grid.n_nodes - 1)
     s1, s2 = sigma1.data[mid], sigma2.data[mid]
     ds = (s[2:] - s[:-2]) / (2.0 * grid.h)
-    left = np.linalg.solve(s1, lam * s2 + gamma_star.data[mid]) @ s[mid]
-    right = s[mid] @ np.linalg.solve(s1, lam * s2 + gamma.data[mid])
+    left = _coefficient(s1, s2, gamma_star.data[mid], lam) @ s[mid]
+    right = s[mid] @ _coefficient(s1, s2, gamma.data[mid], lam)
     return max_frob(ds - left + right)
 
 
@@ -508,11 +509,12 @@ def krylov_rank(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10) -> int:
 
 def _orthonormal_frames(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10):
     """Per node, the unitary Q from QR of the Krylov matrix with the diagonal of
-    R made real positive, and the rank read off that diagonal (one batched QR)."""
+    R made real positive, and the rank: the count of diagonal entries above
+    `rtol` times the largest, as in krylov_rank (one batched QR)."""
     q, r = np.linalg.qr(krylov_matrix(a1, b))
     diag = np.diagonal(r, axis1=1, axis2=2)
     mag = np.abs(diag)
-    rank = np.sum(mag > rtol * np.maximum(mag.max(axis=1), 1.0)[:, None], axis=1)
+    rank = np.sum(mag > rtol * mag.max(axis=1)[:, None], axis=1)
     phases = diag / np.where(mag == 0.0, 1.0, mag)
     return q * phases.conj()[:, None, :], rank
 
