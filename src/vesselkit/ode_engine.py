@@ -153,27 +153,32 @@ def _interp(data: np.ndarray, pos: float) -> np.ndarray:
     return (1.0 - w) * data[left] + w * data[left + 1]
 
 
-def _interp4(data: np.ndarray, pos: float) -> np.ndarray:
-    """Cubic (4-point Lagrange) interpolation at fractional node position.
+def _interp4(data: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Cubic (4-point Lagrange) interpolation at an array of fractional node
+    positions, one sample per position (linear below 4 nodes, as
+    :func:`_interp`); a whole position returns its node sample as it is.
 
     Node-accurate to O(h^4); used where a one-step method must not lose its
     order to coefficient sampling (coupling-matrix quadrature).
     """
-    if pos == float(int(pos)):
-        return data[int(pos)]
     n = data.shape[0]
+    whole = np.trunc(pos).astype(np.intp)
+    shape = (-1,) + (1,) * (data.ndim - 1)
     if n < 4:
-        return _interp(data, pos)
-    start = min(max(int(np.floor(pos)) - 1, 0), n - 4)
-    x = pos - start
-    out = np.zeros_like(data[0])
-    for j in range(4):
-        w = 1.0
-        for k in range(4):
-            if k != j:
-                w *= (x - k) / (j - k)
-        out = out + w * data[start + j]
-    return out
+        left = np.clip(np.floor(pos).astype(np.intp), 0, n - 2)
+        w = np.reshape(pos - left, shape)
+        out = (1.0 - w) * data[left] + w * data[left + 1]
+    else:
+        start = np.clip(np.floor(pos).astype(np.intp) - 1, 0, n - 4)
+        x = pos - start
+        out = np.zeros((len(pos),) + data.shape[1:], dtype=data.dtype)
+        for j in range(4):
+            w = 1.0
+            for k in range(4):
+                if k != j:
+                    w *= (x - k) / (j - k)
+            out = out + np.reshape(w, shape) * data[start + j]
+    return np.where(np.reshape(pos == whole, shape), data[whole], out)
 
 
 def _rk4_path(rhs, m0: np.ndarray, grid: TimeGrid, start: int, stop: int) -> list[np.ndarray]:

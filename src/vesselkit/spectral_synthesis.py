@@ -443,8 +443,14 @@ def consistent_gamma_s(
     """Integrate d(gamma)/ds = sigma1 K sigma1^(-1) sigma2 - sigma2 K from s=0.
 
     Trapezoid accumulation, consistent to O(ds^2) with the central-difference
-    check used for verification.
+    check used for verification.  `c` does not enter this equation; it is
+    only checked, as `beta0` is, to have one entry per s node (ShapeMismatch
+    naming the argument otherwise).
     """
+    for name, arg in (("beta0", beta0), ("c", c)):
+        if np.shape(arg)[:1] != (s_grid.n_nodes,):
+            raise ShapeMismatch(f"{name} needs one entry per s node ({s_grid.n_nodes}), "
+                                f"got shape {np.shape(arg)}")
     s1 = as_matrix(sigma1)
     s2 = as_matrix(sigma2)
     k = np.einsum("sij,skj->sik", beta0, beta0.conj()) @ s1
@@ -526,14 +532,11 @@ def continuous_model_evolve(
     res_c = 0.0
     t_slices = sorted({0, nt // 2, nt - 1})
     for lam in probe_lambdas:
-        w = {}
-        for i in t_slices + [min(t + 1, nt - 1) for t in t_slices]:
-            if i not in w:
-                eps_spec = DEFAULTS.eps_spec_rel * max(max_frob(kern[i]), 1.0)
-                w[i] = _ordered_products(kern[i, :-1], model.c, lam, ds, eps_spec)
         for i in t_slices:
-            law = kern[i, :-1] / (lam + model.c[:-1, None, None]) @ w[i][:-1]
-            res_c = max(res_c, max_frob((w[i][1:] - w[i][:-1]) / ds - law))
+            eps_spec = DEFAULTS.eps_spec_rel * max(max_frob(kern[i]), 1.0)
+            w = _ordered_products(kern[i, :-1], model.c, lam, ds, eps_spec)
+            law = kern[i, :-1] / (lam + model.c[:-1, None, None]) @ w[:-1]
+            res_c = max(res_c, max_frob((w[1:] - w[:-1]) / ds - law))
 
     # Mixed partials at the kernel level: the s-difference of the analytic
     # t-derivative against the product-rule expansion with s-differenced

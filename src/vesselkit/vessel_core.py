@@ -28,6 +28,7 @@ deliberately broken inputs still produce reports.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +147,24 @@ class DifferentialVessel:
     def signal_dim(self) -> int:
         return self.B.shape[1]
 
+    @functools.cached_property
+    def _spectra_store(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues of A1 per node (n_nodes, n), and the mask of nodes filled."""
+        nn = self.grid.n_nodes
+        return np.empty((nn, self.state_dim), dtype=complex), np.zeros(nn, dtype=bool)
+
+    def _spectra(self, nodes: np.ndarray) -> np.ndarray:
+        """Eigenvalues of A1 at the node indices `nodes`, each node computed on
+        its first request only.  The families are read-only, so a stored value
+        never goes stale; a value is written before its node is marked known,
+        and concurrent fills write the same values."""
+        values, known = self._spectra_store
+        todo = np.unique(nodes[~known[nodes]])
+        if todo.size:
+            values[todo] = np.linalg.eigvals(self.A1.data[todo])
+            known[todo] = True
+        return values[nodes]
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -208,15 +227,16 @@ def transfer_sweep(v: DifferentialVessel, lams, nodes=None) -> np.ndarray:
     """S(lam, node) = I - B^H (lam I - A1)^(-1) B sigma1, shape (L, N, m, m),
     for the L values `lams` at the N grid indices `nodes` (default: all).
 
-    The spectra of A1 are computed once per call; each lam then costs one
-    guarded batched resolvent over the nodes.  Raises GridMismatch for a node
-    outside [0, n_steps]; SpectrumClash names the first node a lam hits.
+    The spectra of A1 are kept on the vessel, per node, from first use; each
+    lam then costs one guarded batched resolvent over the nodes.  Raises
+    GridMismatch for a node outside [0, n_steps]; SpectrumClash names the
+    first node a lam hits.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     nodes = np.arange(v.grid.n_nodes) if nodes is None else v.grid.node_indices(nodes).reshape(-1)
     a1, b, s1 = v.A1.data[nodes], v.B.data[nodes], v.sigma1.data[nodes]
     bh = b.conj().transpose(0, 2, 1)
-    spectra = np.linalg.eigvals(a1)
+    spectra = v._spectra(nodes)
     out = np.empty((lams.size, nodes.size) + v.sigma1.shape, dtype=complex)
     for k, lam in enumerate(lams):
         out[k] = np.eye(v.signal_dim, dtype=complex) - bh @ resolvent_stack(
@@ -445,7 +465,8 @@ def simulate(v: DifferentialVessel, lam: complex, u0) -> Trajectory:
     phi = input_fundamental(v, lam)
     u = phi.family.data @ u0.reshape(-1, 1)
     a1, b, s1, s2 = v.A1.data, v.B.data, v.sigma1.data, v.sigma2.data
-    x = resolvent_stack(a1, lam, np.linalg.eigvals(a1), nodes=range(len(a1))) @ b @ s1 @ u
+    every = np.arange(len(a1))
+    x = resolvent_stack(a1, lam, v._spectra(every), nodes=every) @ b @ s1 @ u
     y = u - b.conj().transpose(0, 2, 1) @ x
     drive = a1 @ x + b @ s1 @ u
     defect_t1 = 2.0 * _re_inner(x, drive) + _re_inner(y, s1 @ y) - _re_inner(u, s1 @ u)

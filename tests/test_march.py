@@ -1,5 +1,6 @@
-"""One two-way march, one ordered product, one ODE coefficient: each shared
-helper against the loop it replaced, kept here as the reference, bit for bit."""
+"""One two-way march, one ordered product, one ODE coefficient, one coupling
+quadrature: each shared helper against the loop it replaced, kept here as the
+reference, bit for bit."""
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import vesselkit as vk
 import vesselkit.spectral_synthesis as synth
 import vesselkit.vessel_core as core
 from vesselkit.config import DEFAULTS
-from vesselkit.errors import NonFinite, SpectrumClash
+from vesselkit.errors import NonFinite, ShapeMismatch, SpectrumClash
 from vesselkit.matrix_kernel import frob, max_frob
-from vesselkit.ode_engine import _interp, _rk4_path
+from vesselkit.ode_engine import _interp, _interp4, _rk4_path
 
 from helpers import const, rand_complex, rand_hermitian, rand_skew, skew_chain_vessel
 
@@ -186,6 +187,141 @@ class TestContinuousModelSteps:
             vk.continuous_model_evolve(model, np.eye(2), np.zeros((2, 2)), vk.TimeGrid(0, 1, 10),
                                        probe_lambdas=(lam,))
         assert str(got.value) == str(ref.value)
+
+    def test_probe_products_only_at_the_probe_slices(self, monkeypatch):
+        """One exponential for the t step, then one ordered product per probe
+        lambda at each of the three probe slices t = 0, nt // 2, nt - 1."""
+        model, s1, s2 = self.model()
+        calls = []
+        matrix_exp = synth.matrix_exp
+        monkeypatch.setattr(synth, "matrix_exp", lambda m: calls.append(1) or matrix_exp(m))
+        lams = (2.0 + 0.7j, 1.1 - 0.4j)
+        _, res = vk.continuous_model_evolve(model, s1, s2, vk.TimeGrid(0.0, 1.0, 17),
+                                            probe_lambdas=lams, consistency_tol=1e3)
+        assert len(calls) == 1 + 3 * len(lams)
+        assert np.isfinite(res.product_derivative)
+
+    @pytest.mark.parametrize("name, length", [("beta0", 30), ("beta0", 33), ("c", 30),
+                                              ("c", 32)])
+    def test_gamma_s_rejects_lengths_off_the_s_grid(self, name, length):
+        model, s1, s2 = self.model()  # 31 s nodes
+        args = {"beta0": model.beta, "c": model.c}
+        args[name] = np.resize(args[name], (length,) + args[name].shape[1:])
+        with pytest.raises(ShapeMismatch, match=f"^{name} needs one entry per s node \\(31\\), "
+                                                f"got shape \\({length},"):
+            vk.consistent_gamma_s(args["beta0"], args["c"], s1, s2, model.gamma_s[0],
+                                  model.s_grid)
+
+    def test_gamma_s_rejects_a_scalar_c(self):
+        model, s1, s2 = self.model()
+        with pytest.raises(ShapeMismatch, match=r"^c needs .* got shape \(\)$"):
+            vk.consistent_gamma_s(model.beta, 0.5, s1, s2, model.gamma_s[0], model.s_grid)
+
+
+def interp4_reference(data, pos):
+    """Cubic interpolation at one fractional node position, as a scalar loop."""
+    if pos == float(int(pos)):
+        return data[int(pos)]
+    n = data.shape[0]
+    if n < 4:
+        return _interp(data, pos)
+    start = min(max(int(np.floor(pos)) - 1, 0), n - 4)
+    x = pos - start
+    out = np.zeros_like(data[0])
+    for j in range(4):
+        w = 1.0
+        for k in range(4):
+            if k != j:
+                w *= (x - k) / (j - k)
+        out = out + w * data[start + j]
+    return out
+
+
+def coupling_reference(c, bn, s2, x0, grid):
+    """The stage-form march of X' = Bn sigma2 C, cubic midpoints, per step."""
+
+    def rhs(pos, _x):
+        return (interp4_reference(bn.data, pos) @ interp4_reference(s2.data, pos)
+                @ interp4_reference(c.data, pos))
+
+    return np.stack(_rk4_path(rhs, x0, grid, 0, grid.n_steps))
+
+
+def coupling_data(n_steps, n=3, m=2, seed=31):
+    """C, Bn and sigma2 that all vary along the grid (no ODE enforced)."""
+    rng = np.random.default_rng(seed)
+    grid = vk.TimeGrid(0.0, 1.0, n_steps)
+    t = grid.nodes()[:, None, None]
+    c = rand_complex(rng, (m, n)) + np.sin(3.0 * t) * rand_complex(rng, (m, n))
+    bn = rand_complex(rng, (n, m)) + np.exp(t) * rand_complex(rng, (n, m), 0.5)
+    s2 = rand_hermitian(rng, m) * np.cos(2.0 * t)
+    return grid, *(vk.GridOperatorFamily(grid, x) for x in (c, bn, s2))
+
+
+class TestCouplingQuadrature:
+    """evolve_coupling's right-hand side never reads X: its march is a stacked
+    quadrature, bit for bit the stage form.  tol = inf switches off its input
+    checks, which these arbitrary families would fail."""
+
+    @staticmethod
+    def evolve(grid, c, bn, s2, x0):
+        a = np.eye(x0.shape[1])
+        s1 = const(np.diag([1.0, -1.0]), grid)
+        return vk.evolve_coupling(c, a, np.eye(x0.shape[0]), bn, x0, s1, s2, s2, grid,
+                                  tol=np.inf)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 800])
+    def test_matches_stage_form(self, n_steps):
+        grid, c, bn, s2 = coupling_data(n_steps)
+        x0 = rand_complex(np.random.default_rng(5), (3, 3))
+        got = self.evolve(grid, c, bn, s2, x0)
+        assert same_bits(got.data, coupling_reference(c, bn, s2, x0, grid))
+
+    def test_blow_up_names_the_reference_step(self):
+        grid, c, bn, s2 = coupling_data(40)
+        # Bn sigma2 C overflows from node 23 on, and the cubic midpoint 21.5 reads node 23.
+        c, bn = (vk.GridOperatorFamily(grid, np.concatenate([f.data[:23], 1e200 * f.data[23:]]))
+                 for f in (c, bn))
+        x0 = np.eye(3, dtype=complex)
+        with pytest.raises(NonFinite) as ref:
+            coupling_reference(c, bn, s2, x0, grid)
+        with pytest.raises(NonFinite, match="between nodes 21 and 22$") as got:
+            self.evolve(grid, c, bn, s2, x0)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 4, 11])
+    def test_interp4_position_array_matches_scalar_calls(self, n_nodes):
+        rng = np.random.default_rng(n_nodes)
+        data = rand_complex(rng, (n_nodes, 2, 3))
+        data[:, 0, 0] = -0.0  # a node sample is returned as it is, signed zeros too
+        data[1, 1, 2] = complex(-0.0, 1.0)
+        last = n_nodes - 1
+        pos = np.concatenate([np.arange(n_nodes), np.arange(last) + 0.5,
+                              rng.uniform(0.0, last, 20), [0.25, last - 0.25, 1e-9]])
+        stacked = _interp4(data, pos)  # linear below 4 nodes
+        assert same_bits(stacked, np.stack([interp4_reference(data, float(p)) for p in pos]))
+
+    @pytest.mark.parametrize("n_steps", [2, 3, 40])
+    def test_pole_and_null_pairs_match_scalar_midpoints(self, n_steps):
+        """The pair marches read their midpoints from one stacked evaluation."""
+        grid, c, bn, s2 = coupling_data(n_steps)
+        s1 = vk.GridOperatorFamily(grid, np.diag([2.0, -1.0]) + 0.1 * s2.data)
+        gs = vk.GridOperatorFamily(grid, 0.3j * s2.data)
+        rng = np.random.default_rng(8)
+        a, c0, bn0 = rand_complex(rng, (3, 3)), c[0], bn[0]
+
+        def at(fam, pos):
+            return interp4_reference(fam.data, pos)
+
+        def pole(pos, m):
+            return np.linalg.solve(at(s1, pos), at(s2, pos) @ m @ a + at(gs, pos) @ m)
+
+        def null(pos, m):
+            return np.linalg.solve(at(s1, pos).T, (-a @ m @ at(s2, pos) - m @ at(gs, pos)).T).T
+
+        for got, rhs, m0 in ((vk.evolve_pole_pair(c0, a, gs, s1, s2, grid), pole, c0),
+                             (vk.evolve_null_pair(bn0, a, gs, s1, s2, grid), null, bn0)):
+            assert same_bits(got.data, np.stack(_rk4_path(rhs, m0, grid, 0, n_steps)))
 
 
 class TestMatrixExpStack:

@@ -1,6 +1,9 @@
 import contextlib
+import dataclasses
 import io
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -143,6 +146,142 @@ class TestBatchedResiduals:
         r = resolvent_stack(a, lam, np.linalg.eigvals(a))
         for k in range(len(a)):
             assert np.array_equal(r[k], vk.resolvent(a[k], lam))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def sweep_reference(v, lams, nodes):
+    """transfer_sweep without the spectra store: eigvals of the requested nodes."""
+    nodes = np.asarray(nodes, np.intp).reshape(-1)
+    a1, b, s1 = v.A1.data[nodes], v.B.data[nodes], v.sigma1.data[nodes]
+    spectra = np.linalg.eigvals(a1)
+    eye = np.eye(v.signal_dim, dtype=complex)
+    return np.stack([eye - b.conj().transpose(0, 2, 1)
+                     @ resolvent_stack(a1, lam, spectra, nodes=nodes) @ b @ s1 for lam in lams])
+
+
+def fresh(v):
+    """The same vessel with an empty spectra store."""
+    return dataclasses.replace(v)
+
+
+def counting_eigvals(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a))
+    return calls
+
+
+class TestSpectraStore:
+    """The eigenvalues of A1 are kept on the vessel per node; every result is
+    bit for bit the result of a fresh eigvals pass over the requested nodes."""
+
+    lams = (1.5 + 0.5j, -0.3 + 2.0j, 4.0)
+
+    def test_sweep_cold_and_warm(self, moving_vessel):
+        v = fresh(moving_vessel)
+        every = np.arange(v.grid.n_nodes)
+        some = [3, 17, 3, 30]
+        assert same_bits(vk.transfer_sweep(v, self.lams, some),
+                         sweep_reference(v, self.lams, some))  # cold
+        assert same_bits(vk.transfer_sweep(v, self.lams), sweep_reference(v, self.lams, every))
+        assert same_bits(vk.transfer_sweep(v, self.lams, some),
+                         sweep_reference(v, self.lams, some))  # warm
+
+    def test_eval_transfer_cold_and_warm(self, moving_vessel):
+        v = fresh(moving_vessel)
+        for node in (11, 11, 0, 30):
+            for lam in self.lams:
+                assert same_bits(vk.eval_transfer(v, lam, node),
+                                 sweep_reference(v, [lam], [node])[0, 0])
+
+    def test_simulate_cold_and_warm(self, moving_vessel):
+        lam, u0 = 0.9 + 0.6j, np.array([1.0, -0.4 + 0.3j])
+        v = fresh(moving_vessel)
+        a1, b, s1 = v.A1.data, v.B.data, v.sigma1.data
+        u = vk.input_fundamental(v, lam).family.data @ u0.reshape(-1, 1)
+        x = resolvent_stack(a1, lam, np.linalg.eigvals(a1), nodes=range(len(a1))) @ b @ s1 @ u
+        y = u - b.conj().transpose(0, 2, 1) @ x
+        for _ in ("cold", "warm"):
+            traj = vk.simulate(v, lam, u0)
+            assert same_bits(traj.x.data, x) and same_bits(traj.y.data, y)
+
+    def test_one_eigvals_pass_per_vessel(self, moving_vessel, monkeypatch):
+        v = fresh(moving_vessel)
+        calls = counting_eigvals(monkeypatch)
+        rng = np.random.default_rng(4)
+        for lam in rng.uniform(1.0, 3.0, 64) + 1j * rng.uniform(-2.0, 2.0, 64):
+            vk.transfer_at_nodes(v, lam)
+        assert calls == [v.grid.n_nodes]
+        vk.eval_transfer(v, 2.0 + 1.0j, 12)
+        vk.adjoint_symmetry_residual(v, [1.0 + 1.0j, 2.0], [0, 12, 30])
+        assert calls == [v.grid.n_nodes]
+
+    def test_only_unknown_nodes_are_computed(self, moving_vessel, monkeypatch):
+        v = fresh(moving_vessel)
+        calls = counting_eigvals(monkeypatch)
+        vk.eval_transfer(v, 2.0, 5)
+        vk.transfer_sweep(v, [2.0], [5, 9, 9, 5, 20])
+        vk.eval_transfer(v, 3.0, 20)
+        assert calls == [1, 2]
+
+    def test_warm_clash_names_the_same_node_and_threshold(self, moving_vessel):
+        node = 17
+        lam = complex(np.linalg.eigvals(moving_vessel.A1[node])[0])
+        with pytest.raises(SpectrumClash, match=f"at node {node} ") as ref:
+            sweep_reference(moving_vessel, [lam], np.arange(moving_vessel.grid.n_nodes))
+        v = fresh(moving_vessel)
+        for _ in ("cold", "warm"):
+            with pytest.raises(SpectrumClash) as exc:
+                vk.transfer_sweep(v, [1.0 + 0.2j, lam])
+            assert str(exc.value) == str(ref.value)
+
+    def test_concurrent_fills_agree(self, moving_vessel):
+        """Eight threads fill one store at once; every sweep reads the values of
+        a fresh eigvals pass (a node marked known before its value is written
+        would break this)."""
+        v = fresh(moving_vessel)
+        rng = np.random.default_rng(9)
+        picks = [rng.choice(v.grid.n_nodes, size=5) for _ in range(64)]
+        results, errors = {}, []
+
+        def work(first):
+            try:
+                for i in range(first, len(picks), 8):
+                    results[i] = vk.transfer_sweep(v, self.lams, picks[i])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        for i, nodes in enumerate(picks):
+            assert same_bits(results[i], sweep_reference(v, self.lams, nodes))
+
+    def test_derived_vessels_get_their_own_spectra(self, moving_vessel):
+        v = fresh(moving_vessel)
+        vk.transfer_at_nodes(v, 2.0)  # warm the source
+        rng = np.random.default_rng(6)
+        k = rand_skew(rng, 3, 0.7)
+        u = np.stack([np.linalg.qr(np.eye(3) + t * k)[0] for t in v.grid.nodes()])
+        gauged = vk.gauge_transform(v, vk.GaugeMap.from_family(_family(v.grid, u)))
+        for derived in (gauged, vk.couple(v, v), dataclasses.replace(v)):
+            values, known = derived._spectra_store
+            assert values is not v._spectra_store[0] and not known.any()
+            every = np.arange(v.grid.n_nodes)
+            assert same_bits(vk.transfer_sweep(derived, self.lams),
+                             sweep_reference(derived, self.lams, every))
 
 
 class TestVesselValidation:
