@@ -80,7 +80,6 @@ __all__ = [
     "simulate",
     "gauge_transform",
     "gauge_equivalence",
-    "krylov_matrix",
     "krylov_rank",
     "input_fundamental",
     "output_fundamental",
@@ -511,33 +510,34 @@ def gauge_transform(v: DifferentialVessel, gmap: GaugeMap) -> DifferentialVessel
     )
 
 
-def krylov_matrix(a1: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[B, A1 B, ..., A1^(n-1) B] with the fixed column order B first; for
-    (N, n, n) and (N, n, m) stacks, one such matrix per node."""
-    blocks = [b]
-    for _ in range(a1.shape[-1] - 1):
-        blocks.append(a1 @ blocks[-1])
-    return np.concatenate(blocks, axis=-1)
+def _krylov_basis(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10):
+    """Block Arnoldi on (N, n, n) and (N, n, m) node stacks: per node, the
+    orthonormal basis Q (N, n, n) of the Krylov space of (A1, B) in its first
+    `rank` columns (zeros after), and the rank (N,).
+
+    Candidates come in monomial order, the columns of B and then A1 times each
+    accepted column; each gets two Gram-Schmidt passes and is dropped when at
+    most `rtol` of its own norm is left.  Candidate j >= m is A1 times column
+    j - m, which is zero at a node that accepted fewer columns, so it is
+    dropped there, and n + m steps exhaust every node."""
+    nn, n, m = b.shape
+    q = np.zeros((nn, n, n), dtype=complex)
+    rank = np.zeros(nn, dtype=np.intp)
+    for j in range(n + m):
+        c = b[:, :, j] if j < m else (a1 @ q[:, :, j - m, None])[..., 0]
+        r = c
+        for _ in range(2):
+            r = r - (q @ (q.conj().transpose(0, 2, 1) @ r[..., None]))[..., 0]
+        left = np.linalg.norm(r, axis=-1)
+        new = np.flatnonzero((rank < n) & (left > rtol * np.linalg.norm(c, axis=-1)))
+        q[new, :, rank[new]] = r[new] / left[new, None]
+        rank[new] += 1
+    return q, rank
 
 
 def krylov_rank(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10) -> int:
-    k = krylov_matrix(a1, b)
-    sv = np.linalg.svd(k, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rtol * sv[0]))
-
-
-def _orthonormal_frames(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10):
-    """Per node, the unitary Q from QR of the Krylov matrix with the diagonal of
-    R made real positive, and the rank: the count of diagonal entries above
-    `rtol` times the largest, as in krylov_rank (one batched QR)."""
-    q, r = np.linalg.qr(krylov_matrix(a1, b))
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    mag = np.abs(diag)
-    rank = np.sum(mag > rtol * mag.max(axis=1)[:, None], axis=1)
-    phases = diag / np.where(mag == 0.0, 1.0, mag)
-    return q * phases.conj()[:, None, :], rank
+    """Dimension of the Krylov space of (A1, B) at one node (see _krylov_basis)."""
+    return int(_krylov_basis(a1[None], b[None], rtol)[1][0])
 
 
 def gauge_equivalence(
@@ -550,12 +550,12 @@ def gauge_equivalence(
 ):
     """Recover a unitary gauge family linking two minimal vessels, or refuse.
 
-    The per-node unitary is Q2 Q1^H from consistently phase-fixed QR frames of
-    the Krylov matrices.  Returns a GaugeMap when the frames are unitary to
-    `tol` and the transfer functions agree at the probe points; returns
+    The per-node unitary is Q2 Q1^H from the block-Arnoldi Krylov frames (see
+    _krylov_basis).  Returns a GaugeMap when the frames are unitary to `tol`
+    and the transfer functions agree at the probe points; returns
     NotEquivalent otherwise, naming the first rank-deficient node if there is
-    one.  Raises NotMinimal when the Krylov rank at `node` is deficient, and
-    GridMismatch for a `node` off the grid.
+    one.  Raises NotMinimal when v1 or v2 (in that order) is rank deficient at
+    `node`, and GridMismatch for a `node` off the grid.
     """
     if v1.signal_dim != v2.signal_dim or v1.state_dim != v2.state_dim:
         return NotEquivalent("state or signal dimensions differ", defect=np.inf)
@@ -567,21 +567,14 @@ def gauge_equivalence(
     if seed is None:
         seed = DEFAULTS.seed
     n = v1.state_dim
-    # Minimality is checked at the reference node up front so the failure mode
-    # is NotMinimal rather than a frame artifact.
-    for v in (v1, v2):
-        rank = krylov_rank(v.A1[node], v.B[node])
-        if rank < n:
-            raise NotMinimal(f"Krylov rank {rank} < {n} at node {node}", rank=rank)
-    (q1, rank1), (q2, rank2) = (_orthonormal_frames(v.A1.data, v.B.data) for v in (v1, v2))
-    deficient = np.flatnonzero((rank1 < n) | (rank2 < n))
+    (q1, rank1), (q2, rank2) = (_krylov_basis(v.A1.data, v.B.data) for v in (v1, v2))
+    rank = np.where(rank1 < n, rank1, rank2)  # v1's rank where it is deficient
+    if rank[node] < n:
+        raise NotMinimal(f"Krylov rank {rank[node]} < {n} at node {node}", rank=int(rank[node]))
+    deficient = np.flatnonzero(rank < n)
     if deficient.size:
         i = deficient[0]
-        rank = rank1[i] if rank1[i] < n else rank2[i]
-        exc = NotMinimal(f"Krylov rank {rank} < state dimension {n}", rank=int(rank))
-        if i == node:
-            raise exc
-        return NotEquivalent(f"Krylov rank deficient at node {i}: {exc}", defect=np.inf)
+        return NotEquivalent(f"Krylov rank {rank[i]} < {n} at node {i}", defect=np.inf)
     u_data = q2 @ q1.conj().transpose(0, 2, 1)
     unitary_defect = max_frob(u_data.conj().transpose(0, 2, 1) @ u_data - np.eye(n))
     if unitary_defect > tol:
@@ -595,7 +588,7 @@ def gauge_equivalence(
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
         lam = complex(rng.uniform(1.0, 2.5) * scale * sign,
                       rng.uniform(-2.0, 2.0) * scale)
-        for probe_node in (0, node, nn - 1):
+        for probe_node in sorted({0, node, nn - 1}):
             try:
                 d = frob(eval_transfer(v1, lam, probe_node) - eval_transfer(v2, lam, probe_node))
             except SpectrumClash:

@@ -71,6 +71,21 @@ class TestEvolveCoupling:
         with pytest.raises(InconsistentInitialData):
             vk.evolve_coupling(bad_c, a_pi, a_xi, bn, x0_bad, s1, s2, gs, grid)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_pair_rejected(self):
+        """C times 1e160 from node 23 on: the pair-ODE residual and its bound
+        both overflow to inf, which fails the check instead of passing it."""
+        grid, s1, s2, gs, a_pi, a_xi, c, bn, x0 = consistent_triple_data(40)
+        big_c = vk.GridOperatorFamily(grid, np.concatenate([c.data[:23], 1e160 * c.data[23:]]))
+        with pytest.raises(InconsistentInitialData, match="ODE residual inf"):
+            vk.evolve_coupling(big_c, a_pi, a_xi, bn, x0, s1, s2, gs, grid)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_x0_rejected(self):
+        grid, s1, s2, gs, a_pi, a_xi, c, bn, x0 = consistent_triple_data(40)
+        with pytest.raises(InconsistentInitialData, match="residual inf"):
+            vk.evolve_coupling(c, a_pi, a_xi, bn, 1e160 * x0, s1, s2, gs, grid)
+
 
 class TestZeroPoleRealize:
     def test_constant_data_trivial_pde(self):

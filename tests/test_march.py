@@ -364,4 +364,4 @@ def test_tiny_b_vessel_is_gauge_equivalent_to_itself():
         assert isinstance(got, vk.GaugeMap)
         assert np.allclose(got.U.data, np.eye(3), rtol=0, atol=1e-8)
     b[4] = 0.0
-    assert list(core._orthonormal_frames(a1.data, b)[1]) == [3] * 4 + [0] + [3] * 8
+    assert list(core._krylov_basis(a1.data, b)[1]) == [3] * 4 + [0] + [3] * 8

@@ -203,7 +203,9 @@ class TestHermitianRealize:
 
 
 def frames_reference(v1, v2, node):
-    """The node-by-node frame loop of gauge_equivalence, with scipy's QR."""
+    """The node-by-node frame loop of gauge_equivalence, with scipy's QR of the
+    monomial Krylov matrix.  Its frames equal the block-Arnoldi ones only in
+    exact arithmetic, so U is compared at FRAME_ROUND_OFF."""
     n = v1.state_dim
     for v in (v1, v2):
         if vk.krylov_rank(v.A1[node], v.B[node]) < n:
@@ -222,6 +224,15 @@ def frames_reference(v1, v2, node):
             frames.append(q * (diag / np.abs(diag)).conj())
         u.append(frames[1] @ frames[0].conj().T)
     return np.stack(u)
+
+
+# Entries of U are those of a unitary; the two frame rules differ by the
+# round-off of orthogonalizing 3 x 6 well-conditioned Krylov matrices.
+FRAME_ROUND_OFF = 32 * np.finfo(float).eps
+
+
+def same_frames(got, ref) -> bool:
+    return got.shape == ref.shape and np.max(np.abs(got - ref)) <= FRAME_ROUND_OFF
 
 
 class TestGaugeFrames:
@@ -253,7 +264,7 @@ class TestGaugeFrames:
 
     def test_u_matches_node_loop(self):
         v = self.vessel(1)
-        assert same_bits(self.outcome(v, v, 3), frames_reference(v, v, 3))
+        assert same_frames(self.outcome(v, v, 3), frames_reference(v, v, 3))
 
     @pytest.mark.parametrize("node", [0, 4, 7, 12])
     def test_first_deficient_node_matches_node_loop(self, node):
@@ -261,7 +272,7 @@ class TestGaugeFrames:
         v2 = self.vessel(3, tiny=(9,))
         for a, b in ((v1, v1), (v1, v2), (v2, v1), (v2, v2)):
             got, ref = self.outcome(a, b, node), frames_reference(a, b, node)
-            assert same_bits(got, ref) if isinstance(ref, np.ndarray) else got == ref
+            assert same_frames(got, ref) if isinstance(ref, np.ndarray) else got == ref
 
 
 def test_degenerate_b_names_first_node():
@@ -311,7 +322,7 @@ class TestNodeArguments:
 
     @pytest.mark.parametrize("node", bad_nodes)
     def test_gauge_equivalence(self, vessel, node, monkeypatch):
-        monkeypatch.setattr(core, "_orthonormal_frames", None)  # never reached
+        monkeypatch.setattr(core, "_krylov_basis", None)  # never reached
         with pytest.raises(GridMismatch):
             vk.gauge_equivalence(vessel, vessel, node)
 

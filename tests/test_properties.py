@@ -3,7 +3,8 @@ chain vessels: reflection symmetry, coupling multiplicativity and gauge
 invariance.  Each identity is checked once on a cold spectra store and once on
 the warm one (the two sweeps agree bit for bit), against a round-off bound
 scaled by the norms that carry the error of S: the condition number of
-lam I - A1 and the size of B^H (lam I - A1)^(-1) B sigma1.
+lam I - A1 and the size of B^H (lam I - A1)^(-1) B sigma1.  Last, the Krylov
+rank rule is scale invariant.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vesselkit as vk
+import vesselkit.vessel_core as core
 from vesselkit.matrix_kernel import frob
 
 from helpers import SIGMA1_INDEFINITE, const, rand_complex, rand_skew
@@ -137,3 +139,28 @@ def test_reflection_symmetry_fails_off_the_colligation(sign):
     (k_lam, g_lam), (k_mu, g_mu) = scale(broken, lam), scale(broken, mu)
     bound = SLACK * EPS * frob(s1) * g_lam * g_mu * (k_lam + k_mu)
     assert np.all(frob(s[1].conj().transpose(0, 2, 1) @ s1 @ s[0] - s1) > bound)
+
+
+@SETTINGS
+@given(seed=seeds, n=st.integers(1, 8), m=st.integers(1, 3), shift_a=st.integers(-40, 40),
+       shift_b=st.integers(-40, 40))
+def test_krylov_rank_is_scale_invariant(seed, n, m, shift_a, shift_b):
+    """Scaling A1 by 2^shift_a and B by 2^shift_b scales every Arnoldi
+    candidate by a power of two, so each node keeps its rank, and its frame
+    bit for bit.  The nodes have Krylov spaces of random dimension r (block
+    triangular A1 in a random unitary frame, B in the leading block)."""
+    rng = np.random.default_rng(seed)
+    nodes = 6
+    ranks = rng.integers(0, n + 1, nodes)
+    w = np.linalg.qr(rand_complex(rng, (nodes, n, n)))[0]
+    a = rand_complex(rng, (nodes, n, n))
+    b = rand_complex(rng, (nodes, n, m))
+    for i, r in enumerate(ranks):
+        a[i, r:, :r] = 0.0
+        b[i, r:] = 0.0
+    a1, b = w @ a @ w.conj().transpose(0, 2, 1), w @ b
+    q, rank = core._krylov_basis(a1, b)
+    q_scaled, rank_scaled = core._krylov_basis(2.0 ** shift_a * a1, 2.0 ** shift_b * b)
+    assert list(rank) == list(ranks)
+    assert list(rank_scaled) == list(ranks)
+    assert q_scaled.tobytes() == q.tobytes()
