@@ -35,6 +35,7 @@ from .ode_engine import (
     TimeGrid,
     _coefficient,
     _march,
+    _running_product,
     family_derivative,
     integrate_linear_ode,
 )
@@ -377,11 +378,7 @@ def _ordered_products(kern: np.ndarray, c: np.ndarray, lam: complex, ds: float,
     exps = matrix_exp(np.reshape(steps, (-1,) + kern.shape[1:]))
     if clash is not None:
         raise clash
-    w = np.empty((len(kern) + 1,) + kern.shape[1:], dtype=complex)
-    w[0] = np.eye(kern.shape[1])
-    for j, e in enumerate(exps):
-        w[j + 1] = e @ w[j]
-    return w
+    return _running_product(exps, np.eye(kern.shape[1], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -497,12 +494,9 @@ def continuous_model_evolve(
         )
 
     coeff = _coefficient(s1, s2, model.gamma_s, -model.c[:, None, None])
-    beta = np.empty((nt,) + model.beta.shape, dtype=complex)
-    beta[0] = model.beta
     h = t_grid.h
     step = matrix_exp(coeff * h)
-    for i in range(nt - 1):
-        beta[i + 1] = step @ beta[i]
+    beta = _running_product(np.broadcast_to(step, (nt - 1,) + step.shape), model.beta)
 
     evolved = ContinuousSpectrumModel(
         s_grid=model.s_grid, c=model.c, beta=beta, gamma_s=model.gamma_s, t_grid=t_grid

@@ -1,6 +1,8 @@
 """One two-way march, one ordered product, one ODE coefficient, one coupling
 quadrature: each shared helper against the loop it replaced, kept here as the
-reference, bit for bit."""
+reference, bit for bit.  The march is the one exception: it matches the RK4
+stage form it replaced to round-off, and an in-test propagator loop bit for
+bit."""
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ import vesselkit.vessel_core as core
 from vesselkit.config import DEFAULTS
 from vesselkit.errors import NonFinite, ShapeMismatch, SpectrumClash
 from vesselkit.matrix_kernel import frob, max_frob
-from vesselkit.ode_engine import _interp, _interp4, _rk4_path
+from vesselkit.ode_engine import _interp4, _rk4_path
 
 from helpers import const, rand_complex, rand_hermitian, rand_skew, skew_chain_vessel
+
+EPS = np.finfo(float).eps
 
 
 def same_bits(a, b) -> bool:
@@ -22,8 +26,19 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _interp(data, pos):
+    """Linear interpolation of node samples at a fractional node position."""
+    left = min(max(int(np.floor(pos)), 0), data.shape[0] - 2)
+    w = pos - left
+    if w == 0.0:
+        return data[left]
+    if w == 1.0:
+        return data[left + 1]
+    return (1.0 - w) * data[left] + w * data[left + 1]
+
+
 def splice_reference(cdata, m0, grid, base):
-    """The hand-spliced march: forward from `base`, then backward, reversed."""
+    """The stage-form march: forward from `base`, then backward, reversed."""
 
     def rhs(pos, mat):
         return _interp(cdata, pos) @ mat
@@ -33,6 +48,37 @@ def splice_reference(cdata, m0, grid, base):
     if base > 0:
         out[: base + 1] = np.stack(_rk4_path(rhs, m0, grid, base, 0)[::-1])
     return out
+
+
+def propagator_reference(cdata, m0, grid, base):
+    """The propagator form one step at a time: P = I + h/6 (C_0 + 2 K_2 + 2 K_3
+    + K_4) from the node, midpoint and next-node coefficients, then M_next = P M;
+    forward from `base`, then backward with -h."""
+    eye = np.eye(cdata.shape[-1])
+
+    def leg(stop, step):
+        h = step * grid.h
+        path = [m0]
+        for i in range(base, stop, step):
+            c0, cm, c1 = cdata[i], _interp(cdata, i + 0.5 * step), cdata[i + step]
+            k2 = cm @ (eye + (0.5 * h) * c0)
+            k3 = cm @ (eye + (0.5 * h) * k2)
+            k4 = c1 @ (eye + h * k3)
+            path.append((eye + (h / 6.0) * (c0 + 2.0 * k2 + 2.0 * k3 + k4)) @ path[-1])
+        return path
+
+    out = np.empty((grid.n_nodes,) + m0.shape, dtype=complex)
+    out[base:] = np.stack(leg(grid.n_steps, 1))
+    if base > 0:
+        out[: base + 1] = np.stack(leg(0, -1)[::-1])
+    return out
+
+
+def assert_march_round_off(got, ref, n_steps):
+    """The propagator and stage forms are the same RK4 step in exact arithmetic
+    and round differently by a few ulps per step: allow one eps per step,
+    relative to the largest sample (the cases here use at most 0.2 of it)."""
+    assert max_frob(got - ref) <= n_steps * EPS * max_frob(ref)
 
 
 def varying_coefficients(grid, m=3, seed=21):
@@ -45,25 +91,54 @@ def varying_coefficients(grid, m=3, seed=21):
     return tuple(vk.GridOperatorFamily(grid, x) for x in (s1, s2, g))
 
 
+def node_coefficients(s1, s2, g, lam):
+    return np.stack([np.linalg.solve(s1[i], lam * s2[i] + g[i]) for i in range(len(s1))])
+
+
 class TestTwoWayMarch:
     grid = vk.TimeGrid(0.0, 1.0, 30)
+    lam = 0.7 - 1.3j
 
     @pytest.mark.parametrize("base", [0, 11, 30])
     def test_fundamental_matrix_matches_splice(self, base):
+        """The stage form to round-off, the propagator loop bit for bit."""
         s1, s2, g = varying_coefficients(self.grid)
-        lam = 0.7 - 1.3j
-        coeff = np.stack([np.linalg.solve(s1[i], lam * s2[i] + g[i])
-                          for i in range(self.grid.n_nodes)])
-        ref = splice_reference(coeff, np.eye(3, dtype=complex), self.grid, base)
-        phi = vk.fundamental_matrix(lam, s1, s2, g, self.grid, base_index=base)
-        assert same_bits(phi.family.data, ref)
+        coeff = node_coefficients(s1, s2, g, self.lam)
+        eye = np.eye(3, dtype=complex)
+        phi = vk.fundamental_matrix(self.lam, s1, s2, g, self.grid, base_index=base)
+        assert_march_round_off(phi.family.data, splice_reference(coeff, eye, self.grid, base),
+                               self.grid.n_steps)
+        assert same_bits(phi.family.data, propagator_reference(coeff, eye, self.grid, base))
 
     @pytest.mark.parametrize("direction, base", [("forward", 0), ("backward", 30)])
     def test_integrate_linear_ode_matches_one_way_path(self, direction, base):
         coeff = varying_coefficients(self.grid)[2]
         m0 = rand_complex(np.random.default_rng(3), (3, 2))
         fam = vk.integrate_linear_ode(coeff, m0, self.grid, direction)
-        assert same_bits(fam.data, splice_reference(coeff.data, m0, self.grid, base))
+        assert_march_round_off(fam.data, splice_reference(coeff.data, m0, self.grid, base),
+                               self.grid.n_steps)
+        assert same_bits(fam.data, propagator_reference(coeff.data, m0, self.grid, base))
+
+    @pytest.mark.parametrize("base, blown, step", [
+        (0, slice(17, None), "between nodes 16 and 17$"),   # forward
+        (30, slice(None, 9), "between nodes 9 and 8$"),     # backward
+        (11, slice(None, 4), "between nodes 4 and 3$"),     # interior, backward leg only
+        (11, np.r_[:4, 25:31], "between nodes 24 and 25$"),  # interior: forward leg first
+    ])
+    def test_blow_up_names_the_reference_step(self, base, blown, step):
+        """gamma times 1e200 on the `blown` nodes: the first non-finite sample in
+        march order is named, forward leg before backward, as in the stage form.
+        The step into a blown node already overflows (its midpoint squared)."""
+        s1, s2, g = varying_coefficients(self.grid)
+        gdata = g.data.copy()
+        gdata[blown] *= 1e200
+        g = vk.GridOperatorFamily(self.grid, gdata)
+        coeff = node_coefficients(s1, s2, g, self.lam)
+        with pytest.raises(NonFinite) as ref:
+            splice_reference(coeff, np.eye(3, dtype=complex), self.grid, base)
+        with pytest.raises(NonFinite, match=step) as got:
+            vk.fundamental_matrix(self.lam, s1, s2, g, self.grid, base_index=base)
+        assert str(got.value) == str(ref.value)
 
     def test_extract_elementary_transport_from_interior_node(self):
         grid = vk.TimeGrid(0.0, 1.0, 24)

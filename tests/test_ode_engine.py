@@ -97,6 +97,20 @@ class TestFundamentalMatrix:
         with pytest.raises(SingularSigma1):
             vk.fundamental_matrix(1.0, s1, s1, s1, grid)
 
+    def test_sigma1_is_judged_against_its_own_size(self):
+        """sigma1 = diag(1, -1) 2^-31 has min singular value 4.7e-10, under the
+        bare eps_spec_rel = 1e-9 but a well-conditioned sigma1 all the same."""
+        grid, s1, s2, g = coefficient_fixture(20)
+        tiny = 2.0 ** -31
+        phi = vk.fundamental_matrix(0.8 + 0.3j, s1, s2, g, grid)
+        scaled = (vk.GridOperatorFamily(grid, tiny * f.data) for f in (s1, s2, g))
+        assert vk.fundamental_matrix(0.8 + 0.3j, *scaled, grid).family.data.tobytes() \
+            == phi.family.data.tobytes()
+        for k in (-40, 0, 40):
+            near = const(2.0 ** k * np.diag([1.0, 1e-10]), grid)
+            with pytest.raises(SingularSigma1, match="at node 0:"):
+                vk.fundamental_matrix(1.0, near, s2, g, grid)
+
     def test_cocycle(self):
         grid, s1, s2, g = coefficient_fixture(100)
         lam = 0.8 + 0.3j
@@ -240,3 +254,18 @@ class TestGridTypes:
         fam = vk.GridOperatorFamily.from_callable(lambda t: np.array([[2.0 * t]]), grid)
         d = vk.family_derivative(fam)
         assert all(abs(d[i][0, 0] - 2.0) < 1e-12 for i in range(11))
+
+    def test_compatible_is_relative_to_the_span(self):
+        """Endpoints are compared against 1e-12 of the span, so two grids five
+        times apart in length never read compatible; span-1 grids read as
+        they did against an absolute 1e-12."""
+        assert not vk.TimeGrid(0.0, 1e-13, 10).compatible(vk.TimeGrid(0.0, 5e-13, 10))
+        assert not vk.TimeGrid(0.0, 5e-13, 10).compatible(vk.TimeGrid(0.0, 1e-13, 10))
+        grid = vk.TimeGrid(0.0, 1.0, 10)
+        assert grid.compatible(vk.TimeGrid(5e-13, 1.0 + 5e-13, 10))
+        assert not grid.compatible(vk.TimeGrid(2e-12, 1.0, 10))
+        assert not grid.compatible(vk.TimeGrid(0.0, 1.0 + 2e-12, 10))
+        assert not grid.compatible(vk.TimeGrid(0.0, 1.0, 11))
+        short = vk.TimeGrid(0.0, 1e-6, 10)
+        assert short.compatible(vk.TimeGrid(5e-19, 1e-6, 10))
+        assert not short.compatible(vk.TimeGrid(2e-18, 1e-6, 10))

@@ -4,7 +4,7 @@ invariance.  Each identity is checked once on a cold spectra store and once on
 the warm one (the two sweeps agree bit for bit), against a round-off bound
 scaled by the norms that carry the error of S: the condition number of
 lam I - A1 and the size of B^H (lam I - A1)^(-1) B sigma1.  Last, the Krylov
-rank rule is scale invariant.
+rank rule and the fundamental matrix are scale invariant.
 """
 
 import numpy as np
@@ -164,3 +164,27 @@ def test_krylov_rank_is_scale_invariant(seed, n, m, shift_a, shift_b):
     assert list(rank) == list(ranks)
     assert list(rank_scaled) == list(ranks)
     assert q_scaled.tobytes() == q.tobytes()
+
+
+@SETTINGS
+@given(seed=seeds, m=sizes, n_steps=steps, base=st.integers(0, 6), shift=st.integers(-60, 60),
+       re=parts, im=parts)
+def test_fundamental_matrix_is_scale_invariant(seed, m, n_steps, base, shift, re, im):
+    """Scaling sigma1, sigma2 and gamma by 2^shift scales both sides of
+    sigma1 u' = (lam sigma2 + gamma) u by a power of two: sigma1 is judged
+    against its own size, and the fundamental matrix stays bit for bit."""
+    rng = np.random.default_rng(seed)
+    grid = vk.TimeGrid(0.0, 1.0, n_steps)
+    t = grid.nodes()[:, None, None]
+    signs = np.diag(rng.choice([-1.0, 1.0], m) * rng.uniform(1.0, 3.0, m))
+    fams = (signs + 0.2 * rand_complex(rng, (m, m)) + t * rand_complex(rng, (m, m), 0.2),
+            rand_complex(rng, (m, m), 0.5) * np.cos(t),
+            rand_skew(rng, m, 0.5) + t * rand_complex(rng, (m, m), 0.3))
+    base = base % (n_steps + 1)
+    lam = complex(re, im)
+
+    def phi(k):
+        s1, s2, g = (vk.GridOperatorFamily(grid, 2.0 ** k * f) for f in fams)
+        return vk.fundamental_matrix(lam, s1, s2, g, grid, base_index=base).family.data
+
+    assert phi(shift).tobytes() == phi(0).tobytes()
