@@ -72,6 +72,7 @@ from .spectral_synthesis import (
     residue_norm,
 )
 from .vessel_core import (
+    Check,
     ConditionReport,
     DifferentialVessel,
     GaugeMap,

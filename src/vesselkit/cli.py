@@ -1,9 +1,10 @@
 """Command-line surface: JSON documents in, JSON reports out.
 
 Exit codes: 0 all checks pass, 1 input/validation error, 2 numerical failure
-(spectrum clash, singular sigma1, ...), 3 condition failure.  stdout carries
-the result document, written compactly on one line; stderr carries the human
-log, ending in one line of stage times (load, decode, compute, encode, emit)
+(spectrum clash, singular sigma1, ...), 3 condition failure: some report row
+{name, value, bound, passed} failed value <= bound (a non-finite value or bound
+is written as null, and fails).  stdout carries the result document, written
+compactly on one line; stderr carries the human log, ending in one line of stage times (load, decode, compute, encode, emit)
 and the exit code.  All randomized probe choices are drawn from --seed
 (default 0), so reports are byte-identical across runs.
 """
@@ -198,11 +199,11 @@ class Stages:
         finally:
             self.ms[name] += 1000.0 * (time.perf_counter() - t)
 
-    def line(self, command: str, code: int) -> str:
+    def line(self, command: str | None, code: int) -> str:
         total = 1000.0 * (time.perf_counter() - self.start)
         ms = dict(self.ms, compute=total - sum(self.ms.values()))
-        return (f"vesselkit {command}: " + ", ".join(f"{k} {v:.1f} ms" for k, v in ms.items())
-                + f"; exit {code}")
+        return (" ".join(filter(None, ("vesselkit", command))) + ": "
+                + ", ".join(f"{k} {v:.1f} ms" for k, v in ms.items()) + f"; exit {code}")
 
 
 def _read_object(path: str, what: str, stages: Stages) -> dict:
@@ -220,15 +221,22 @@ def _read_vessel(path: str, stages: Stages) -> core.DifferentialVessel:
         return vessel_from_document(doc)
 
 
-def _report(command: str, tolerances: dict, residual_rows: list, probes: dict, timing) -> dict:
-    return {
+def _report(command: str, tolerances: dict, checks, probes: dict, timing) -> tuple[dict, int]:
+    """The report document of `checks`, and the exit code: 3 if any check fails."""
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "tolerances": tolerances,
-        "residuals": residual_rows,
+        "residuals": [{"name": c.name, "value": _finite_or_none(c.value),
+                       "bound": _finite_or_none(c.bound), "passed": c.passed} for c in checks],
         "probes": probes,
         "timing": {"seconds": timing},
     }
+    return doc, _EXIT_OK if all(c.passed for c in checks) else _EXIT_CONDITION
+
+
+def _finite_or_none(x) -> float | None:
+    return float(x) if np.isfinite(x) else None
 
 
 def _emit(doc, out, stages: Stages) -> None:
@@ -271,29 +279,21 @@ def cmd_verify(args, stages: Stages) -> int:
     lambdas = _probe_lambdas(args, v.A1.max_norm())
     rng = np.random.default_rng(args.seed)
     nodes = sorted(int(x) for x in rng.integers(0, v.grid.n_nodes, size=min(args.probes, 5)))
-    rows = [
-        {"name": k, "value": report.residuals[k], "passed": bool(report.passed[k])}
-        for k in report.residuals
-    ]
     sweep = core.transfer_sweep(v, lambdas)
     pde_worst = max((core.transfer_pde_residual_values(s, v.sigma1, v.sigma2, v.gamma,
                                                        v.gamma_star, lam, v.grid)
                      for s, lam in zip(sweep, lambdas)), default=0.0)
-    sym_worst = core.adjoint_symmetry_residual(v, lambdas, nodes)
-    sym_pass = sym_worst <= args.tol + report.h2_allowance
-    pde_pass = pde_worst <= args.tol + report.h2_allowance
-    rows.append({"name": "adjoint_symmetry", "value": sym_worst, "passed": bool(sym_pass)})
-    rows.append({"name": "transfer_pde", "value": pde_worst, "passed": bool(pde_pass)})
+    stencil = args.tol + report.h2_allowance
+    checks = report.checks + (
+        core.Check("adjoint_symmetry", core.adjoint_symmetry_residual(v, lambdas, nodes), stencil),
+        core.Check("transfer_pde", pde_worst, stencil),
+    )
     with stages("encode"):
-        doc = _report(
-            "verify",
-            {"tol": args.tol, "h2_allowance": report.h2_allowance},
-            rows,
-            {"lambdas": _enc_array(lambdas), "nodes": nodes},
-            _timing(t0, args),
-        )
+        doc, code = _report("verify", {"tol": args.tol, "h2_allowance": report.h2_allowance},
+                            checks, {"lambdas": _enc_array(lambdas), "nodes": nodes},
+                            _timing(t0, args))
     _emit(doc, args.output, stages)
-    return _EXIT_OK if all(r["passed"] for r in rows) else _EXIT_CONDITION
+    return code
 
 
 def cmd_synthesize(args, stages: Stages) -> int:
@@ -363,18 +363,17 @@ def cmd_simulate(args, stages: Stages) -> int:
             raise InputError(f"--u0 must be JSON like [[re,im],...]: {exc}") from exc
     lam = _parse_complex(args.lam[0]) if args.lam else 1.0 + 0.5j
     traj = core.simulate(v, lam, u0)
-    rows = [
-        {"name": "energy_defect_t1", "value": float(np.max(np.abs(traj.energy_defect_t1))),
-         "passed": bool(np.max(np.abs(traj.energy_defect_t1)) <= args.tol)},
-        {"name": "energy_defect_t2", "value": traj.energy_defect_t2,
-         "passed": bool(traj.energy_defect_t2 <= args.tol + (v.grid.h ** 2) * 100)},
-    ]
+    checks = (
+        core.Check("energy_defect_t1", np.max(np.abs(traj.energy_defect_t1)), args.tol),
+        core.Check("energy_defect_t2", traj.energy_defect_t2,
+                   args.tol + (v.grid.h ** 2) * 100),
+    )
     with stages("encode"):
-        doc = _report("simulate", {"tol": args.tol}, rows,
-                      {"lambdas": [_enc_array(lam)], "nodes": []}, _timing(t0, args))
+        doc, code = _report("simulate", {"tol": args.tol}, checks,
+                            {"lambdas": [_enc_array(lam)], "nodes": []}, _timing(t0, args))
         doc["y"] = _enc_family(traj.y)
     _emit(doc, args.output, stages)
-    return _EXIT_OK if all(r["passed"] for r in rows) else _EXIT_CONDITION
+    return code
 
 
 def cmd_fundamental(args, stages: Stages) -> int:
@@ -429,17 +428,14 @@ def cmd_factor(args, stages: Stages) -> int:
     result = synth.extract_elementary(v, which, node_ref=args.node, tol=args.tol)
     res = synth.residue_norm(lambda lam: result.quotient_transfer(lam, args.node),
                              result.eigenvalue, radius=args.tol ** 0.25 * 1e-1)
-    rows = [
-        {"name": "quotient_residue", "value": float(res), "passed": bool(res <= args.tol)},
-        {"name": "eigvec_transport", "value": result.eigvec_residual,
-         "passed": bool(result.eigvec_residual <= 1e-6)},
-    ]
+    checks = (core.Check("quotient_residue", res, args.tol),
+              core.Check("eigvec_transport", result.eigvec_residual, 1e-6))
     with stages("encode"):
-        doc = _report("factor", {"tol": args.tol}, rows,
-                      {"lambdas": [], "nodes": [args.node]}, _timing(t0, args))
+        doc, code = _report("factor", {"tol": args.tol}, checks,
+                            {"lambdas": [], "nodes": [args.node]}, _timing(t0, args))
         doc["factor"] = vessel_to_document(result.factor)
     _emit(doc, args.output, stages)
-    return _EXIT_OK if all(r["passed"] for r in rows) else _EXIT_CONDITION
+    return code
 
 
 def cmd_realize(args, stages: Stages) -> int:
@@ -471,18 +467,15 @@ def cmd_realize(args, stages: Stages) -> int:
         for lam in lambdas
     )
     allowance = (grid.h ** 2) * max(1.0, c.max_norm() + bn.max_norm()) ** 3
-    rows = [
-        {"name": "sylvester_max", "value": float(res.max()),
-         "passed": bool(res.max() <= args.tol + allowance)},
-        {"name": "transfer_pde", "value": float(pde), "passed": bool(pde <= args.tol + allowance)},
-    ]
+    checks = (core.Check("sylvester_max", res.max(), args.tol + allowance),
+              core.Check("transfer_pde", pde, args.tol + allowance))
     with stages("encode"):
-        doc = _report("realize", {"tol": args.tol, "h2_allowance": allowance}, rows,
-                      {"lambdas": _enc_array(lambdas), "nodes": []}, _timing(t0, args))
+        doc, code = _report("realize", {"tol": args.tol, "h2_allowance": allowance}, checks,
+                            {"lambdas": _enc_array(lambdas), "nodes": []}, _timing(t0, args))
         doc["vessel"] = vessel_to_document(realized.vessel)
         doc["singular_nodes"] = list(realized.singular_nodes)
     _emit(doc, args.output, stages)
-    return _EXIT_OK if all(r["passed"] for r in rows) else _EXIT_CONDITION
+    return code
 
 
 def cmd_gauge(args, stages: Stages) -> int:
@@ -493,18 +486,17 @@ def cmd_gauge(args, stages: Stages) -> int:
     verdict = core.gauge_equivalence(v1, v2, node=args.node, probes=args.probes,
                                      tol=args.tol, seed=args.seed)
     equivalent = not isinstance(verdict, core.NotEquivalent)
+    check = core.Check("gauge_equivalence", 0.0 if equivalent else verdict.defect, args.tol)
     with stages("encode"):
-        value = 0.0 if equivalent else float(verdict.defect)
-        rows = [{"name": "gauge_equivalence", "value": value, "passed": equivalent}]
-        doc = _report("gauge", {"tol": args.tol}, rows, {"lambdas": [], "nodes": [args.node]},
-                      _timing(t0, args))
+        doc, code = _report("gauge", {"tol": args.tol}, [check],
+                            {"lambdas": [], "nodes": [args.node]}, _timing(t0, args))
         doc["equivalent"] = equivalent
         if equivalent:
             doc["U"] = _enc_family(verdict.U)
         else:
             doc["reason"] = verdict.reason
     _emit(doc, args.output, stages)
-    return _EXIT_OK if equivalent else _EXIT_CONDITION
+    return code
 
 
 def _node(args, grid: TimeGrid) -> int:
@@ -535,7 +527,10 @@ def _add_common(p: argparse.ArgumentParser, cfg) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    cfg = load_config()
+    try:
+        cfg = load_config()
+    except (OSError, ValueError) as exc:
+        raise InputError(f"config file: {exc}") from exc
     ap = argparse.ArgumentParser(prog="vesselkit", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -601,14 +596,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return _EXIT_INPUT if exc.code not in (0, None) else 0
     stages = Stages()
+    command = None
     try:
+        args = build_parser().parse_args(argv)
+        command = args.command
+        if not 0.0 <= args.tol < np.inf:
+            raise InputError(f"--tol must be finite and non-negative, got {args.tol!r}")
         code = args.fn(args, stages)
+    except SystemExit as exc:  # argparse has written its usage message
+        return _EXIT_INPUT if exc.code not in (0, None) else 0
     except InputError as exc:
         _emit_error("input", str(exc))
         code = _EXIT_INPUT
@@ -620,7 +617,7 @@ def main(argv=None) -> int:
         # malformed document structure surfacing past the codecs
         _emit_error("input", f"{type(exc).__name__}: {exc}")
         code = _EXIT_INPUT
-    print(stages.line(args.command, code), file=sys.stderr)
+    print(stages.line(command, code), file=sys.stderr)
     return code
 
 

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, EPS_COUPLING_REL
 from .errors import (
     CouplingSingular,
     GridMismatch,
@@ -257,7 +257,7 @@ def zero_pole_realize(
     gamma_star: GridOperatorFamily,
     sigma1: GridOperatorFamily,
     sigma2: GridOperatorFamily,
-    rtol: float | None = None,
+    rtol: float = EPS_COUPLING_REL,
 ) -> RealizedTransfer:
     """Unique intertwining transfer function realized from a null-pole triple.
 
@@ -268,10 +268,10 @@ def zero_pole_realize(
 
     `node` is one grid index or an array of them (then the result is a
     stack, with one resolvent of A_pi for all of them).  Nodes where the
-    smallest singular value of X is at most `rtol` (default
-    ``eps_coupling_rel``) times its largest are reported in `singular_nodes`
-    and only fail on evaluation there (loss of invertibility along the line
-    is genuine behavior of coupling families, not an error of the data).
+    smallest singular value of X is at most `rtol` times its largest are
+    reported in `singular_nodes` and only fail on evaluation there (loss of
+    invertibility along the line is genuine behavior of coupling families,
+    not an error of the data).
     The returned vessel carries A1 = A_pi, A2 = 0 and B = X^(-1) Bn; its own
     transfer matches the callback exactly when the triple is reflection
     symmetric (C = -B^H), which is the conservative case.
@@ -279,8 +279,6 @@ def zero_pole_realize(
     n, k = triple.A_pi.shape[0], triple.A_xi.shape[0]
     if n != k:
         raise ShapeMismatch("realization needs square coupling (n == k)")
-    if rtol is None:
-        rtol = DEFAULTS.eps_coupling_rel
     grid = triple.grid
     m = triple.C.shape[0]
     sv = np.linalg.svd(triple.X.data, compute_uv=False)
@@ -322,16 +320,16 @@ def zero_pole_realize(
     )
 
 
-def _monomial_rank(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10) -> int:
-    """Numerical rank of [B, A1 B, ..., A1^(n-1) B] relative to its largest
-    singular value: below krylov_rank on minimal pairs with a strongly
+def _monomial_rank(a1: np.ndarray, b: np.ndarray) -> int:
+    """Numerical rank of [B, A1 B, ..., A1^(n-1) B] at 1e-10 relative to its
+    largest singular value: below krylov_rank on minimal pairs with a strongly
     non-normal A1, where extract_null_pole's coupling Sylvester problem can be
     numerically singular, so extract_null_pole still refuses those."""
     blocks = [b]
     for _ in range(len(a1) - 1):
         blocks.append(a1 @ blocks[-1])
     sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-    return int(np.sum(sv > rtol * sv[0]))
+    return int(np.sum(sv > 1e-10 * sv[0]))
 
 
 def extract_null_pole(v: DifferentialVessel, node_ref: int = 0) -> NullPoleTriple:

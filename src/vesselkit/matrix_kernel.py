@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULTS
+from .config import EPS_PD_REL, EPS_SPEC_REL
 from .errors import (
     NonFinite,
     NotHermitian,
@@ -85,8 +85,9 @@ def _as_stack(a, name: str):
     return m, range(len(m))
 
 
-def as_hermitian(a, rtol: float = 1e-12, name: str = "matrix") -> np.ndarray:
-    """Project `a` onto its Hermitian part after checking it is Hermitian to `rtol`.
+def as_hermitian(a, name: str = "matrix") -> np.ndarray:
+    """Project `a` onto its Hermitian part after checking it is Hermitian to 1e-12
+    relative.
 
     The projection removes round-off level asymmetry; genuinely non-Hermitian
     input raises :class:`NotHermitian`.  `a` may be an (N, n, n) stack, each
@@ -97,11 +98,11 @@ def as_hermitian(a, rtol: float = 1e-12, name: str = "matrix") -> np.ndarray:
         raise ShapeMismatch(f"{name} must be square, got {m.shape[1:]}")
     defect = frob(m - np.swapaxes(m.conj(), 1, 2))
     scale = np.maximum(frob(m), 1.0)
-    bad = np.flatnonzero(defect > rtol * scale)
+    bad = np.flatnonzero(defect > 1e-12 * scale)
     if bad.size:
         k = bad[0]
         raise NotHermitian(f"{name} is not Hermitian{_at(nodes, k)}: defect {defect[k]:.3e} > "
-                           f"{rtol:.1e} * {scale[k]:.3e}")
+                           f"1.0e-12 * {scale[k]:.3e}")
     out = hermitian_part(m)
     return out[0] if nodes is None else out
 
@@ -134,9 +135,9 @@ def max_frob(stack) -> float:
     return float(frob(np.reshape(stack, (-1,) + np.shape(stack)[-2:])).max(initial=0.0))
 
 
-def resolvent_stack(a, lam: complex, spectra, eps_spec=None, nodes=None) -> np.ndarray:
-    """(lam*I - a[k])^(-1) for a stack `a` (N, n, n), guarded per operand as in
-    :func:`resolvent`, whose default ``eps_spec`` is taken per operand.
+def resolvent_stack(a, lam: complex, spectra, nodes=None) -> np.ndarray:
+    """(lam*I - a[k])^(-1) for a stack `a` (N, n, n), each operand guarded as in
+    :func:`resolvent` against its own norm.
 
     `spectra` (N, n) are the eigenvalues of the operands, computed once by a
     caller that sweeps lam.  A failing operand is named by ``nodes[k]``.
@@ -144,9 +145,7 @@ def resolvent_stack(a, lam: complex, spectra, eps_spec=None, nodes=None) -> np.n
     lam = complex(lam)
     if not (np.isfinite(lam.real) and np.isfinite(lam.imag)):
         raise NonFinite("resolvent spectral parameter is not finite")
-    if eps_spec is None:
-        eps_spec = DEFAULTS.eps_spec_rel * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
-    eps_spec = np.broadcast_to(eps_spec, a.shape[:1])
+    eps_spec = EPS_SPEC_REL * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
     dist = np.min(np.abs(spectra - lam), axis=1)
     clash = np.flatnonzero(dist <= eps_spec)
     if clash.size:
@@ -173,36 +172,33 @@ def _at(nodes, k: int) -> str:
     return "" if nodes is None else f" at node {nodes[k]}"
 
 
-def resolvent(a, lam: complex, eps_spec: float | None = None) -> np.ndarray:
+def resolvent(a, lam: complex) -> np.ndarray:
     """(lam*I - a)^(-1), guarded against lam sitting on the spectrum of `a`.
 
     Raises :class:`SpectrumClash` when the distance from `lam` to the spectrum
-    is below ``eps_spec`` (default ``eps_spec_rel * ||a||_F``, floored at the
-    absolute value of ``eps_spec_rel`` for tiny matrices).
+    is at most ``EPS_SPEC_REL * max(||a||_F, 1)``.
     """
     m = as_matrix(a, "resolvent operand")
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"resolvent needs a square matrix, got {m.shape}")
-    return resolvent_stack(m[None], lam, np.linalg.eigvals(m)[None], eps_spec)[0]
+    return resolvent_stack(m[None], lam, np.linalg.eigvals(m)[None])[0]
 
 
-def hermitian_sqrt(x, require_pd: bool = False, eps_pd: float | None = None) -> np.ndarray:
+def hermitian_sqrt(x, require_pd: bool = False) -> np.ndarray:
     """Principal square root of a Hermitian positive (semi)definite matrix.
 
     Computed through the eigendecomposition of the Hermitian part.  With
-    ``require_pd`` the smallest eigenvalue must clear ``eps_pd`` (default
-    ``eps_pd_rel * ||x||_F``); without it, eigenvalues down to ``-eps_pd``
-    are clamped to zero and anything more negative is rejected, since the
-    principal root of an indefinite Hermitian matrix is not Hermitian.
-    `x` may be an (N, n, n) stack: each matrix gets its own default
+    ``require_pd`` the smallest eigenvalue must clear ``eps_pd =
+    EPS_PD_REL * max(||x||_F, 1)``; without it, eigenvalues down to
+    ``-eps_pd`` are clamped to zero and anything more negative is rejected,
+    since the principal root of an indefinite Hermitian matrix is not
+    Hermitian.  `x` may be an (N, n, n) stack: each matrix gets its own
     ``eps_pd``, and the first failing one is named by its node.
     """
-    m = as_hermitian(x, rtol=1e-12, name="hermitian_sqrt operand")
+    m = as_hermitian(x, name="hermitian_sqrt operand")
     nodes = None if m.ndim == 2 else range(len(m))
     m = m.reshape((-1,) + m.shape[-2:])
-    if eps_pd is None:
-        eps_pd = DEFAULTS.eps_pd_rel * np.maximum(frob(m), 1.0)
-    eps_pd = np.broadcast_to(eps_pd, m.shape[:1])
+    eps_pd = EPS_PD_REL * np.maximum(frob(m), 1.0)
     w, v = np.linalg.eigh(m)
     low = w[:, 0]
     bad = np.flatnonzero(low <= eps_pd if require_pd else low < -eps_pd)
@@ -217,15 +213,15 @@ def hermitian_sqrt(x, require_pd: bool = False, eps_pd: float | None = None) -> 
     return root[0] if nodes is None else root
 
 
-def solve_sylvester(a_pi, a_xi, q, eps_spec: float | None = None) -> np.ndarray:
+def solve_sylvester(a_pi, a_xi, q) -> np.ndarray:
     """Solve X @ a_pi - a_xi @ X = q for X, by the vectorized dense system.
 
     `a_pi` is n-by-n, `a_xi` is k-by-k, `q` and the result are k-by-n, or
     (N, k, n) stacks: one factorization of the system then serves all N
     right-hand sides, and the first slice whose residual fails is named by
     its node.  The spectra of the two coefficient matrices must be disjoint
-    with a gap above ``eps_spec`` (default ``eps_spec_rel`` times
-    ``||a_pi||_F + ||a_xi||_F``), which is what makes the solution unique.
+    with a gap above ``EPS_SPEC_REL * (||a_pi||_F + ||a_xi||_F)``, which is
+    what makes the solution unique.
     Both guards are relative, so scaling a_pi, a_xi and q by c > 0 fires the
     same ones.  Desk scale only (n*k up to a few hundred): the kron system is
     exact and simple, and that is worth more here than a Bartels-Stewart
@@ -240,8 +236,7 @@ def solve_sylvester(a_pi, a_xi, q, eps_spec: float | None = None) -> np.ndarray:
     if qs.shape[1:] != (k, n):
         raise ShapeMismatch(f"q must be {k}x{n}, got {qs.shape[1:]}")
     scale = frob(ap) + frob(ax)
-    if eps_spec is None:
-        eps_spec = DEFAULTS.eps_spec_rel * scale
+    eps_spec = EPS_SPEC_REL * scale
     ev_pi = np.linalg.eigvals(ap)
     ev_xi = np.linalg.eigvals(ax)
     gap = float(np.min(np.abs(ev_pi[None, :] - ev_xi[:, None])))

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import EPS_SPEC_REL
 from .errors import GridMismatch, NonFinite, ShapeMismatch, SingularSigma1
 from .matrix_kernel import as_matrix, max_frob
 
@@ -208,12 +208,19 @@ def _rk4_steps(c0: np.ndarray, cm: np.ndarray, c1: np.ndarray, h: float) -> np.n
     return eye + (h / 6.0) * (c0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _running_product(steps: np.ndarray, m0: np.ndarray) -> np.ndarray:
-    """W_0 = m0, W_(j+1) = steps[j] @ W_j: the ordered product of a transition stack."""
+def _running_product(steps: np.ndarray, m0: np.ndarray,
+                     blew_up: Callable[[int], str]) -> np.ndarray:
+    """W_0 = m0, W_(j+1) = steps[j] @ W_j: the ordered product of a transition
+    stack; NonFinite(blew_up(j)) for the first j whose W_(j+1) is not finite."""
     w = np.empty((len(steps) + 1,) + m0.shape, dtype=complex)
     w[0] = m0
-    for j, step in enumerate(steps):
-        w[j + 1] = step @ w[j]
+    # Overflow is reported as NonFinite, not as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, step in enumerate(steps):
+            w[j + 1] = step @ w[j]
+    bad = np.flatnonzero(~np.isfinite(w[1:]).all(axis=tuple(range(1, w.ndim))))
+    if bad.size:
+        raise NonFinite(blew_up(int(bad[0])))
     return w
 
 
@@ -229,15 +236,11 @@ def _march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid, base_index: int) -
     legs = ((1, cdata[b:-1], mid[b:], cdata[b + 1:]),
             (-1, cdata[1:b + 1][::-1], mid[:b][::-1], cdata[:b][::-1]))
     out = np.empty((grid.n_nodes,) + m0.shape, dtype=complex)
-    # Overflow is reported as NonFinite, not as a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step, c0, cm, c1 in legs:
-            path = _running_product(_rk4_steps(c0, cm, c1, step * h), m0)
-            bad = np.flatnonzero(~np.isfinite(path).reshape(len(path), -1).all(axis=1))
-            if bad.size:
-                i = b + step * (int(bad[0]) - 1)
-                raise NonFinite(f"integration blew up between nodes {i} and {i + step}")
-            out[b::step] = path
+    for step, c0, cm, c1 in legs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = _rk4_steps(c0, cm, c1, step * h)
+        out[b::step] = _running_product(steps, m0, lambda j: (
+            f"integration blew up between nodes {b + step * j} and {b + step * (j + 1)}"))
     return out
 
 
@@ -298,8 +301,8 @@ class FundamentalMatrix:
 
 
 def _check_sigma1(sigma1: GridOperatorFamily) -> None:
-    """SingularSigma1 at the first node with sigma_min <= eps_spec_rel * max_norm."""
-    eps = DEFAULTS.eps_spec_rel * sigma1.max_norm()
+    """SingularSigma1 at the first node with sigma_min <= EPS_SPEC_REL * max_norm."""
+    eps = EPS_SPEC_REL * sigma1.max_norm()
     smin = np.linalg.svd(sigma1.data, compute_uv=False)[:, -1]
     bad = np.flatnonzero(smin <= eps)
     if bad.size:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import EPS_SPEC_REL
 from .errors import (
     DegenerateB,
     DegenerateEigenvalue,
@@ -147,7 +147,7 @@ def build_elementary(
     row = col.conj().transpose(0, 2, 1)  # b^H
     p = (row @ s1 @ col)[:, 0, 0]
     q = (row @ s2 @ col)[:, 0, 0]
-    eps = DEFAULTS.eps_spec_rel * max(sigma1.max_norm(), 1.0)
+    eps = EPS_SPEC_REL * max(sigma1.max_norm(), 1.0)
     bad = np.flatnonzero(np.abs(p) <= eps)
     if bad.size:
         raise DegenerateB(f"b^H sigma1 b vanished at node {bad[0]}")
@@ -277,7 +277,7 @@ def extract_elementary(
     if n > 1:
         others = np.delete(eigs, idx)
         gap = float(np.min(np.abs(others - z)))
-        eps = DEFAULTS.eps_spec_rel * max(frob(a1_ref), 1.0)
+        eps = EPS_SPEC_REL * max(frob(a1_ref), 1.0)
         if gap <= max(eps, tol):
             raise DegenerateEigenvalue(
                 f"eigenvalue {z} has spectral gap {gap:.3e} below tolerance"
@@ -322,14 +322,11 @@ def extract_elementary(
     )
 
 
-def residue_norm(fn, z0: complex, radius: float = 1e-3, npoints: int = 16) -> float:
-    """Frobenius norm of the contour residue of a matrix function at z0."""
-    acc = None
-    for k in range(npoints):
-        lam = z0 + radius * np.exp(2j * np.pi * k / npoints)
-        val = fn(lam) * (lam - z0)
-        acc = val if acc is None else acc + val
-    return frob(acc / npoints)
+def residue_norm(fn, z0: complex, radius: float = 1e-3) -> float:
+    """Frobenius norm of the contour residue of a matrix function at z0, by the
+    16-point trapezoid rule on the circle of `radius` around it."""
+    lams = (z0 + radius * np.exp(2j * np.pi * k / 16) for k in range(16))
+    return frob(sum(fn(lam) * (lam - z0) for lam in lams) / 16)
 
 
 def mult_integral(
@@ -337,14 +334,14 @@ def mult_integral(
     c,
     lam: complex,
     s_upper: int,
-    eps_spec: float | None = None,
 ) -> np.ndarray:
     """Left-ordered exponential product of the first `s_upper` grid intervals.
 
     W = exp(K(s_{j}) ds / (lam + c(s_j))) * ... * exp(K(s_0) ds / (lam + c(s_0)))
     with the rightmost factor first; kernel values are taken left-continuous
     at the nodes.  First-order product steps only: the step defect against
-    the true product integral is O(ds).
+    the true product integral is O(ds).  SpectrumClash where |lam + c(s_j)| <=
+    EPS_SPEC_REL * max(max_norm(K), 1); NonFinite names an overflowing step.
     """
     m = kernel.shape[0]
     if kernel.shape != (m, m):
@@ -354,8 +351,7 @@ def mult_integral(
         raise ShapeMismatch("c must have one value per s node")
     if not (0 <= s_upper <= kernel.grid.n_steps):
         raise GridMismatch(f"s_upper {s_upper} outside the grid")
-    if eps_spec is None:
-        eps_spec = DEFAULTS.eps_spec_rel * max(kernel.max_norm(), 1.0)
+    eps_spec = EPS_SPEC_REL * max(kernel.max_norm(), 1.0)
     return _ordered_products(kernel.data[:s_upper], c_arr, lam, kernel.grid.h, eps_spec)[-1]
 
 
@@ -364,7 +360,8 @@ def _ordered_products(kern: np.ndarray, c: np.ndarray, lam: complex, ds: float,
     """Running products W_0 = I, W_(j+1) = exp(K_j ds / (lam + c_j)) W_j over `kern`.
 
     SpectrumClash at the first j with |lam + c_j| <= eps_spec, once the steps
-    before it are exponentiated, so an overflow there raises NonFinite first.
+    before it are exponentiated, so an overflow there raises NonFinite first;
+    an overflowing product raises NonFinite naming its step.
     Each step factor takes one scalar division: numpy's vectorised complex
     division rounds some of them differently.
     """
@@ -378,7 +375,8 @@ def _ordered_products(kern: np.ndarray, c: np.ndarray, lam: complex, ds: float,
     exps = matrix_exp(np.reshape(steps, (-1,) + kern.shape[1:]))
     if clash is not None:
         raise clash
-    return _running_product(exps, np.eye(kern.shape[1], dtype=complex))
+    return _running_product(exps, np.eye(kern.shape[1], dtype=complex), lambda j: (
+        f"multiplicative integral blew up between s nodes {j} and {j + 1}"))
 
 
 @dataclass(frozen=True)
@@ -496,7 +494,8 @@ def continuous_model_evolve(
     coeff = _coefficient(s1, s2, model.gamma_s, -model.c[:, None, None])
     h = t_grid.h
     step = matrix_exp(coeff * h)
-    beta = _running_product(np.broadcast_to(step, (nt - 1,) + step.shape), model.beta)
+    beta = _running_product(np.broadcast_to(step, (nt - 1,) + step.shape), model.beta,
+                            lambda j: f"beta blew up between t nodes {j} and {j + 1}")
 
     evolved = ContinuousSpectrumModel(
         s_grid=model.s_grid, c=model.c, beta=beta, gamma_s=model.gamma_s, t_grid=t_grid
@@ -527,7 +526,7 @@ def continuous_model_evolve(
     t_slices = sorted({0, nt // 2, nt - 1})
     for lam in probe_lambdas:
         for i in t_slices:
-            eps_spec = DEFAULTS.eps_spec_rel * max(max_frob(kern[i]), 1.0)
+            eps_spec = EPS_SPEC_REL * max(max_frob(kern[i]), 1.0)
             w = _ordered_products(kern[i, :-1], model.c, lam, ds, eps_spec)
             law = kern[i, :-1] / (lam + model.c[:-1, None, None]) @ w[:-1]
             res_c = max(res_c, max_frob((w[1:] - w[:-1]) / ds - law))

@@ -62,6 +62,7 @@ from .ode_engine import (
 
 __all__ = [
     "DifferentialVessel",
+    "Check",
     "ConditionReport",
     "Trajectory",
     "GaugeMap",
@@ -84,16 +85,6 @@ __all__ = [
     "input_fundamental",
     "output_fundamental",
 ]
-
-_CONDITIONS = (
-    "lax",
-    "colligation1",
-    "colligation2",
-    "input_vessel",
-    "output_vessel",
-    "linkage",
-)
-
 
 @dataclass(frozen=True)
 class DifferentialVessel:
@@ -166,17 +157,38 @@ class DifferentialVessel:
 
 
 @dataclass(frozen=True)
-class ConditionReport:
-    """Max-over-nodes Frobenius residual of each vessel condition."""
+class Check:
+    """A judged residual and its bound: passed is value <= bound with a finite
+    bound, so a NaN value and an overflowed bound both fail."""
 
-    residuals: dict[str, float]
-    passed: dict[str, bool]
+    name: str
+    value: float
+    bound: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.bound < np.inf)
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """Max-over-nodes Frobenius residual of each vessel condition, as checks."""
+
+    checks: tuple[Check, ...]
     tol: float
     h2_allowance: float
 
     @property
+    def residuals(self) -> dict[str, float]:
+        return {c.name: c.value for c in self.checks}
+
+    @property
+    def passed(self) -> dict[str, bool]:
+        return {c.name: c.passed for c in self.checks}
+
+    @property
     def all_passed(self) -> bool:
-        return all(self.passed.values())
+        return all(c.passed for c in self.checks)
 
 
 @dataclass(frozen=True)
@@ -199,12 +211,12 @@ class GaugeMap:
     dU: GridOperatorFamily = field(repr=False)
 
     @classmethod
-    def from_family(cls, u_family: GridOperatorFamily, unitary_tol: float = 1e-8) -> "GaugeMap":
+    def from_family(cls, u_family: GridOperatorFamily) -> "GaugeMap":
         n = u_family.shape[0]
         if u_family.shape != (n, n):
             raise ShapeMismatch("gauge family must be square")
         u = u_family.data
-        bad = np.flatnonzero(frob(u.conj().transpose(0, 2, 1) @ u - np.eye(n)) > unitary_tol)
+        bad = np.flatnonzero(frob(u.conj().transpose(0, 2, 1) @ u - np.eye(n)) > 1e-8)
         if bad.size:
             raise ShapeMismatch(f"gauge family not unitary at node {bad[0]}")
         return cls(U=u_family, dU=family_derivative(u_family))
@@ -271,14 +283,6 @@ def verify_vessel(v: DifferentialVessel, tol: float | None = None) -> ConditionR
     da1 = family_derivative(v.A1).data
     dbs1 = family_derivative(GridOperatorFamily(v.grid, b @ s1)).data
     dbh = family_derivative(GridOperatorFamily(v.grid, bh)).data
-    residuals = {
-        "lax": max_frob(da1 - (a2 @ a1 - a1 @ a2)),
-        "colligation1": max_frob(a1 + a1.conj().transpose(0, 2, 1) + b @ s1 @ bh),
-        "colligation2": max_frob(a2 + a2.conj().transpose(0, 2, 1) + b @ s2 @ bh),
-        "input_vessel": max_frob(dbs1 - a2 @ b @ s1 + a1 @ b @ s2 + b @ g),
-        "output_vessel": max_frob(s1 @ dbh + s1 @ bh @ a2 - s2 @ bh @ a1 - gs @ bh),
-        "linkage": max_frob(gs - g - s2 @ bh @ b @ s1 + s1 @ bh @ b @ s2),
-    }
     # Truncation allowance: third derivatives of operator products scale like
     # the cube of the largest coefficient norm.  Only the conditions that
     # contain a d/dt actually carry the stencil error; the algebraic ones
@@ -286,12 +290,17 @@ def verify_vessel(v: DifferentialVessel, tol: float | None = None) -> ConditionR
     scale = max(*(f.max_norm() for f in (v.A1, v.A2, v.B, v.sigma1, v.sigma2, v.gamma,
                                           v.gamma_star)), 1.0)
     allowance = (v.grid.h ** 2) * scale ** 3
-    differential = {"lax", "input_vessel", "output_vessel"}
-    passed = {
-        k: residuals[k] <= (tol + allowance if k in differential else tol)
-        for k in _CONDITIONS
-    }
-    return ConditionReport(residuals=residuals, passed=passed, tol=tol, h2_allowance=allowance)
+    stencil = tol + allowance
+    checks = (
+        Check("lax", max_frob(da1 - (a2 @ a1 - a1 @ a2)), stencil),
+        Check("colligation1", max_frob(a1 + a1.conj().transpose(0, 2, 1) + b @ s1 @ bh), tol),
+        Check("colligation2", max_frob(a2 + a2.conj().transpose(0, 2, 1) + b @ s2 @ bh), tol),
+        Check("input_vessel", max_frob(dbs1 - a2 @ b @ s1 + a1 @ b @ s2 + b @ g), stencil),
+        Check("output_vessel", max_frob(s1 @ dbh + s1 @ bh @ a2 - s2 @ bh @ a1 - gs @ bh),
+              stencil),
+        Check("linkage", max_frob(gs - g - s2 @ bh @ b @ s1 + s1 @ bh @ b @ s2), tol),
+    )
+    return ConditionReport(checks=checks, tol=tol, h2_allowance=allowance)
 
 
 def couple(v_first: DifferentialVessel, v_second: DifferentialVessel,
@@ -364,33 +373,24 @@ def expansivity_factor_form(v: DifferentialVessel, lam: complex, node: int) -> n
     return -2.0 * np.real(lam) * (m.conj().T @ m)
 
 
-def expansivity_check(
-    v: DifferentialVessel,
-    lam: complex,
-    node: int,
-    check_factor_form: bool = True,
-) -> np.ndarray:
+def expansivity_check(v: DifferentialVessel, lam: complex, node: int) -> np.ndarray:
     """Hermitian metric defect D = S(lam)^H sigma1 S(lam) - sigma1 at one node.
 
     D vanishes on the imaginary axis and, under the first colligation, is
     negative semidefinite for Re lam >= 0 (sigma1-contractive right
     half-plane) and positive semidefinite for Re lam <= 0.  When the vessel
-    satisfies the first colligation at the node and `check_factor_form` is
-    set, D is cross-checked against the Gram closed form to 1e-10 relative.
+    satisfies the first colligation at the node, D is cross-checked against
+    the Gram closed form to 1e-10 relative.
     """
     s = eval_transfer(v, lam, node)
     s1 = v.sigma1[node]
     d = hermitian_part(s.conj().T @ s1 @ s - s1)
-    if check_factor_form:
-        coll1 = v.A1[node] + v.A1[node].conj().T + v.B[node] @ s1 @ v.B[node].conj().T
-        scale = max(frob(v.A1[node]), 1.0)
-        if frob(coll1) <= 1e-8 * scale:
-            ff = expansivity_factor_form(v, lam, node)
-            defect = frob(d - ff)
-            if defect > 1e-10 * max(1.0, frob(d), frob(ff)):
-                raise SingularSystem(
-                    f"metric defect disagrees with its Gram form by {defect:.3e}"
-                )
+    coll1 = v.A1[node] + v.A1[node].conj().T + v.B[node] @ s1 @ v.B[node].conj().T
+    if frob(coll1) <= 1e-8 * max(frob(v.A1[node]), 1.0):
+        ff = expansivity_factor_form(v, lam, node)
+        defect = frob(d - ff)
+        if defect > 1e-10 * max(1.0, frob(d), frob(ff)):
+            raise SingularSystem(f"metric defect disagrees with its Gram form by {defect:.3e}")
     return d
 
 
@@ -510,14 +510,14 @@ def gauge_transform(v: DifferentialVessel, gmap: GaugeMap) -> DifferentialVessel
     )
 
 
-def _krylov_basis(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10):
+def _krylov_basis(a1: np.ndarray, b: np.ndarray):
     """Block Arnoldi on (N, n, n) and (N, n, m) node stacks: per node, the
     orthonormal basis Q (N, n, n) of the Krylov space of (A1, B) in its first
     `rank` columns (zeros after), and the rank (N,).
 
     Candidates come in monomial order, the columns of B and then A1 times each
     accepted column; each gets two Gram-Schmidt passes and is dropped when at
-    most `rtol` of its own norm is left.  Candidate j >= m is A1 times column
+    most 1e-10 of its own norm is left.  Candidate j >= m is A1 times column
     j - m, which is zero at a node that accepted fewer columns, so it is
     dropped there, and n + m steps exhaust every node."""
     nn, n, m = b.shape
@@ -529,15 +529,15 @@ def _krylov_basis(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10):
         for _ in range(2):
             r = r - (q @ (q.conj().transpose(0, 2, 1) @ r[..., None]))[..., 0]
         left = np.linalg.norm(r, axis=-1)
-        new = np.flatnonzero((rank < n) & (left > rtol * np.linalg.norm(c, axis=-1)))
+        new = np.flatnonzero((rank < n) & (left > 1e-10 * np.linalg.norm(c, axis=-1)))
         q[new, :, rank[new]] = r[new] / left[new, None]
         rank[new] += 1
     return q, rank
 
 
-def krylov_rank(a1: np.ndarray, b: np.ndarray, rtol: float = 1e-10) -> int:
+def krylov_rank(a1: np.ndarray, b: np.ndarray) -> int:
     """Dimension of the Krylov space of (A1, B) at one node (see _krylov_basis)."""
-    return int(_krylov_basis(a1[None], b[None], rtol)[1][0])
+    return int(_krylov_basis(a1[None], b[None])[1][0])
 
 
 def gauge_equivalence(

@@ -290,3 +290,165 @@ class TestDeterminism:
         monkeypatch.setenv("VESSELKIT_CONFIG", str(cfg))
         _, out = run_cli(["verify", vessel_file])
         assert len(json.loads(out)["probes"]["lambdas"]) == 3
+
+
+def triple_document(v, n_steps=40):
+    triple = vk.extract_null_pole(v, node_ref=0)
+    return {
+        "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": n_steps},
+        "sigma1": cli._enc_matrix(v.sigma1[0]),
+        "sigma2": cli._enc_matrix(v.sigma2[0]),
+        "gamma_star": cli._enc_family(v.gamma_star),
+        "C": cli._enc_family(triple.C),
+        "Bn": cli._enc_family(triple.Bn),
+        "A_pi": cli._enc_matrix(triple.A_pi),
+        "A_xi": cli._enc_matrix(triple.A_xi),
+        "X0": cli._enc_matrix(triple.X[0]),
+    }
+
+
+def expected_bound(command, row, tol, h2, h):
+    """The bound each report row is judged against (the table perfbench's
+    cli_pipeline re-derives from the tolerances of a report)."""
+    if command == "verify":
+        return tol if row in ("colligation1", "colligation2", "linkage") else tol + h2
+    if command == "simulate":
+        return tol if row == "energy_defect_t1" else tol + h * h * 100
+    if command == "factor":
+        return tol if row == "quotient_residue" else 1e-6
+    if command == "realize":
+        return tol + h2
+    return tol
+
+
+class TestReportRows:
+    """Every row is a check {name, value, bound, passed}: passed is
+    value <= bound, and the exit code is 3 iff some row fails."""
+
+    @pytest.fixture()
+    def paths(self, vessel_and_doc, vessel_file, tmp_path):
+        v, _, _ = vessel_and_doc
+        rng = np.random.default_rng(1)
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        gauged = tmp_path / "gauged.json"
+        gauged.write_text(cli.dump_json(cli.vessel_to_document(
+            vk.gauge_transform(v, vk.GaugeMap.from_family(const(q, v.grid))))))
+        triple = tmp_path / "triple.json"
+        triple.write_text(cli.dump_json(triple_document(v)))
+        return {"vessel": vessel_file, "gauged": str(gauged), "triple": str(triple)}
+
+    @pytest.mark.parametrize("tol", ["1e-8", "1e-14"])
+    @pytest.mark.parametrize("command, args", [
+        ("verify", ["{vessel}", "--probes", "4"]),
+        ("simulate", ["{vessel}", "--u0", "[[1.0,0.0],[0.3,-0.7]]", "--lambda", "1.2,0.7"]),
+        ("factor", ["{vessel}", "--which", "0", "--node", "5"]),
+        ("realize", ["{triple}", "--probes", "4"]),
+        ("gauge", ["{vessel}", "{gauged}", "--node", "3"]),
+    ])
+    def test_bounds_pinned(self, paths, command, args, tol):
+        code, out = run_cli([command] + [a.format(**paths) for a in args] + ["--tol", tol])
+        rep = json.loads(out)
+        tols = rep["tolerances"]
+        assert tols["tol"] == float(tol)
+        rows = rep["residuals"]
+        assert rows and all(list(r) == ["name", "value", "bound", "passed"] for r in rows)
+        for r in rows:
+            want = expected_bound(command, r["name"], tols["tol"], tols.get("h2_allowance", 0.0),
+                                  1.0 / 40)
+            assert r["bound"] == want, r["name"]
+            assert r["passed"] == (r["value"] <= r["bound"])
+        assert code == (0 if all(r["passed"] for r in rows) else 3)
+        if tol == "1e-8":
+            assert code == 0
+
+    def test_failed_row_exits_three(self, vessel_and_doc, tmp_path):
+        v, _, _ = vessel_and_doc
+        b_data = v.B.data.copy()
+        b_data[:, 0, 0] += 0.05
+        broken = vk.DifferentialVessel(
+            A1=v.A1, A2=v.A2, B=vk.GridOperatorFamily(v.grid, b_data),
+            sigma1=v.sigma1, sigma2=v.sigma2, gamma=v.gamma, gamma_star=v.gamma_star,
+        )
+        path = tmp_path / "broken.json"
+        path.write_text(cli.dump_json(cli.vessel_to_document(broken)))
+        code, out = run_cli(["verify", str(path)])
+        rows = json.loads(out)["residuals"]
+        failed = [r["name"] for r in rows if not r["passed"]]
+        assert code == 3 and "colligation1" in failed
+        assert all(r["passed"] == (r["value"] <= r["bound"]) for r in rows)
+
+    def test_non_finite_defect_is_null_and_fails(self, vessel_file, tmp_path):
+        """A NotEquivalent from a rank or dimension mismatch has defect inf:
+        the row carries null and fails, and the report is still written."""
+        v3, _ = skew_chain_vessel(vk.TimeGrid(0.0, 1.0, 40), seed=5, n_points=3)
+        path = tmp_path / "three.json"
+        path.write_text(cli.dump_json(cli.vessel_to_document(v3)))
+        code, out = run_cli(["gauge", vessel_file, str(path)])
+        assert code == 3
+        rep = json.loads(out)
+        assert rep["equivalent"] is False
+        assert rep["reason"] == "state or signal dimensions differ"
+        assert rep["residuals"] == [{"name": "gauge_equivalence", "value": None,
+                                     "bound": 1e-8, "passed": False}]
+
+
+class TestTolValidation:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_bad_tol_is_input_error_before_any_work(self, tol):
+        code, out = run_cli(["verify", "/nonexistent/v.json", f"--tol={tol}"])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input" and "--tol" in err["message"]
+
+    def test_bad_tol_from_config_file(self, vessel_file, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": -1.0}))
+        monkeypatch.setenv("VESSELKIT_CONFIG", str(cfg))
+        code, out = run_cli(["verify", vessel_file])
+        assert code == 1
+        assert "--tol" in json.loads(out)["error"]["message"]
+
+    def test_zero_tol_is_accepted(self, vessel_file):
+        code, out = run_cli(["verify", vessel_file, "--tol", "0"])
+        rows = json.loads(out)["residuals"]
+        assert code == 3  # round-off residuals exceed a zero bound, a report is written
+        assert rows[1] == {"name": "colligation1", "value": rows[1]["value"], "bound": 0.0,
+                           "passed": False}
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("text, message", [
+        ('{"probes": 3, "colour": 1}', "unknown config keys: ['colour']"),
+        ('{"steps_per_unit": 200}', "unknown config keys: ['steps_per_unit']"),
+        ('{"eps_spec_rel": 1e-9}', "unknown config keys: ['eps_spec_rel']"),
+        ('{"probes": 3', "Expecting"),
+        ('[1, 2]', "must hold a JSON object"),
+    ])
+    def test_bad_config_is_input_error(self, vessel_file, tmp_path, monkeypatch, capsys,
+                                       text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        monkeypatch.setenv("VESSELKIT_CONFIG", str(cfg))
+        code, out = run_cli(["verify", vessel_file])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input" and message in err["message"]
+        assert capsys.readouterr().err.splitlines()[-1].endswith("; exit 1")
+
+    def test_unreadable_config_is_input_error(self, vessel_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("VESSELKIT_CONFIG", str(tmp_path / "missing.json"))
+        code, out = run_cli(["verify", vessel_file])
+        assert code == 1
+        assert "config file" in json.loads(out)["error"]["message"]
+
+
+def test_multint_overflow_is_numerical_failure(tmp_path):
+    """exp(1000 ds) per step overflows the product near s step 142."""
+    doc = {"s_grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 200},
+           "K": cli._enc_matrix(1000.0 * np.eye(2)), "c": [0.0] * 201}
+    path = tmp_path / "kernel.json"
+    path.write_text(cli.dump_json(doc))
+    code, out = run_cli(["multint", str(path), "--lambda", "1.0,0.0"])
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "NonFinite" and "s nodes 141 and 142" in err["message"]

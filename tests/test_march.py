@@ -11,7 +11,7 @@ import scipy.linalg
 import vesselkit as vk
 import vesselkit.spectral_synthesis as synth
 import vesselkit.vessel_core as core
-from vesselkit.config import DEFAULTS
+from vesselkit.config import EPS_SPEC_REL
 from vesselkit.errors import NonFinite, ShapeMismatch, SpectrumClash
 from vesselkit.matrix_kernel import frob, max_frob
 from vesselkit.ode_engine import _interp4, _rk4_path
@@ -158,7 +158,7 @@ class TestTwoWayMarch:
 
 def mult_integral_reference(kernel, c, lam, s_upper):
     """The per-factor loop: one exponential and one product per s step."""
-    eps_spec = DEFAULTS.eps_spec_rel * max(kernel.max_norm(), 1.0)
+    eps_spec = EPS_SPEC_REL * max(kernel.max_norm(), 1.0)
     ds = kernel.grid.h
     w = np.eye(kernel.shape[0], dtype=complex)
     for j in range(s_upper):
@@ -208,6 +208,13 @@ class TestOrderedProduct:
         with pytest.raises(SpectrumClash, match=r"c\(s_5\)"):
             vk.mult_integral(const(np.eye(1), grid), c, 0.5, 10)
 
+    def test_overflowing_product_names_its_step(self):
+        """Each factor exp(1000 ds) = exp(5) is finite; their product passes
+        the largest double at step 141 -> 142 and raises there, not NaN."""
+        grid = vk.TimeGrid(0.0, 1.0, 200)
+        with pytest.raises(NonFinite, match="between s nodes 141 and 142$"):
+            vk.mult_integral(const(1000.0 * np.eye(2), grid), np.zeros(201), 1.0, 200)
+
 
 class TestContinuousModelSteps:
     def model(self, n_s=30, m=2, seed=12):
@@ -244,9 +251,20 @@ class TestContinuousModelSteps:
                 ref[i + 1, j] = step @ ref[i, j]
         assert same_bits(evolved.beta, ref)
 
+    def test_overflowing_evolution_names_its_step(self):
+        """beta' = 100 beta with t steps of 1: exp(100) per step, and the
+        product passes the largest double (about e^709.8) at step 7 -> 8."""
+        sg = vk.TimeGrid(0.0, 1.0, 8)
+        beta0 = np.ones((9, 2, 1), dtype=complex)
+        s1, s2 = np.eye(2), -100.0 * np.eye(2)
+        gamma_s = vk.consistent_gamma_s(beta0, np.ones(9), s1, s2, np.zeros((2, 2)), sg)
+        model = vk.ContinuousSpectrumModel(s_grid=sg, c=np.ones(9), beta=beta0, gamma_s=gamma_s)
+        with pytest.raises(NonFinite, match="between t nodes 7 and 8$"):
+            vk.continuous_model_evolve(model, s1, s2, vk.TimeGrid(0.0, 10.0, 10))
+
     def test_probe_guard_is_relative_to_the_kernel(self):
-        """|lam + c_3| = 1e-8 clears the bare eps_spec_rel = 1e-9 but not
-        eps_spec_rel * ||K|| (about 1.7e-8 here): the probe clashes as
+        """|lam + c_3| = 1e-8 clears the bare EPS_SPEC_REL = 1e-9 but not
+        EPS_SPEC_REL * ||K|| (about 1.7e-8 here): the probe clashes as
         mult_integral over the same kernel does."""
         sg = vk.TimeGrid(0.0, 1.0, 20)
         beta0 = 4.0 * np.stack([np.array([[np.cos(x)], [np.sin(x) + 0.3j]]) for x in sg.nodes()])
@@ -255,7 +273,7 @@ class TestContinuousModelSteps:
                                            gamma_s=gamma.copy())
         kernel = vk.GridOperatorFamily(sg, model.kernel_at(None, np.eye(2)))
         lam = -model.c[3] + 1e-8j
-        assert DEFAULTS.eps_spec_rel < 1e-8 <= DEFAULTS.eps_spec_rel * kernel.max_norm()
+        assert EPS_SPEC_REL < 1e-8 <= EPS_SPEC_REL * kernel.max_norm()
         with pytest.raises(SpectrumClash) as ref:
             vk.mult_integral(kernel, model.c, lam, sg.n_steps)
         with pytest.raises(SpectrumClash, match=r"^lambda \+ c\(s_3\) = .* too close") as got:

@@ -99,7 +99,7 @@ class TestFundamentalMatrix:
 
     def test_sigma1_is_judged_against_its_own_size(self):
         """sigma1 = diag(1, -1) 2^-31 has min singular value 4.7e-10, under the
-        bare eps_spec_rel = 1e-9 but a well-conditioned sigma1 all the same."""
+        bare EPS_SPEC_REL = 1e-9 but a well-conditioned sigma1 all the same."""
         grid, s1, s2, g = coefficient_fixture(20)
         tiny = 2.0 ** -31
         phi = vk.fundamental_matrix(0.8 + 0.3j, s1, s2, g, grid)

@@ -3,7 +3,8 @@ chain vessels: reflection symmetry, coupling multiplicativity and gauge
 invariance.  Each identity is checked once on a cold spectra store and once on
 the warm one (the two sweeps agree bit for bit), against a round-off bound
 scaled by the norms that carry the error of S: the condition number of
-lam I - A1 and the size of B^H (lam I - A1)^(-1) B sigma1.  Last, the Krylov
+lam I - A1 and the size of B^H (lam I - A1)^(-1) B sigma1.  The null-pole
+triple of a vessel realizes its transfer function again.  Last, the Krylov
 rank rule and the fundamental matrix are scale invariant.
 """
 
@@ -122,6 +123,33 @@ def test_gauge_invariance(seed, n, n_steps, re, im):
     bound = SLACK * EPS * (g_v * k_v + g_g * k_g)
     for s_g, s_v in zip(sweeps(gauged, [lam]), sweeps(v, [lam])):
         assert np.all(frob(s_g[0] - s_v[0]) <= bound)
+
+
+@SETTINGS
+@given(seed=seeds, n=sizes, n_steps=steps, re=parts, im=parts)
+def test_null_pole_round_trip(seed, n, n_steps, re, im):
+    """zero_pole_realize(extract_null_pole(v)) has the transfer function of v.
+
+    The coupling family is the identity up to the colligation round-off of
+    each node, amplified by the inverse of the Sylvester operator of
+    (A_pi, A_xi): that amplification joins the condition number of
+    lam I - A1 in the bound."""
+    v = chain_vessel(seed, n, n_steps)
+    lam = complex(re, im)
+    assume(clear_of_spectrum(lam, v))
+    try:
+        triple = vk.extract_null_pole(v)
+    except vk.NotMinimal:
+        assume(False)
+    realized = vk.zero_pole_realize(triple, v.gamma_star, v.sigma1, v.sigma2)
+    nodes = np.array(sorted({0, n_steps // 2, n_steps}))
+    sylvester = np.kron(triple.A_pi.T, np.eye(n)) - np.kron(np.eye(n), triple.A_xi)
+    amp = (frob(triple.A_pi) + np.max(frob(v.B.data)) ** 2 * frob(v.sigma1[0])) / np.min(
+        np.linalg.svd(sylvester, compute_uv=False))
+    k, g = (x[nodes] for x in scale(v, lam))
+    bound = SLACK * EPS * g * (k + amp)
+    for s in sweeps(v, [lam]):
+        assert np.all(frob(realized.transfer(lam, nodes) - s[0][nodes]) <= bound)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -141,6 +141,28 @@ class TestVerifyVessel:
         assert all(np.isfinite(x) for x in rep.residuals.values())
         assert not rep.all_passed
 
+    def test_checks_carry_their_bounds(self, chain_vessel):
+        """Derivative-bearing conditions are judged at tol plus the O(h^2)
+        allowance, the algebraic ones at tol; the dict views follow the checks."""
+        v, _ = chain_vessel
+        rep = vk.verify_vessel(v, tol=1e-8)
+        stencil = 1e-8 + rep.h2_allowance
+        assert [(c.name, c.bound) for c in rep.checks] == [
+            ("lax", stencil), ("colligation1", 1e-8), ("colligation2", 1e-8),
+            ("input_vessel", stencil), ("output_vessel", stencil), ("linkage", 1e-8)]
+        assert rep.residuals == {c.name: c.value for c in rep.checks}
+        assert rep.passed == {c.name: c.value <= c.bound for c in rep.checks}
+
+
+class TestCheck:
+    @pytest.mark.parametrize("value, bound, passed", [
+        (1.0, 1.0, True), (0.0, 0.0, True), (1.0, 0.5, False),
+        (np.nan, 1.0, False), (np.inf, 1.0, False),
+        (1.0, np.inf, False), (1.0, np.nan, False),  # an overflowed bound fails
+    ])
+    def test_passed_is_value_at_most_a_finite_bound(self, value, bound, passed):
+        assert vk.Check("c", value, bound).passed is passed
+
 
 class TestCouple:
     def test_trivial_second_factor(self, chain_vessel, trivial_vessel):
