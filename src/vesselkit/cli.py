@@ -4,11 +4,11 @@ Exit codes: 0 all checks pass, 1 input/validation error, 2 numerical failure
 (spectrum clash, singular sigma1, ...), 3 condition failure: some report row
 {name, value, bound, passed} failed value <= bound (a non-finite value or bound
 is written as null, and fails).  stdout carries the result document, written
-compactly on one line; stderr carries the human log, ending in one line of stage times (load, decode, compute, encode, emit)
-and the exit code.  All randomized probe choices are drawn from --seed
-(default 0), so reports are byte-identical across runs.
+compactly on one line; stderr carries the human log, ending in one line of
+stage times (load, decode, compute, encode, emit) and the exit code.  All
+randomized probe choices are drawn from --seed (default 0), so reports are
+byte-identical across runs.
 """
-
 from __future__ import annotations
 
 import argparse
@@ -117,12 +117,20 @@ def _dec_family(nodes, grid: TimeGrid, name: str) -> GridOperatorFamily:
     raise InputError(f"{name}: cannot interpret operator array of rank {arr.ndim}")
 
 
-def _dec_grid(doc, name: str = "grid", override_steps=None) -> TimeGrid:
+def _dec_grid(doc, name: str = "grid") -> TimeGrid:
     try:
-        n_steps = int(doc["n_steps"]) if override_steps is None else int(override_steps)
+        n_steps = int(doc["n_steps"])
         return TimeGrid(float(doc["t_start"]), float(doc["t_end"]), n_steps)
     except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
         raise InputError(f"{name}: {exc}") from exc
+
+
+def _field(doc: dict, key: str):
+    """Field `key` of a spec document; a missing field is an input error naming it."""
+    try:
+        return doc[key]
+    except KeyError:
+        raise InputError(f"missing field {key!r}") from None
 
 
 def vessel_to_document(v: core.DifferentialVessel) -> dict:
@@ -199,9 +207,12 @@ class Stages:
         finally:
             self.ms[name] += 1000.0 * (time.perf_counter() - t)
 
+    def elapsed(self) -> float:
+        """Seconds since the clock started."""
+        return time.perf_counter() - self.start
+
     def line(self, command: str | None, code: int) -> str:
-        total = 1000.0 * (time.perf_counter() - self.start)
-        ms = dict(self.ms, compute=total - sum(self.ms.values()))
+        ms = dict(self.ms, compute=1000.0 * self.elapsed() - sum(self.ms.values()))
         return (" ".join(filter(None, ("vesselkit", command))) + ": "
                 + ", ".join(f"{k} {v:.1f} ms" for k, v in ms.items()) + f"; exit {code}")
 
@@ -221,18 +232,17 @@ def _read_vessel(path: str, stages: Stages) -> core.DifferentialVessel:
         return vessel_from_document(doc)
 
 
-def _report(command: str, tolerances: dict, checks, probes: dict, timing) -> tuple[dict, int]:
-    """The report document of `checks`, and the exit code: 3 if any check fails."""
-    doc = {
+def _report(command: str, tolerances: dict, checks, probes: dict) -> dict:
+    """The report document of `checks`; `main` fills in `timing` under --timing."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "tolerances": tolerances,
         "residuals": [{"name": c.name, "value": _finite_or_none(c.value),
                        "bound": _finite_or_none(c.bound), "passed": c.passed} for c in checks],
         "probes": probes,
-        "timing": {"seconds": timing},
+        "timing": {"seconds": None},
     }
-    return doc, _EXIT_OK if all(c.passed for c in checks) else _EXIT_CONDITION
 
 
 def _finite_or_none(x) -> float | None:
@@ -242,11 +252,14 @@ def _finite_or_none(x) -> float | None:
 def _emit(doc, out, stages: Stages) -> None:
     with stages("emit"):
         text = dump_json(doc)
-        if out:
+        if not out:
+            sys.stdout.write(text)
+            return
+        try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        else:
-            sys.stdout.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _probe_lambdas(args, scale: float) -> list[complex]:
@@ -260,6 +273,11 @@ def _probe_lambdas(args, scale: float) -> list[complex]:
     return out
 
 
+def _lam(args, default: complex) -> complex:
+    """The first --lambda, or `default` when none is given."""
+    return _parse_complex(args.lam[0]) if args.lam else default
+
+
 def _parse_complex(s: str) -> complex:
     try:
         re, im = (float(p) for p in s.split(","))
@@ -268,12 +286,17 @@ def _parse_complex(s: str) -> complex:
     return complex(re, im)
 
 
+def _node(args, grid: TimeGrid) -> int:
+    if not 0 <= args.node <= grid.n_steps:
+        raise InputError(f"--node {args.node} outside the grid nodes [0, {grid.n_steps}]")
+    return args.node
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: each decodes its input, computes, and returns its document
 
 
-def cmd_verify(args, stages: Stages) -> int:
-    t0 = time.monotonic()
+def cmd_verify(args, stages: Stages) -> dict:
     v = _read_vessel(args.vessel, stages)
     report = core.verify_vessel(v, tol=args.tol)
     lambdas = _probe_lambdas(args, v.A1.max_norm())
@@ -289,24 +312,17 @@ def cmd_verify(args, stages: Stages) -> int:
         core.Check("transfer_pde", pde_worst, stencil),
     )
     with stages("encode"):
-        doc, code = _report("verify", {"tol": args.tol, "h2_allowance": report.h2_allowance},
-                            checks, {"lambdas": _enc_array(lambdas), "nodes": nodes},
-                            _timing(t0, args))
-    _emit(doc, args.output, stages)
-    return code
+        return _report("verify", {"tol": args.tol, "h2_allowance": report.h2_allowance},
+                       checks, {"lambdas": _enc_array(lambdas), "nodes": nodes})
 
 
-def cmd_synthesize(args, stages: Stages) -> int:
+def cmd_synthesize(args, stages: Stages) -> dict:
     spec = _read_object(args.spec, "synthesis spec", stages)
     with stages("decode"):
-        grid = _dec_grid(spec.get("grid", {}), override_steps=args.steps)
-        try:
-            sigma1 = _dec_family(spec["sigma1"], grid, "sigma1")
-            sigma2 = _dec_family(spec["sigma2"], grid, "sigma2")
-            gamma0 = _dec_family(spec["gamma0"], grid, "gamma0")
-            raw_data = spec["data"]
-        except KeyError as exc:
-            raise InputError(f"missing field {exc}") from exc
+        grid = _dec_grid(_field(spec, "grid"))
+        sigma1, sigma2, gamma0 = (_dec_family(_field(spec, k), grid, k)
+                                  for k in ("sigma1", "sigma2", "gamma0"))
+        raw_data = _field(spec, "data")
         if not isinstance(raw_data, list) or not raw_data:
             raise InputError("data must be a non-empty list of {z, b0, theta?}")
         data = []
@@ -316,19 +332,17 @@ def cmd_synthesize(args, stages: Stages) -> int:
                 theta = _dec_family(item["theta"], grid, "theta")
             data.append(
                 synth.SpectralDatum(
-                    z=complex(_dec_complex(item["z"], 0, "z")),
-                    b0=_dec_complex(item["b0"], 1, "b0"),
+                    z=complex(_dec_complex(_field(item, "z"), 0, "z")),
+                    b0=_dec_complex(_field(item, "b0"), 1, "b0"),
                     theta=theta,
                 )
             )
     v = synth.build_discrete(data, gamma0, sigma1, sigma2, grid, normalize=args.normalize)
     with stages("encode"):
-        doc = vessel_to_document(v)
-    _emit(doc, args.output, stages)
-    return _EXIT_OK
+        return vessel_to_document(v)
 
 
-def cmd_transfer(args, stages: Stages) -> int:
+def cmd_transfer(args, stages: Stages) -> dict:
     v = _read_vessel(args.vessel, stages)
     node = _node(args, v.grid)
     lambdas = _probe_lambdas(args, v.A1.max_norm())
@@ -338,30 +352,25 @@ def cmd_transfer(args, stages: Stages) -> int:
             {"lambda": lam, "node": node, "matrix": s}
             for lam, s in zip(_enc_array(lambdas), _enc_array(sweep))
         ]
-    _emit({"schema_version": SCHEMA_VERSION, "command": "transfer", "values": values},
-          args.output, stages)
-    return _EXIT_OK
+    return {"schema_version": SCHEMA_VERSION, "command": "transfer", "values": values}
 
 
-def cmd_couple(args, stages: Stages) -> int:
+def cmd_couple(args, stages: Stages) -> dict:
     v1 = _read_vessel(args.first, stages)
     v2 = _read_vessel(args.second, stages)
     v = core.couple(v1, v2, tol=args.tol)
     with stages("encode"):
-        doc = vessel_to_document(v)
-    _emit(doc, args.output, stages)
-    return _EXIT_OK
+        return vessel_to_document(v)
 
 
-def cmd_simulate(args, stages: Stages) -> int:
-    t0 = time.monotonic()
+def cmd_simulate(args, stages: Stages) -> dict:
     v = _read_vessel(args.vessel, stages)
     with stages("decode"):
         try:
             u0 = _dec_complex(json.loads(args.u0), 1, "--u0")
         except json.JSONDecodeError as exc:
             raise InputError(f"--u0 must be JSON like [[re,im],...]: {exc}") from exc
-    lam = _parse_complex(args.lam[0]) if args.lam else 1.0 + 0.5j
+    lam = _lam(args, 1.0 + 0.5j)
     traj = core.simulate(v, lam, u0)
     checks = (
         core.Check("energy_defect_t1", np.max(np.abs(traj.energy_defect_t1)), args.tol),
@@ -369,25 +378,23 @@ def cmd_simulate(args, stages: Stages) -> int:
                    args.tol + (v.grid.h ** 2) * 100),
     )
     with stages("encode"):
-        doc, code = _report("simulate", {"tol": args.tol}, checks,
-                            {"lambdas": [_enc_array(lam)], "nodes": []}, _timing(t0, args))
+        doc = _report("simulate", {"tol": args.tol}, checks,
+                      {"lambdas": [_enc_array(lam)], "nodes": []})
         doc["y"] = _enc_family(traj.y)
-    _emit(doc, args.output, stages)
-    return code
+    return doc
 
 
-def cmd_fundamental(args, stages: Stages) -> int:
+def cmd_fundamental(args, stages: Stages) -> dict:
     spec = _read_object(args.coefficients, "coefficient document", stages)
     key = "gamma_star" if args.side == "output" else "gamma"
     with stages("decode"):
-        grid = _dec_grid(spec.get("grid", {}), override_steps=args.steps)
-        sigma1 = _dec_family(spec["sigma1"], grid, "sigma1")
-        sigma2 = _dec_family(spec["sigma2"], grid, "sigma2")
-        gamma = _dec_family(spec[key], grid, key)
-    lam = _parse_complex(args.lam[0]) if args.lam else 1.0 + 0.0j
+        grid = _dec_grid(_field(spec, "grid"))
+        sigma1, sigma2, gamma = (_dec_family(_field(spec, k), grid, k)
+                                 for k in ("sigma1", "sigma2", key))
+    lam = _lam(args, 1.0 + 0.0j)
     phi = fundamental_matrix(lam, sigma1, sigma2, gamma, grid, side=args.side, base_index=args.node)
     with stages("encode"):
-        doc = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "command": "fundamental",
             "lambda": _enc_array(lam),
@@ -395,33 +402,28 @@ def cmd_fundamental(args, stages: Stages) -> int:
             "base_index": args.node,
             "samples": _enc_family(phi.family),
         }
-    _emit(doc, args.output, stages)
-    return _EXIT_OK
 
 
-def cmd_multint(args, stages: Stages) -> int:
+def cmd_multint(args, stages: Stages) -> dict:
     spec = _read_object(args.kernel, "kernel document", stages)
     with stages("decode"):
-        grid = _dec_grid(spec.get("s_grid", {}), "s_grid", override_steps=args.steps)
-        kernel = _dec_family(spec["K"], grid, "K")
-        c = _dec_complex(spec["c"], 1, "c").real
-    lam = _parse_complex(args.lam[0]) if args.lam else 1.0 + 0.0j
+        grid = _dec_grid(_field(spec, "s_grid"), "s_grid")
+        kernel = _dec_family(_field(spec, "K"), grid, "K")
+        c = _dec_complex(_field(spec, "c"), 1, "c").real
+    lam = _lam(args, 1.0 + 0.0j)
     s_upper = grid.n_steps if args.s_upper is None else args.s_upper
     w = synth.mult_integral(kernel, c, lam, s_upper)
     with stages("encode"):
-        doc = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "command": "multint",
             "lambda": _enc_array(lam),
             "s_upper": s_upper,
             "matrix": _enc_array(w),
         }
-    _emit(doc, args.output, stages)
-    return _EXIT_OK
 
 
-def cmd_factor(args, stages: Stages) -> int:
-    t0 = time.monotonic()
+def cmd_factor(args, stages: Stages) -> dict:
     v = _read_vessel(args.vessel, stages)
     _node(args, v.grid)
     which = _parse_complex(args.which) if "," in args.which else int(args.which)
@@ -431,27 +433,21 @@ def cmd_factor(args, stages: Stages) -> int:
     checks = (core.Check("quotient_residue", res, args.tol),
               core.Check("eigvec_transport", result.eigvec_residual, 1e-6))
     with stages("encode"):
-        doc, code = _report("factor", {"tol": args.tol}, checks,
-                            {"lambdas": [], "nodes": [args.node]}, _timing(t0, args))
+        doc = _report("factor", {"tol": args.tol}, checks, {"lambdas": [], "nodes": [args.node]})
         doc["factor"] = vessel_to_document(result.factor)
-    _emit(doc, args.output, stages)
-    return code
+    return doc
 
 
-def cmd_realize(args, stages: Stages) -> int:
-    t0 = time.monotonic()
+def cmd_realize(args, stages: Stages) -> dict:
     spec = _read_object(args.triple, "null-pole triple document", stages)
     with stages("decode"):
-        grid = _dec_grid(spec.get("grid", {}))
-        sigma1 = _dec_family(spec["sigma1"], grid, "sigma1")
-        sigma2 = _dec_family(spec["sigma2"], grid, "sigma2")
-        gamma_star = _dec_family(spec["gamma_star"], grid, "gamma_star")
-        c = _dec_family(spec["C"], grid, "C")
-        bn = _dec_family(spec["Bn"], grid, "Bn")
-        a_pi = _dec_complex(spec["A_pi"], 2, "A_pi")
-        a_xi = _dec_complex(spec["A_xi"], 2, "A_xi")
+        grid = _dec_grid(_field(spec, "grid"))
+        sigma1, sigma2, gamma_star, c, bn = (
+            _dec_family(_field(spec, k), grid, k)
+            for k in ("sigma1", "sigma2", "gamma_star", "C", "Bn"))
+        a_pi, a_xi = (_dec_complex(_field(spec, k), 2, k) for k in ("A_pi", "A_xi"))
         x = _dec_family(spec["X"], grid, "X") if "X" in spec else None
-        x0 = _dec_complex(spec["X0"], 2, "X0") if x is None else None
+        x0 = _dec_complex(_field(spec, "X0"), 2, "X0") if x is None else None
     if x is None:
         x = evolve_coupling(c, a_pi, a_xi, bn, x0, sigma1, sigma2, gamma_star, grid, tol=args.tol)
     triple = NullPoleTriple(C=c, A_pi=a_pi, A_xi=a_xi, Bn=bn, X=x)
@@ -459,27 +455,21 @@ def cmd_realize(args, stages: Stages) -> int:
     res = sylvester_residuals(triple, sigma1)
     lambdas = _probe_lambdas(args, float(np.max(np.abs(np.linalg.eigvals(a_pi)))))
     every_node = np.arange(grid.n_nodes)
-    pde = max(
-        core.transfer_pde_residual_values(
-            realized.transfer(lam, every_node),
-            sigma1, sigma2, realized.gamma, gamma_star, lam, grid,
-        )
-        for lam in lambdas
-    )
+    pde = max((core.transfer_pde_residual_values(realized.transfer(lam, every_node), sigma1,
+                                                 sigma2, realized.gamma, gamma_star, lam, grid)
+               for lam in lambdas), default=0.0)
     allowance = (grid.h ** 2) * max(1.0, c.max_norm() + bn.max_norm()) ** 3
     checks = (core.Check("sylvester_max", res.max(), args.tol + allowance),
               core.Check("transfer_pde", pde, args.tol + allowance))
     with stages("encode"):
-        doc, code = _report("realize", {"tol": args.tol, "h2_allowance": allowance}, checks,
-                            {"lambdas": _enc_array(lambdas), "nodes": []}, _timing(t0, args))
+        doc = _report("realize", {"tol": args.tol, "h2_allowance": allowance}, checks,
+                      {"lambdas": _enc_array(lambdas), "nodes": []})
         doc["vessel"] = vessel_to_document(realized.vessel)
         doc["singular_nodes"] = list(realized.singular_nodes)
-    _emit(doc, args.output, stages)
-    return code
+    return doc
 
 
-def cmd_gauge(args, stages: Stages) -> int:
-    t0 = time.monotonic()
+def cmd_gauge(args, stages: Stages) -> dict:
     v1 = _read_vessel(args.first, stages)
     v2 = _read_vessel(args.second, stages)
     _node(args, v1.grid)
@@ -488,42 +478,40 @@ def cmd_gauge(args, stages: Stages) -> int:
     equivalent = not isinstance(verdict, core.NotEquivalent)
     check = core.Check("gauge_equivalence", 0.0 if equivalent else verdict.defect, args.tol)
     with stages("encode"):
-        doc, code = _report("gauge", {"tol": args.tol}, [check],
-                            {"lambdas": [], "nodes": [args.node]}, _timing(t0, args))
+        doc = _report("gauge", {"tol": args.tol}, [check], {"lambdas": [], "nodes": [args.node]})
         doc["equivalent"] = equivalent
         if equivalent:
             doc["U"] = _enc_family(verdict.U)
         else:
             doc["reason"] = verdict.reason
-    _emit(doc, args.output, stages)
-    return code
-
-
-def _node(args, grid: TimeGrid) -> int:
-    if not 0 <= args.node <= grid.n_steps:
-        raise InputError(f"--node {args.node} outside the grid nodes [0, {grid.n_steps}]")
-    return args.node
-
-
-def _timing(t0: float, args) -> float | None:
-    return round(time.monotonic() - t0, 6) if args.timing else None
+    return doc
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: each subcommand accepts the options its function reads, and -o
 
 
-def _add_common(p: argparse.ArgumentParser, cfg) -> None:
-    p.add_argument("--tol", type=float, default=cfg.tol)
-    p.add_argument("--lambda", dest="lam", action="append", metavar="RE,IM",
-                   help="spectral parameter; repeatable")
-    p.add_argument("--node", type=int, default=0)
-    p.add_argument("--steps", type=int, default=None,
-                   help="override the document's n_steps (constant-family documents only)")
-    p.add_argument("--probes", type=int, default=cfg.probes)
-    p.add_argument("--seed", type=int, default=cfg.seed)
-    p.add_argument("--timing", action="store_true", help="include wall time in the report")
-    p.add_argument("-o", "--output", default=None, help="write the result document to a file")
+_COMMANDS = {  # name: (function, help, positional arguments, options)
+    "verify": (cmd_verify, "run every vessel condition as a residual report",
+               ("vessel",), ("tol", "lambda", "probes", "seed", "timing")),
+    "synthesize": (cmd_synthesize, "build a vessel from discrete spectral data",
+                   ("spec",), ("normalize",)),
+    "transfer": (cmd_transfer, "evaluate the transfer function",
+                 ("vessel",), ("node", "lambda", "probes", "seed")),
+    "couple": (cmd_couple, "cascade two vessels", ("first", "second"), ("tol",)),
+    "simulate": (cmd_simulate, "separated-variables trajectory with energy balance",
+                 ("vessel",), ("u0", "lambda", "tol", "timing")),
+    "fundamental": (cmd_fundamental, "fundamental matrix of the input/output ODE",
+                    ("coefficients",), ("side", "lambda", "node")),
+    "multint": (cmd_multint, "left-ordered multiplicative integral",
+                ("kernel",), ("lambda", "s-upper")),
+    "factor": (cmd_factor, "extract one elementary Blaschke-type factor",
+               ("vessel",), ("node", "which", "tol", "timing")),
+    "realize": (cmd_realize, "unique transfer function from a null-pole triple",
+                ("triple",), ("tol", "lambda", "probes", "seed", "timing")),
+    "gauge": (cmd_gauge, "test gauge equivalence of two vessels",
+              ("first", "second"), ("node", "probes", "tol", "seed", "timing")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,79 +519,52 @@ def build_parser() -> argparse.ArgumentParser:
         cfg = load_config()
     except (OSError, ValueError) as exc:
         raise InputError(f"config file: {exc}") from exc
+    options = {
+        "tol": {"type": float, "default": cfg.tol},
+        "lambda": {"dest": "lam", "action": "append", "metavar": "RE,IM",
+                   "help": "spectral parameter; repeatable"},
+        "node": {"type": int, "default": 0},
+        "probes": {"type": int, "default": cfg.probes},
+        "seed": {"type": int, "default": cfg.seed},
+        "timing": {"action": "store_true", "help": "include the wall time in the report"},
+        "normalize": {"action": "store_true"},
+        "u0": {"required": True, "help": "JSON list of [re,im] entries"},
+        "side": {"choices": ("input", "output"), "default": "input"},
+        "s-upper": {"type": int, "default": None},
+        "which": {"default": "0", "help": "eigenvalue index or 're,im' target"},
+    }
     ap = argparse.ArgumentParser(prog="vesselkit", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run every vessel condition as a residual report")
-    p.add_argument("vessel")
-    _add_common(p, cfg)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("synthesize", help="build a vessel from discrete spectral data")
-    p.add_argument("spec")
-    p.add_argument("--normalize", action="store_true")
-    _add_common(p, cfg)
-    p.set_defaults(fn=cmd_synthesize)
-
-    p = sub.add_parser("transfer", help="evaluate the transfer function")
-    p.add_argument("vessel")
-    _add_common(p, cfg)
-    p.set_defaults(fn=cmd_transfer)
-
-    p = sub.add_parser("couple", help="cascade two vessels")
-    p.add_argument("first")
-    p.add_argument("second")
-    _add_common(p, cfg)
-    p.set_defaults(fn=cmd_couple)
-
-    p = sub.add_parser("simulate", help="separated-variables trajectory with energy balance")
-    p.add_argument("vessel")
-    p.add_argument("--u0", required=True, help="JSON list of [re,im] entries")
-    _add_common(p, cfg)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("fundamental", help="fundamental matrix of the input/output ODE")
-    p.add_argument("coefficients")
-    p.add_argument("--side", choices=("input", "output"), default="input")
-    _add_common(p, cfg)
-    p.set_defaults(fn=cmd_fundamental)
-
-    p = sub.add_parser("multint", help="left-ordered multiplicative integral")
-    p.add_argument("kernel")
-    p.add_argument("--s-upper", type=int, default=None)
-    _add_common(p, cfg)
-    p.set_defaults(fn=cmd_multint)
-
-    p = sub.add_parser("factor", help="extract one elementary Blaschke-type factor")
-    p.add_argument("vessel")
-    p.add_argument("--which", default="0", help="eigenvalue index or 're,im' target")
-    _add_common(p, cfg)
-    p.set_defaults(fn=cmd_factor)
-
-    p = sub.add_parser("realize", help="unique transfer function from a null-pole triple")
-    p.add_argument("triple")
-    _add_common(p, cfg)
-    p.set_defaults(fn=cmd_realize)
-
-    p = sub.add_parser("gauge", help="test gauge equivalence of two vessels")
-    p.add_argument("first")
-    p.add_argument("second")
-    _add_common(p, cfg)
-    p.set_defaults(fn=cmd_gauge)
-
+    for name, (fn, help_text, positionals, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            p.add_argument(arg)
+        for flag in flags:
+            p.add_argument("--" + flag, **options[flag])
+        p.add_argument("-o", "--output", default=None, help="write the result document to a file")
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
+    """Run one command: its document goes to stdout or -o, and the exit code is
+    3 iff some `residuals` row of the document failed."""
     stages = Stages()
     command = None
     try:
         args = build_parser().parse_args(argv)
         command = args.command
-        if not 0.0 <= args.tol < np.inf:
+        if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
             raise InputError(f"--tol must be finite and non-negative, got {args.tol!r}")
-        code = args.fn(args, stages)
+        if getattr(args, "probes", 0) < 0:
+            raise InputError(f"--probes must be non-negative, got {args.probes!r}")
+        doc = args.fn(args, stages)
+        if getattr(args, "timing", False):
+            doc["timing"]["seconds"] = round(stages.elapsed(), 6)
+        _emit(doc, args.output, stages)
+        failed = any(not row["passed"] for row in doc.get("residuals", ()))
+        code = _EXIT_CONDITION if failed else _EXIT_OK
     except SystemExit as exc:  # argparse has written its usage message
         return _EXIT_INPUT if exc.code not in (0, None) else 0
     except InputError as exc:

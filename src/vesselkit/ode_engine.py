@@ -132,17 +132,22 @@ class GridOperatorFamily:
         return max_frob(self.data)
 
 
+def _node_derivative(data: np.ndarray, h: float) -> np.ndarray:
+    """d/dt of samples at step h along the first axis: central differences
+    (x[i+1] - x[i-1]) / 2h at interior nodes, one-sided 2nd order ends."""
+    d = np.empty_like(data)
+    d[1:-1] = (data[2:] - data[:-2]) / (2.0 * h)
+    if len(data) >= 3:
+        d[0] = (-3.0 * data[0] + 4.0 * data[1] - data[2]) / (2.0 * h)
+        d[-1] = (3.0 * data[-1] - 4.0 * data[-2] + data[-3]) / (2.0 * h)
+    else:
+        d[0] = d[-1] = (data[-1] - data[0]) / h
+    return d
+
+
 def family_derivative(fam: GridOperatorFamily) -> GridOperatorFamily:
     """d/dt of a sampled family: central differences, one-sided 2nd order ends."""
-    h = fam.grid.h
-    d = np.empty_like(fam.data)
-    d[1:-1] = (fam.data[2:] - fam.data[:-2]) / (2.0 * h)
-    if len(fam) >= 3:
-        d[0] = (-3.0 * fam.data[0] + 4.0 * fam.data[1] - fam.data[2]) / (2.0 * h)
-        d[-1] = (3.0 * fam.data[-1] - 4.0 * fam.data[-2] + fam.data[-3]) / (2.0 * h)
-    else:
-        d[0] = d[-1] = (fam.data[-1] - fam.data[0]) / (fam.grid.t_end - fam.grid.t_start)
-    return GridOperatorFamily(fam.grid, d)
+    return GridOperatorFamily(fam.grid, _node_derivative(fam.data, fam.grid.h))
 
 
 def _interp4(data: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -390,4 +395,4 @@ def phi_bilinear_residual(
     g = mu_h @ sigma1.data @ phi_lam.family.data
     mid = slice(1, len(sigma1) - 1)
     rhs = (lam + np.conj(mu)) * (mu_h[mid] @ sigma2.data[mid] @ phi_lam.family.data[mid])
-    return max_frob((g[2:] - g[:-2]) / (2.0 * h) - rhs)
+    return max_frob(_node_derivative(g, h)[mid] - rhs)

@@ -35,6 +35,7 @@ from .ode_engine import (
     TimeGrid,
     _coefficient,
     _march,
+    _node_derivative,
     _running_product,
     family_derivative,
     integrate_linear_ode,
@@ -481,9 +482,9 @@ def continuous_model_evolve(
     mid = slice(1, ns - 1)
 
     # Initial-data consistency with the gamma_s equation, checked in s.
-    dgam0 = _s_derivative(model.gamma_s, ds)
+    dgam0 = _node_derivative(model.gamma_s, ds)[mid]
     k0 = model.kernel_at(None, s1)
-    worst0 = max_frob(np.linalg.solve(s1, dgam0[mid]) + np.linalg.solve(s1, s2 @ k0[mid])
+    worst0 = max_frob(np.linalg.solve(s1, dgam0) + np.linalg.solve(s1, s2 @ k0[mid])
                       - k0[mid] @ np.linalg.solve(s1, s2))
     allowance = (ds ** 2) * max(1.0, float(np.max(np.abs(k0))) ** 2)
     if worst0 > consistency_tol + allowance:
@@ -510,15 +511,15 @@ def continuous_model_evolve(
     res_a = worst0
     if ns > 2:
         km = kern[:, mid]
-        r = (s1_inv @ dgam0[mid])[None, :, :, :] + s1_inv @ s2 @ km - km @ s1_inv_s2
-        res_a = max(res_a, float(np.max(np.sqrt(np.sum(np.abs(r) ** 2, axis=(-2, -1))))))
+        r = (s1_inv @ dgam0)[None, :, :, :] + s1_inv @ s2 @ km - km @ s1_inv_s2
+        res_a = max(res_a, max_frob(r))
 
     # (b) kernel evolution in t at every (interior t, s).
     res_b = 0.0
     if nt > 2:
-        dk = (kern[2:] - kern[:-2]) / (2.0 * h)
+        dk = _node_derivative(kern, h)[1:-1]
         comm = coeff[None, :, :, :] @ kern[1:-1] - kern[1:-1] @ coeff[None, :, :, :]
-        res_b = float(np.max(np.sqrt(np.sum(np.abs(dk - comm) ** 2, axis=(-2, -1)))))
+        res_b = max_frob(dk - comm)
 
     # (c) product-derivative law at the probe points.  Each product and its
     # guard are those of mult_integral over the kernel at that t.
@@ -540,14 +541,14 @@ def continuous_model_evolve(
     # O(ds); the kernel form is the meaningful second-order statement.)
     res_mixed = 0.0
     if ns > 2 and nt > 2:
-        dcoeff = _s_derivative(coeff, ds)[mid]
+        dcoeff = _node_derivative(coeff, ds)[mid]
         cm = coeff[mid]
         for i in t_slices:
             kt = coeff @ kern[i] - kern[i] @ coeff  # analytic t-derivative
-            dk = _s_derivative(kern[i], ds)[mid]
+            dk = _node_derivative(kern[i], ds)[mid]
             ki = kern[i, mid]
             m2 = dcoeff @ ki + cm @ dk - dk @ cm - ki @ dcoeff
-            res_mixed = max(res_mixed, max_frob(_s_derivative(kt, ds)[mid] - m2))
+            res_mixed = max(res_mixed, max_frob(_node_derivative(kt, ds)[mid] - m2))
 
     residuals = ContinuousModelResiduals(
         gamma_s_equation=float(res_a),
@@ -556,11 +557,3 @@ def continuous_model_evolve(
         mixed_partials=float(res_mixed),
     )
     return evolved, residuals
-
-
-def _s_derivative(arr: np.ndarray, ds: float) -> np.ndarray:
-    out = np.empty_like(arr)
-    out[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * ds)
-    out[0] = (arr[1] - arr[0]) / ds
-    out[-1] = (arr[-1] - arr[-2]) / ds
-    return out

@@ -56,6 +56,7 @@ from .ode_engine import (
     TimeGrid,
     _check_sigma1,
     _coefficient,
+    _node_derivative,
     family_derivative,
     fundamental_matrix,
 )
@@ -280,9 +281,7 @@ def verify_vessel(v: DifferentialVessel, tol: float | None = None) -> ConditionR
     a1, a2, b = v.A1.data, v.A2.data, v.B.data
     s1, s2, g, gs = v.sigma1.data, v.sigma2.data, v.gamma.data, v.gamma_star.data
     bh = b.conj().transpose(0, 2, 1)
-    da1 = family_derivative(v.A1).data
-    dbs1 = family_derivative(GridOperatorFamily(v.grid, b @ s1)).data
-    dbh = family_derivative(GridOperatorFamily(v.grid, bh)).data
+    da1, dbs1, dbh = (_node_derivative(x, v.grid.h) for x in (a1, b @ s1, bh))
     # Truncation allowance: third derivatives of operator products scale like
     # the cube of the largest coefficient norm.  Only the conditions that
     # contain a d/dt actually carry the stencil error; the algebraic ones
@@ -414,7 +413,7 @@ def transfer_pde_residual_values(
     s = GridOperatorFamily(grid, s_values).data
     mid = slice(1, grid.n_nodes - 1)
     s1, s2 = sigma1.data[mid], sigma2.data[mid]
-    ds = (s[2:] - s[:-2]) / (2.0 * grid.h)
+    ds = _node_derivative(s, grid.h)[mid]
     left = _coefficient(s1, s2, gamma_star.data[mid], lam) @ s[mid]
     right = s[mid] @ _coefficient(s1, s2, gamma.data[mid], lam)
     return max_frob(ds - left + right)
@@ -470,8 +469,8 @@ def simulate(v: DifferentialVessel, lam: complex, u0) -> Trajectory:
     drive = a1 @ x + b @ s1 @ u
     defect_t1 = 2.0 * _re_inner(x, drive) + _re_inner(y, s1 @ y) - _re_inner(u, s1 @ u)
     xx = _re_inner(x, x)
-    dxx = (xx[2:] - xx[:-2]) / (2.0 * v.grid.h)
     mid = slice(1, len(a1) - 1)
+    dxx = _node_derivative(xx, v.grid.h)[mid]
     balance = _re_inner(u[mid], s2[mid] @ u[mid]) - _re_inner(y[mid], s2[mid] @ y[mid])
     defect_t2 = np.max(np.abs(dxx - balance), initial=0.0)
     grid = v.grid
@@ -596,5 +595,5 @@ def gauge_equivalence(
             transfer_defect = max(transfer_defect, d)
     if transfer_defect > tol:
         return NotEquivalent("transfer functions disagree at probes", defect=transfer_defect)
-    return GaugeMap(U=GridOperatorFamily(v1.grid, u_data),
-                    dU=family_derivative(GridOperatorFamily(v1.grid, u_data)))
+    u = GridOperatorFamily(v1.grid, u_data)
+    return GaugeMap(U=u, dU=family_derivative(u))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -414,6 +415,115 @@ class TestTolValidation:
         assert code == 3  # round-off residuals exceed a zero bound, a report is written
         assert rows[1] == {"name": "colligation1", "value": rows[1]["value"], "bound": 0.0,
                            "passed": False}
+
+
+class TestProbesValidation:
+    @pytest.mark.parametrize("command, args", [
+        ("verify", ["/nonexistent/v.json", "--probes", "-1"]),
+        ("gauge", ["/nonexistent/a.json", "/nonexistent/b.json", "--probes", "-2"]),
+    ])
+    def test_negative_probes_is_input_error_before_any_work(self, command, args):
+        code, out = run_cli([command] + args)
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input" and "--probes" in err["message"]
+
+    def test_realize_without_probes_has_a_zero_pde_row(self, vessel_and_doc, tmp_path):
+        v, _, _ = vessel_and_doc
+        path = tmp_path / "triple.json"
+        path.write_text(cli.dump_json(triple_document(v)))
+        code, out = run_cli(["realize", str(path), "--probes", "0"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["probes"]["lambdas"] == []
+        assert [r["value"] for r in rep["residuals"] if r["name"] == "transfer_pde"] == [0.0]
+
+
+class TestTiming:
+    def test_seconds_only_with_timing(self, vessel_file):
+        _, out = run_cli(["verify", vessel_file, "--probes", "2", "--timing"])
+        seconds = json.loads(out)["timing"]["seconds"]
+        assert isinstance(seconds, float) and 0.0 <= seconds < np.inf
+        _, out = run_cli(["verify", vessel_file, "--probes", "2"])
+        assert json.loads(out)["timing"]["seconds"] is None
+
+
+class TestOptions:
+    def test_each_subcommand_accepts_the_options_it_reads(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        accepted = {name: {o for a in p._actions for o in a.option_strings
+                           if o.startswith("--") and o != "--help"}
+                    for name, p in sub.choices.items()}
+        assert accepted == {
+            "verify": {"--tol", "--lambda", "--probes", "--seed", "--timing", "--output"},
+            "synthesize": {"--normalize", "--output"},
+            "transfer": {"--node", "--lambda", "--probes", "--seed", "--output"},
+            "couple": {"--tol", "--output"},
+            "simulate": {"--u0", "--lambda", "--tol", "--timing", "--output"},
+            "fundamental": {"--side", "--lambda", "--node", "--output"},
+            "multint": {"--lambda", "--s-upper", "--output"},
+            "factor": {"--node", "--which", "--tol", "--timing", "--output"},
+            "realize": {"--tol", "--lambda", "--probes", "--seed", "--timing", "--output"},
+            "gauge": {"--node", "--probes", "--tol", "--seed", "--timing", "--output"},
+        }
+        assert sum(map(len, accepted.values())) == 44
+
+    @pytest.mark.parametrize("args", [
+        ["couple", "{vessel}", "{vessel}", "--lambda", "1,0"],
+        ["synthesize", "{vessel}", "--tol", "1e-6"],
+        ["verify", "{vessel}", "--node", "3"],
+    ])
+    def test_unread_option_is_rejected(self, vessel_file, capsys, args):
+        code, out = run_cli([a.format(vessel=vessel_file) for a in args])
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unwritable_output_is_input_error(self, vessel_file, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        code, out = run_cli(["verify", vessel_file, "--probes", "2", "-o", str(target)])
+        assert code == 1 and not target.exists()
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input" and str(target) in err["message"]
+        assert capsys.readouterr().err.splitlines()[-1].startswith("vesselkit verify: load")
+
+
+def spec_documents(v):
+    """One valid spec document per spec-reading command, with its fields."""
+    grid = {"t_start": 0.0, "t_end": 1.0, "n_steps": 40}
+    return {
+        "synthesize": {"grid": grid, "sigma1": cli._enc_matrix(v.sigma1[0]),
+                       "sigma2": cli._enc_matrix(v.sigma2[0]),
+                       "gamma0": cli._enc_matrix(v.gamma[0]),
+                       "data": [{"z": [-0.48, 0.3], "b0": [[1.0, 0.0], [0.0, 0.2]]}]},
+        "fundamental": {"grid": grid, "sigma1": [[[1.0, 0.0]]], "sigma2": [[[1.0, 0.0]]],
+                        "gamma": [[[0.0, 0.0]]]},
+        "multint": {"s_grid": grid, "K": [[[0.0, 1.0]]], "c": [0.0] * 41},
+        "realize": triple_document(v),
+    }
+
+
+@pytest.mark.parametrize("command, field", [
+    (command, field) for command, fields in (
+        ("synthesize", ("grid", "sigma1", "sigma2", "gamma0", "data")),
+        ("fundamental", ("grid", "sigma1", "sigma2", "gamma")),
+        ("multint", ("s_grid", "K", "c")),
+        ("realize", ("grid", "sigma1", "sigma2", "gamma_star", "C", "Bn", "A_pi", "A_xi",
+                     "X0")),
+    ) for field in fields
+])
+def test_missing_field_is_input_error(vessel_and_doc, tmp_path, command, field):
+    v, _, _ = vessel_and_doc
+    doc = spec_documents(v)[command]
+    path = tmp_path / "spec.json"
+    path.write_text(cli.dump_json(doc))
+    code, _ = run_cli([command, str(path)])
+    assert code == 0
+    del doc[field]
+    path.write_text(cli.dump_json(doc))
+    code, out = run_cli([command, str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "input", "message": f"missing field {field!r}"}
 
 
 class TestConfigErrors:

@@ -255,6 +255,22 @@ class TestGridTypes:
         d = vk.family_derivative(fam)
         assert all(abs(d[i][0, 0] - 2.0) < 1e-12 for i in range(11))
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 8])
+    def test_family_derivative_stencil_bits(self, n_steps):
+        """Interior (x[i+1] - x[i-1]) / 2h, one-sided second-order ends, and
+        the chord over the span on a one-step grid, bit for bit."""
+        grid = vk.TimeGrid(0.3, 1.7, n_steps)
+        x = rand_complex(np.random.default_rng(n_steps), (grid.n_nodes, 2, 2))
+        d = vk.family_derivative(vk.GridOperatorFamily(grid, x)).data
+        h2 = 2.0 * grid.h
+        want = [(x[i + 1] - x[i - 1]) / h2 for i in range(1, n_steps)]
+        if n_steps == 1:
+            want = [(x[1] - x[0]) / (grid.t_end - grid.t_start)] * 2
+        else:
+            want = ([(-3.0 * x[0] + 4.0 * x[1] - x[2]) / h2] + want
+                    + [(3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / h2])
+        assert np.stack(want).tobytes() == d.tobytes()
+
     def test_compatible_is_relative_to_the_span(self):
         """Endpoints are compared against 1e-12 of the span, so two grids five
         times apart in length never read compatible; span-1 grids read as
