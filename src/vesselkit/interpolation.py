@@ -50,7 +50,7 @@ from .matrix_kernel import (
     hermitian_part,
     hermitian_sqrt,
     max_frob,
-    resolvent,
+    shifted_solve,
     solve_sylvester,
 )
 from .ode_engine import GridOperatorFamily, TimeGrid, _interp4, _rk4_path, family_derivative
@@ -267,7 +267,7 @@ def zero_pole_realize(
         gamma = sigma2 C Xinv Bn sigma1 - sigma1 C Xinv Bn sigma2 + gamma_star.
 
     `node` is one grid index or an array of them (then the result is a
-    stack, with one resolvent of A_pi for all of them).  Nodes where the
+    stack; the spectrum of A_pi is computed once per realization).  Nodes where the
     smallest singular value of X is at most `rtol` times its largest are
     reported in `singular_nodes` and only fail on evaluation there (loss of
     invertibility along the line is genuine behavior of coupling families,
@@ -291,16 +291,16 @@ def zero_pole_realize(
     cb = triple.C.data @ b_tilde
     s1, s2, gs = sigma1.data, sigma2.data, gamma_star.data
     gam = np.where(on, s2 @ cb @ s1 - s1 @ cb @ s2 + gs, gs)
+    rhs, a_pi, spectrum = b_tilde @ s1, triple.A_pi[None], np.linalg.eigvals(triple.A_pi)[None]
 
     def transfer(lam: complex, node) -> np.ndarray:
         idx = grid.node_indices(node)
-        r = resolvent(triple.A_pi, lam)
+        x = shifted_solve(a_pi, lam, rhs[idx].reshape(-1, n, m), spectrum)
         hit = np.intersect1d(idx, singular)
         if hit.size:
             raise CouplingSingular(f"coupling matrix singular at node {hit[0]}",
                                    nodes=list(singular))
-        return (np.eye(m, dtype=complex)
-                + triple.C.data[idx] @ r @ xinv[idx] @ triple.Bn.data[idx] @ s1[idx])
+        return np.eye(m, dtype=complex) + triple.C.data[idx] @ x.reshape(idx.shape + (n, m))
 
     gamma_fam = GridOperatorFamily(grid, gam)
     vessel = DifferentialVessel(
@@ -409,12 +409,12 @@ def hermitian_realize(
     yinv = np.linalg.inv(y.data)
     ct = GridOperatorFamily(grid, cd @ yinv)
     at = GridOperatorFamily(grid, y.data @ a1 @ yinv)
+    minus_a1, spectrum = -a1[None], np.linalg.eigvals(-a1)[None]
 
     def transfer(lam: complex, node: int) -> np.ndarray:
         i = int(grid.node_indices(node))
-        r = resolvent(-a1, lam)  # (lam I + A1)^(-1)
-        xinv = np.linalg.inv(x[i])
-        return np.eye(m, dtype=complex) + c[i] @ r @ xinv @ c[i].conj().T @ sigma1[i]
+        rhs = np.linalg.solve(x[i], c[i].conj().T @ sigma1[i])[None]  # X^(-1) C^H sigma1
+        return np.eye(m, dtype=complex) + c[i] @ shifted_solve(minus_a1, lam, rhs, spectrum)[0]
 
     return HermitianRealization(
         C=c,

@@ -32,7 +32,7 @@ __all__ = [
     "hermitian_part",
     "spectrum_report",
     "resolvent",
-    "resolvent_stack",
+    "shifted_solve",
     "hermitian_sqrt",
     "solve_sylvester",
     "matrix_exp",
@@ -135,12 +135,14 @@ def max_frob(stack) -> float:
     return float(frob(np.reshape(stack, (-1,) + np.shape(stack)[-2:])).max(initial=0.0))
 
 
-def resolvent_stack(a, lam: complex, spectra, nodes=None) -> np.ndarray:
-    """(lam*I - a[k])^(-1) for a stack `a` (N, n, n), each operand guarded as in
-    :func:`resolvent` against its own norm.
+def shifted_solve(a, lam: complex, rhs, spectra, nodes=None) -> np.ndarray:
+    """X[k] solving (lam*I - a[k]) X[k] = rhs[k] by LU, never forming an inverse,
+    for a stack `a` (N, n, n) or one operand (1, n, n) serving every rhs.
 
     `spectra` (N, n) are the eigenvalues of the operands, computed once by a
-    caller that sweeps lam.  A failing operand is named by ``nodes[k]``.
+    caller that sweeps lam.  SpectrumClash for lam within ``EPS_SPEC_REL *
+    max(||a[k]||_F, 1)`` of the spectrum, SingularSystem for a residual above
+    ``1e-10 * max(||rhs[k]||, ||X[k]|| ||lam*I - a[k]||)``; both name ``nodes[k]``.
     """
     lam = complex(lam)
     if not (np.isfinite(lam.real) and np.isfinite(lam.imag)):
@@ -152,20 +154,19 @@ def resolvent_stack(a, lam: complex, spectra, nodes=None) -> np.ndarray:
         k = clash[0]
         raise SpectrumClash(f"lambda={lam} lies within {dist[k]:.3e} of the spectrum"
                             f"{_at(nodes, k)} (threshold {eps_spec[k]:.3e})")
-    n = a.shape[-1]
-    shifted = lam * np.eye(n) - a
+    shifted = lam * np.eye(a.shape[-1]) - a
     try:
-        r = np.linalg.solve(shifted, np.eye(n, dtype=complex))
+        x = np.linalg.solve(shifted, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by dist check
-        raise SingularSystem(f"resolvent solve failed: {exc}") from exc
-    residual = np.linalg.norm(shifted @ r - np.eye(n), axis=(1, 2))
-    scale = np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(shifted, axis=(1, 2))
-    bad = np.flatnonzero(residual > 1e-10 * np.maximum(1.0, scale))
+        raise SingularSystem(f"shifted solve failed: {exc}") from exc
+    residual = frob(shifted @ x - rhs)
+    bound = 1e-10 * np.maximum(frob(rhs), frob(x) * frob(shifted))
+    bad = np.flatnonzero(~(residual <= bound))
     if bad.size:
         k = bad[0]
-        raise SingularSystem(f"resolvent residual {residual[k]:.3e} too large{_at(nodes, k)} "
-                             "(ill conditioning)")
-    return r
+        raise SingularSystem(f"shifted solve residual {residual[k]:.3e} exceeds {bound[k]:.3e}"
+                             f"{_at(nodes, k)}")
+    return x
 
 
 def _at(nodes, k: int) -> str:
@@ -173,15 +174,14 @@ def _at(nodes, k: int) -> str:
 
 
 def resolvent(a, lam: complex) -> np.ndarray:
-    """(lam*I - a)^(-1), guarded against lam sitting on the spectrum of `a`.
-
-    Raises :class:`SpectrumClash` when the distance from `lam` to the spectrum
-    is at most ``EPS_SPEC_REL * max(||a||_F, 1)``.
+    """(lam*I - a)^(-1), guarded against lam sitting on the spectrum of `a`:
+    :func:`shifted_solve` with the identity as right-hand side.
     """
     m = as_matrix(a, "resolvent operand")
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"resolvent needs a square matrix, got {m.shape}")
-    return resolvent_stack(m[None], lam, np.linalg.eigvals(m)[None])[0]
+    return shifted_solve(m[None], lam, np.eye(len(m), dtype=complex)[None],
+                         np.linalg.eigvals(m)[None])[0]
 
 
 def hermitian_sqrt(x, require_pd: bool = False) -> np.ndarray:

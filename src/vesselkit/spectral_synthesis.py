@@ -243,8 +243,9 @@ def fold_couple(factors) -> DifferentialVessel:
 
 def _select_eigenvalue(eigs: np.ndarray, which) -> int:
     if isinstance(which, (int, np.integer)):
-        order = np.lexsort((eigs.imag, eigs.real))
-        return int(order[int(which)])
+        if not 0 <= which < len(eigs):
+            raise ShapeMismatch(f"eigenvalue index {which} outside [0, {len(eigs)})")
+        return int(np.lexsort((eigs.imag, eigs.real))[which])
     target = complex(which)
     return int(np.argmin(np.abs(eigs - target)))
 
@@ -257,11 +258,12 @@ def extract_elementary(
 ) -> ExtractionResult:
     """Split off the innermost elementary factor at a simple eigenvalue.
 
-    `which` selects the eigenvalue of A1(node_ref): an integer indexes the
-    lexicographically sorted spectrum, a complex value picks the nearest
-    point.  The unit left eigenvector g is continued across nodes by the
-    transport g' = -A2^H g (renormalized per node), the factor is the
-    compression (z, g^H B) of the vessel to that direction, and
+    `which` selects the eigenvalue of A1(node_ref): an integer in [0, n)
+    indexes the lexicographically sorted spectrum (ShapeMismatch outside),
+    a complex value picks the nearest point.  The unit left eigenvector g is
+    continued across nodes by the transport g' = -A2^H g (renormalized per
+    node), the factor is the compression (z, g^H B) of the vessel to that
+    direction, and
 
         quotient_transfer(lam, node) = S(lam, node) @ S_factor(lam, node)^(-1)
 

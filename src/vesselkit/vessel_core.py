@@ -47,8 +47,7 @@ from .matrix_kernel import (
     frob,
     hermitian_part,
     max_frob,
-    resolvent,
-    resolvent_stack,
+    shifted_solve,
 )
 from .ode_engine import (
     FundamentalMatrix,
@@ -240,19 +239,19 @@ def transfer_sweep(v: DifferentialVessel, lams, nodes=None) -> np.ndarray:
     for the L values `lams` at the N grid indices `nodes` (default: all).
 
     The spectra of A1 are kept on the vessel, per node, from first use; each
-    lam then costs one guarded batched resolvent over the nodes.  Raises
-    GridMismatch for a node outside [0, n_steps]; SpectrumClash names the
-    first node a lam hits.
+    lam then costs one guarded shifted solve against B sigma1 over the nodes.
+    Raises GridMismatch for a node outside [0, n_steps]; SpectrumClash names
+    the first node a lam hits.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     nodes = np.arange(v.grid.n_nodes) if nodes is None else v.grid.node_indices(nodes).reshape(-1)
-    a1, b, s1 = v.A1.data[nodes], v.B.data[nodes], v.sigma1.data[nodes]
-    bh = b.conj().transpose(0, 2, 1)
+    a1, b = v.A1.data[nodes], v.B.data[nodes]
+    bh, bs1 = b.conj().transpose(0, 2, 1), b @ v.sigma1.data[nodes]
     spectra = v._spectra(nodes)
     out = np.empty((lams.size, nodes.size) + v.sigma1.shape, dtype=complex)
     for k, lam in enumerate(lams):
-        out[k] = np.eye(v.signal_dim, dtype=complex) - bh @ resolvent_stack(
-            a1, lam, spectra, nodes=nodes) @ b @ s1
+        out[k] = np.eye(v.signal_dim, dtype=complex) - bh @ shifted_solve(
+            a1, lam, bs1, spectra, nodes=nodes)
     return out
 
 
@@ -366,9 +365,9 @@ def expansivity_factor_form(v: DifferentialVessel, lam: complex, node: int) -> n
     which is what S^H sigma1 S - sigma1 collapses to once
     B sigma1 B^H = -(A1 + A1^H) is substituted.
     """
-    b = v.B[node]
-    s1 = v.sigma1[node]
-    m = resolvent(v.A1[node], lam) @ b @ s1
+    idx = v.grid.node_indices([node])
+    m = shifted_solve(v.A1.data[idx], lam, v.B.data[idx] @ v.sigma1.data[idx], v._spectra(idx),
+                      nodes=idx)[0]
     return -2.0 * np.real(lam) * (m.conj().T @ m)
 
 
@@ -451,9 +450,9 @@ def intertwining_residual(
 def simulate(v: DifferentialVessel, lam: complex, u0) -> Trajectory:
     """Separated-variables trajectory driven by the input ODE.
 
-    u is evolved by the input fundamental matrix, x comes from the resolvent
-    formula x = (lam I - A1)^(-1) B sigma1 u, and y = u - B^H x.  The
-    t1-energy defect 2 Re<A1 x + B sigma1 u, x> + <sigma1 y, y> - <sigma1 u, u>
+    u is evolved by the input fundamental matrix, x solves (lam I - A1) x =
+    B sigma1 u, and y = u - B^H x.  The t1-energy defect
+    2 Re<A1 x + B sigma1 u, x> + <sigma1 y, y> - <sigma1 u, u>
     vanishes identically under the first colligation; the t2 defect compares
     the central difference of <x, x> against <sigma2 u, u> - <sigma2 y, y>.
     """
@@ -464,9 +463,10 @@ def simulate(v: DifferentialVessel, lam: complex, u0) -> Trajectory:
     u = phi.family.data @ u0.reshape(-1, 1)
     a1, b, s1, s2 = v.A1.data, v.B.data, v.sigma1.data, v.sigma2.data
     every = np.arange(len(a1))
-    x = resolvent_stack(a1, lam, v._spectra(every), nodes=every) @ b @ s1 @ u
+    bs1u = b @ s1 @ u
+    x = shifted_solve(a1, lam, bs1u, v._spectra(every), nodes=every)
     y = u - b.conj().transpose(0, 2, 1) @ x
-    drive = a1 @ x + b @ s1 @ u
+    drive = a1 @ x + bs1u
     defect_t1 = 2.0 * _re_inner(x, drive) + _re_inner(y, s1 @ y) - _re_inner(u, s1 @ u)
     xx = _re_inner(x, x)
     mid = slice(1, len(a1) - 1)

@@ -9,6 +9,7 @@ import pytest
 
 import vesselkit as vk
 from vesselkit import cli
+from vesselkit.config import Config, load_config
 
 from helpers import const, skew_chain_vessel
 
@@ -224,6 +225,14 @@ class TestCommands:
         assert all(r["passed"] for r in rep["residuals"])
         factor = cli.vessel_from_document(rep["factor"])
         assert factor.state_dim == 1
+
+    @pytest.mark.parametrize("which", ["7", "-1"])
+    def test_factor_index_outside_the_spectrum(self, vessel_file, capsys, which):
+        code, out = run_cli(["factor", vessel_file, "--which", which])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "ShapeMismatch", "message": f"eigenvalue index {which} outside [0, 2)"}
+        assert capsys.readouterr().err.splitlines()[-1].endswith("; exit 1")
 
     def test_realize(self, vessel_and_doc, tmp_path):
         v, _, _ = vessel_and_doc
@@ -533,6 +542,19 @@ class TestConfigErrors:
         ('{"eps_spec_rel": 1e-9}', "unknown config keys: ['eps_spec_rel']"),
         ('{"probes": 3', "Expecting"),
         ('[1, 2]', "must hold a JSON object"),
+        ('{"probes": 2.5}', "'probes', the default of --probes, must be a non-negative integer,"
+                            " got 2.5"),
+        ('{"probes": true}', "'probes', the default of --probes, must be a non-negative integer,"
+                             " got True"),
+        ('{"probes": -1}', "'probes', the default of --probes, must be a non-negative integer"),
+        ('{"seed": 1.5}', "'seed', the default of --seed, must be a non-negative integer,"
+                          " got 1.5"),
+        ('{"seed": false}', "'seed', the default of --seed, must be a non-negative integer,"
+                            " got False"),
+        ('{"seed": -4}', "'seed', the default of --seed, must be a non-negative integer"),
+        ('{"tol": "1e-8"}', "'tol', the default of --tol, must be a finite, non-negative real"),
+        ('{"tol": true}', "'tol', the default of --tol, must be a finite, non-negative real"),
+        ('{"tol": 1e999}', "'tol', the default of --tol, must be a finite, non-negative real"),
     ])
     def test_bad_config_is_input_error(self, vessel_file, tmp_path, monkeypatch, capsys,
                                        text, message):
@@ -544,6 +566,14 @@ class TestConfigErrors:
         err = json.loads(out)["error"]
         assert err["kind"] == "input" and message in err["message"]
         assert capsys.readouterr().err.splitlines()[-1].endswith("; exit 1")
+
+    def test_config_values_are_kept_or_named(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 0, "probes": 0, "seed": 4}))
+        assert load_config(str(cfg)) == Config(tol=0, probes=0, seed=4)
+        cfg.write_text('{"tol": 1' + "0" * 400 + "}")  # an integer beyond every float
+        with pytest.raises(ValueError, match="'tol', the default of --tol, must be a finite"):
+            load_config(str(cfg))
 
     def test_unreadable_config_is_input_error(self, vessel_file, tmp_path, monkeypatch):
         monkeypatch.setenv("VESSELKIT_CONFIG", str(tmp_path / "missing.json"))

@@ -5,7 +5,8 @@ the warm one (the two sweeps agree bit for bit), against a round-off bound
 scaled by the norms that carry the error of S: the condition number of
 lam I - A1 and the size of B^H (lam I - A1)^(-1) B sigma1.  The null-pole
 triple of a vessel realizes its transfer function again.  Last, the Krylov
-rank rule and the fundamental matrix are scale invariant.
+rank rule and the fundamental matrix are scale invariant, and the guarded
+shifted solve is scale covariant in its right-hand side.
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 import vesselkit as vk
 import vesselkit.vessel_core as core
-from vesselkit.matrix_kernel import frob
+from vesselkit.errors import SingularSystem
+from vesselkit.matrix_kernel import frob, shifted_solve
 
 from helpers import SIGMA1_INDEFINITE, const, rand_complex, rand_skew
 
@@ -216,3 +218,37 @@ def test_fundamental_matrix_is_scale_invariant(seed, m, n_steps, base, shift, re
         return vk.fundamental_matrix(lam, s1, s2, g, grid, base_index=base).family.data
 
     assert phi(shift).tobytes() == phi(0).tobytes()
+
+
+@SETTINGS
+@pytest.mark.parametrize("shift", [-400, 400])
+@given(seed=seeds, n=st.integers(1, 8), m=sizes, re=parts, im=parts)
+def test_shifted_solve_is_scale_covariant_in_rhs(shift, seed, n, m, re, im):
+    """The residual guard is relative to |rhs| and to |X| |lam I - A|, and the
+    LU substitutions are linear in rhs: scaling rhs by 2^shift fires no
+    SingularSystem and scales X by 2^shift bit for bit."""
+    rng = np.random.default_rng(seed)
+    a = rand_complex(rng, (4, n, n))
+    rhs = rand_complex(rng, (4, n, m))
+    lam = complex(re, im)
+    spectra = np.linalg.eigvals(a)
+    assume(np.min(np.abs(spectra - lam)) > 0.1)
+    x = shifted_solve(a, lam, rhs, spectra)
+    x_scaled = shifted_solve(a, lam, 2.0 ** shift * rhs, spectra)
+    assert x_scaled.tobytes() == (2.0 ** shift * x).tobytes()
+
+
+@pytest.mark.parametrize("shift", [-400, 0, 400])
+def test_shifted_solve_guard_names_the_node_at_every_scale(shift):
+    """Partial pivoting grows Wilkinson's 40 x 40 matrix by 2^39, so its solve
+    misses the relative residual bound; at node 8, whatever the scale of rhs,
+    while the well-conditioned operand of node 3 passes."""
+    n = 40
+    wilkinson = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    wilkinson[:, -1] = 1.0
+    a = np.stack([-2.0 * np.eye(n), -wilkinson]).astype(complex)
+    rhs = 2.0 ** shift * rand_complex(np.random.default_rng(0), (2, n, 2))
+    spectra = np.linalg.eigvals(a)
+    shifted_solve(a[:1], 0.0, rhs[:1], spectra[:1], nodes=[3])
+    with pytest.raises(SingularSystem, match="at node 8$"):
+        shifted_solve(a, 0.0, rhs, spectra, nodes=[3, 8])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import vesselkit as vk
-from vesselkit.errors import DegenerateB, DegenerateEigenvalue, SpectrumClash
+from vesselkit.errors import DegenerateB, DegenerateEigenvalue, ShapeMismatch, SpectrumClash
 from vesselkit.matrix_kernel import frob
 
 from helpers import (
@@ -211,6 +211,14 @@ class TestExtractElementary:
         v = vk.build_discrete([d, d2], zero, s1, zero, grid)
         with pytest.raises(DegenerateEigenvalue):
             vk.extract_elementary(v, d.z, node_ref=0)
+
+    @pytest.mark.parametrize("which", [7, 2, -1, np.int64(-3)], ids=["7", "2", "-1", "int64-3"])
+    def test_index_outside_the_spectrum_rejected(self, which):
+        grid = vk.TimeGrid(0.0, 1.0, 40)
+        v, _ = skew_chain_vessel(grid, seed=5, n_points=2)
+        with pytest.raises(ShapeMismatch, match=rf"index {which} outside \[0, 2\)"):
+            vk.extract_elementary(v, which, node_ref=0)
+        assert vk.extract_elementary(v, 1, node_ref=0).eigenvalue is not None
 
 
 class TestMultIntegral:

@@ -11,7 +11,7 @@ import pytest
 import vesselkit as vk
 from vesselkit import cli
 from vesselkit.errors import GridMismatch, NotHermitian, SingularSigma1, SpectrumClash
-from vesselkit.matrix_kernel import frob, max_frob, resolvent_stack
+from vesselkit.matrix_kernel import frob, max_frob, shifted_solve
 
 from helpers import SIGMA1_INDEFINITE, const, rand_complex, rand_skew, skew_chain_vessel
 
@@ -43,12 +43,25 @@ def moving_vessel():
     )
 
 
+EPS = np.finfo(float).eps
+SLACK = 64.0  # round-off units allowed per unit of the cond-scaled bound
+
+
 def _reference(v, lam, node):
     """Node-by-node S(lam, node), in the arithmetic order of the batched sweep."""
     a, b = v.A1[node], v.B[node]
-    n = a.shape[0]
-    r = np.linalg.solve(lam * np.eye(n) - a, np.eye(n, dtype=complex))
-    return np.eye(v.signal_dim, dtype=complex) - b.conj().T @ r @ b @ v.sigma1[node]
+    x = np.linalg.solve(lam * np.eye(a.shape[0]) - a, b @ v.sigma1[node])
+    return np.eye(v.signal_dim, dtype=complex) - b.conj().T @ x
+
+
+def assert_near_inverse_form(got, a, lam, rhs, lhs=None):
+    """`got` is lhs (lam I - a)^(-1) rhs (lhs = I if None) to round-off, against
+    the inverse-then-multiply form: SLACK eps cond(lam I - a) |lhs| |R| |rhs|."""
+    shifted = lam * np.eye(a.shape[0]) - a
+    r = np.linalg.solve(shifted, np.eye(a.shape[0], dtype=complex))
+    lhs = np.eye(a.shape[0]) if lhs is None else lhs
+    bound = SLACK * EPS * frob(shifted) * frob(r) * frob(lhs) * frob(r) * frob(rhs)
+    assert frob(got - lhs @ r @ rhs) <= bound
 
 
 class TestTransferSweep:
@@ -59,6 +72,9 @@ class TestTransferSweep:
         for k, lam in enumerate(lams):
             for node in range(v.grid.n_nodes):
                 assert np.array_equal(sweep[k, node], _reference(v, lam, node))
+                b = v.B[node]
+                assert_near_inverse_form(np.eye(v.signal_dim) - sweep[k, node], v.A1[node], lam,
+                                         b @ v.sigma1[node], lhs=b.conj().T)
 
     def test_shapes(self, moving_vessel):
         v = moving_vessel
@@ -124,7 +140,9 @@ class TestBatchedResiduals:
         phi = vk.input_fundamental(v, lam)
         for i in range(v.grid.n_nodes):
             u = phi[i] @ u0.reshape(-1, 1)
-            x = vk.resolvent(v.A1[i], lam) @ v.B[i] @ v.sigma1[i] @ u
+            rhs = v.B[i] @ v.sigma1[i] @ u
+            x = np.linalg.solve(lam * np.eye(v.state_dim) - v.A1[i], rhs)
+            assert_near_inverse_form(x, v.A1[i], lam, rhs)
             y = u - v.B[i].conj().T @ x
             drive = v.A1[i] @ x + v.B[i] @ v.sigma1[i] @ u
             defect = (2.0 * np.real(np.vdot(x, drive)) + np.real(np.vdot(y, v.sigma1[i] @ y))
@@ -140,12 +158,67 @@ class TestBatchedResiduals:
         assert max_frob(np.zeros((0, 2, 2))) == 0.0
         assert max_frob(np.zeros((4, 2, 2))) == 0.0
 
-    def test_resolvent_stack_is_resolvent_per_operand(self, moving_vessel):
-        a = moving_vessel.A1.data
-        lam = 0.4 + 0.9j
-        r = resolvent_stack(a, lam, np.linalg.eigvals(a))
+    def test_shifted_solve_is_solve_per_operand(self, moving_vessel):
+        a, b = moving_vessel.A1.data, moving_vessel.B.data
+        lam, spectra = 0.4 + 0.9j, np.linalg.eigvals(a)
+        x = shifted_solve(a, lam, b, spectra)
         for k in range(len(a)):
-            assert np.array_equal(r[k], vk.resolvent(a[k], lam))
+            alone = shifted_solve(a[k:k + 1], lam, b[k:k + 1], spectra[k:k + 1])[0]
+            assert same_bits(x[k], alone)
+            assert same_bits(x[k], np.linalg.solve(lam * np.eye(3) - a[k], b[k]))
+
+    def test_resolvent_keeps_the_inverse_bits(self, moving_vessel):
+        """resolvent is the identity-rhs shifted solve: the bits of the one
+        (1, n, n) LAPACK solve against I that it has always been."""
+        lam = 0.4 + 0.9j
+        for a in moving_vessel.A1.data:
+            inverse = np.linalg.solve((lam * np.eye(3) - a)[None], np.eye(3, dtype=complex))[0]
+            assert same_bits(vk.resolvent(a, lam), inverse)
+
+
+class TestReroutedCallersMatchInverseForm:
+    """Every transfer path solves against its right-hand side; each agrees with
+    the inverse-then-multiply form at the cond-scaled round-off bound."""
+
+    lams = (1.3 + 0.4j, -0.7 + 1.1j, 2.5)
+
+    def test_expansivity_factor_form(self, moving_vessel):
+        v = moving_vessel
+        for lam in self.lams:
+            for node in (0, 12, 30):
+                a, bs1 = v.A1[node], v.B[node] @ v.sigma1[node]
+                shifted = lam * np.eye(3) - a
+                r = np.linalg.inv(shifted)
+                m = r @ bs1
+                bound = (4.0 * abs(lam.real) * SLACK * EPS * frob(shifted) * frob(r)
+                         * (frob(r) * frob(bs1)) ** 2)
+                got = vk.expansivity_factor_form(v, lam, node)
+                assert frob(got + 2.0 * lam.real * (m.conj().T @ m)) <= bound
+
+    def test_zero_pole_transfer(self):
+        grid = vk.TimeGrid(0.0, 1.0, 20)
+        v, _ = skew_chain_vessel(grid, seed=5, n_points=3)
+        triple = vk.extract_null_pole(v)
+        real = vk.zero_pole_realize(triple, v.gamma_star, v.sigma1, v.sigma2)
+        b_tilde, s1 = real.vessel.B.data, v.sigma1.data
+        for lam in self.lams:
+            s = real.transfer(lam, np.arange(grid.n_nodes))
+            for i in range(grid.n_nodes):
+                assert_near_inverse_form(s[i] - np.eye(2), triple.A_pi, lam,
+                                         b_tilde[i] @ s1[i], lhs=triple.C[i])
+
+    def test_hermitian_transfer(self):
+        grid = vk.TimeGrid(0.0, 1.0, 10)
+        rng = np.random.default_rng(1)
+        c = _family(grid, rand_complex(rng, (grid.n_nodes, 2, 3)))
+        a1 = np.diag([-1.0, -2.0 + 1j, -0.5 - 0.3j]) + 0.1 * rand_complex(rng, (3, 3))
+        s1 = const(np.eye(2), grid)
+        hr = vk.hermitian_realize(c, a1, s1)
+        for lam in self.lams:
+            for i in (0, 4, 10):
+                rhs = np.linalg.solve(hr.X[i], c[i].conj().T @ s1[i])
+                assert_near_inverse_form(hr.transfer(lam, i) - np.eye(2), -a1, lam, rhs,
+                                         lhs=c[i])
 
 
 def same_bits(a, b) -> bool:
@@ -160,7 +233,7 @@ def sweep_reference(v, lams, nodes):
     spectra = np.linalg.eigvals(a1)
     eye = np.eye(v.signal_dim, dtype=complex)
     return np.stack([eye - b.conj().transpose(0, 2, 1)
-                     @ resolvent_stack(a1, lam, spectra, nodes=nodes) @ b @ s1 for lam in lams])
+                     @ shifted_solve(a1, lam, b @ s1, spectra, nodes=nodes) for lam in lams])
 
 
 def fresh(v):
@@ -203,7 +276,7 @@ class TestSpectraStore:
         v = fresh(moving_vessel)
         a1, b, s1 = v.A1.data, v.B.data, v.sigma1.data
         u = vk.input_fundamental(v, lam).family.data @ u0.reshape(-1, 1)
-        x = resolvent_stack(a1, lam, np.linalg.eigvals(a1), nodes=range(len(a1))) @ b @ s1 @ u
+        x = shifted_solve(a1, lam, b @ s1 @ u, np.linalg.eigvals(a1), nodes=range(len(a1)))
         y = u - b.conj().transpose(0, 2, 1) @ x
         for _ in ("cold", "warm"):
             traj = vk.simulate(v, lam, u0)
