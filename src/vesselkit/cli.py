@@ -559,6 +559,8 @@ def main(argv=None) -> int:
             raise InputError(f"--tol must be finite and non-negative, got {args.tol!r}")
         if getattr(args, "probes", 0) < 0:
             raise InputError(f"--probes must be non-negative, got {args.probes!r}")
+        if getattr(args, "seed", 0) < 0:
+            raise InputError(f"--seed must be non-negative, got {args.seed!r}")
         doc = args.fn(args, stages)
         if getattr(args, "timing", False):
             doc["timing"]["seconds"] = round(stages.elapsed(), 6)

@@ -221,8 +221,8 @@ def _running_product(steps: np.ndarray, m0: np.ndarray,
     w[0] = m0
     # Overflow is reported as NonFinite, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, step in enumerate(steps):
-            w[j + 1] = step @ w[j]
+        for step, prev, nxt in zip(steps, w[:-1], w[1:]):
+            np.matmul(step, prev, out=nxt)
     bad = np.flatnonzero(~np.isfinite(w[1:]).all(axis=tuple(range(1, w.ndim))))
     if bad.size:
         raise NonFinite(blew_up(int(bad[0])))

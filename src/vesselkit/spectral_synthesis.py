@@ -368,14 +368,14 @@ def _ordered_products(kern: np.ndarray, c: np.ndarray, lam: complex, ds: float,
     Each step factor takes one scalar division: numpy's vectorised complex
     division rounds some of them differently.
     """
-    steps, clash = [], None
+    scales, clash = [], None
     for j in range(len(kern)):
         denom = lam + c[j]
         if abs(denom) <= eps_spec:
             clash = SpectrumClash(f"lambda + c(s_{j}) = {denom} too close to zero")
             break
-        steps.append(kern[j] * (ds / denom))
-    exps = matrix_exp(np.reshape(steps, (-1,) + kern.shape[1:]))
+        scales.append(ds / denom)
+    exps = matrix_exp(kern[:len(scales)] * np.array(scales, dtype=complex)[:, None, None])
     if clash is not None:
         raise clash
     return _running_product(exps, np.eye(kern.shape[1], dtype=complex), lambda j: (

@@ -3,6 +3,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,12 +433,19 @@ class TestProbesValidation:
     @pytest.mark.parametrize("command, args", [
         ("verify", ["/nonexistent/v.json", "--probes", "-1"]),
         ("gauge", ["/nonexistent/a.json", "/nonexistent/b.json", "--probes", "-2"]),
+        ("verify", ["/nonexistent/v.json", "--seed", "-1"]),
+        ("transfer", ["/nonexistent/v.json", "--seed", "-1"]),
+        ("realize", ["/nonexistent/t.json", "--seed", "-1"]),
+        ("gauge", ["/nonexistent/a.json", "/nonexistent/b.json", "--seed", "-3"]),
     ])
     def test_negative_probes_is_input_error_before_any_work(self, command, args):
+        """A negative probe count, or a negative seed drawing the probes, is
+        named by its flag before any document is read."""
         code, out = run_cli([command] + args)
         assert code == 1
         err = json.loads(out)["error"]
-        assert err["kind"] == "input" and "--probes" in err["message"]
+        assert err == {"kind": "input",
+                       "message": f"{args[-2]} must be non-negative, got {args[-1]}"}
 
     def test_realize_without_probes_has_a_zero_pde_row(self, vessel_and_doc, tmp_path):
         v, _, _ = vessel_and_doc
@@ -592,3 +602,13 @@ def test_multint_overflow_is_numerical_failure(tmp_path):
     assert code == 2
     err = json.loads(out)["error"]
     assert err["kind"] == "NonFinite" and "s nodes 141 and 142" in err["message"]
+
+
+def test_cli_import_leaves_scipy_out():
+    """The runtime needs numpy only: a fresh interpreter that imports the CLI
+    has not loaded scipy."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = "import vesselkit.cli, sys; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"

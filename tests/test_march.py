@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import vesselkit as vk
+import vesselkit.matrix_kernel as mk
 import vesselkit.spectral_synthesis as synth
 import vesselkit.vessel_core as core
 from vesselkit.config import EPS_SPEC_REL
@@ -19,6 +20,7 @@ from vesselkit.ode_engine import _interp4, _rk4_path
 from helpers import const, rand_complex, rand_hermitian, rand_skew, skew_chain_vessel
 
 EPS = np.finfo(float).eps
+SLACK = 64.0  # round-off units allowed per unit of a norm-scaled bound
 
 
 def same_bits(a, b) -> bool:
@@ -156,17 +158,29 @@ class TestTwoWayMarch:
         assert same_bits(res.factor.A2.data, g.conj().transpose(0, 2, 1) @ v.A2.data @ g)
 
 
-def mult_integral_reference(kernel, c, lam, s_upper):
-    """The per-factor loop: one exponential and one product per s step."""
+def mult_integral_reference(kernel, c, lam, s_upper, expm=vk.matrix_exp):
+    """The per-factor loop: one exponential and one product per s step.  Also
+    returns the product of the factor norms, which scales how far factors that
+    differ by round-off move the product (`assert_near_oracle`)."""
     eps_spec = EPS_SPEC_REL * max(kernel.max_norm(), 1.0)
     ds = kernel.grid.h
-    w = np.eye(kernel.shape[0], dtype=complex)
+    w, norms = np.eye(kernel.shape[0], dtype=complex), 1.0
     for j in range(s_upper):
         denom = lam + c[j]
         if abs(denom) <= eps_spec:
             raise SpectrumClash(f"lambda + c(s_{j}) = {denom} too close to zero")
-        w = scipy.linalg.expm(kernel[j] * (ds / denom)) @ w
-    return w
+        step = expm(kernel[j] * (ds / denom))
+        w = step @ w
+        norms *= frob(step)
+    return w, norms
+
+
+def assert_near_oracle(got, ref, n_steps, norms):
+    """A product of exponentials against the same product of scipy's: the two
+    exponentials of each factor differ by a few eps of its norm, and each
+    difference is carried by the other factors, so allow SLACK eps per step
+    times the product of the factor norms."""
+    assert frob(got - ref) <= SLACK * EPS * max(n_steps, 1) * norms
 
 
 class TestOrderedProduct:
@@ -180,10 +194,14 @@ class TestOrderedProduct:
 
     @pytest.mark.parametrize("s_upper", [0, 1, 77, 200])
     def test_matches_per_factor_loop(self, s_upper):
+        """Bit for bit the loop over vk.matrix_exp; near the loop over scipy's."""
         kernel, c = self.kernel()
         for lam in (1.2 + 0.4j, -0.35 + 0.9j, 2.0, 0.8 - 1.7j):
-            ref = mult_integral_reference(kernel, c, lam, s_upper)
-            assert same_bits(vk.mult_integral(kernel, c, lam, s_upper), ref)
+            got = vk.mult_integral(kernel, c, lam, s_upper)
+            ref, _ = mult_integral_reference(kernel, c, lam, s_upper)
+            assert same_bits(got, ref)
+            oracle, norms = mult_integral_reference(kernel, c, lam, s_upper, scipy.linalg.expm)
+            assert_near_oracle(got, oracle, s_upper, norms)
 
     def test_clash_names_first_step(self):
         kernel, _ = self.kernel()
@@ -194,8 +212,10 @@ class TestOrderedProduct:
         with pytest.raises(SpectrumClash, match=r"c\(s_60\)") as got:
             vk.mult_integral(kernel, c, -0.5, 200)
         assert str(got.value) == str(ref.value)
-        assert same_bits(vk.mult_integral(kernel, c, -0.5, 60),
-                         mult_integral_reference(kernel, c, -0.5, 60))
+        head = vk.mult_integral(kernel, c, -0.5, 60)
+        assert same_bits(head, mult_integral_reference(kernel, c, -0.5, 60)[0])
+        assert_near_oracle(head, *mult_integral_reference(kernel, c, -0.5, 60, scipy.linalg.expm),
+                           60)
 
     def test_overflow_before_the_clash_is_reported_first(self):
         """As in the loop, the steps before a clash are exponentiated first."""
@@ -242,14 +262,19 @@ class TestContinuousModelSteps:
         model, s1, s2 = self.model()
         t_grid = vk.TimeGrid(0.0, 1.0, 17)
         evolved, _ = vk.continuous_model_evolve(model, s1, s2, t_grid, consistency_tol=1e3)
-        ref = np.empty_like(evolved.beta)
-        ref[0] = model.beta
-        for j in range(model.s_grid.n_nodes):
-            coeff = np.linalg.solve(s1, -model.c[j] * s2 + model.gamma_s[j])
-            step = scipy.linalg.expm(coeff * t_grid.h)
-            for i in range(t_grid.n_steps):
-                ref[i + 1, j] = step @ ref[i, j]
-        assert same_bits(evolved.beta, ref)
+        for expm in (vk.matrix_exp, scipy.linalg.expm):
+            ref = np.empty_like(evolved.beta)
+            ref[0] = model.beta
+            for j in range(model.s_grid.n_nodes):
+                coeff = np.linalg.solve(s1, -model.c[j] * s2 + model.gamma_s[j])
+                step = expm(coeff * t_grid.h)
+                for i in range(t_grid.n_steps):
+                    ref[i + 1, j] = step @ ref[i, j]
+                    # i + 1 equal factors carry the initial column
+                    assert_near_oracle(evolved.beta[i + 1, j], ref[i + 1, j], i + 1,
+                                       frob(step) ** (i + 1) * frob(model.beta[j]))
+            if expm is vk.matrix_exp:
+                assert same_bits(evolved.beta, ref)
 
     def test_overflowing_evolution_names_its_step(self):
         """beta' = 100 beta with t steps of 1: exp(100) per step, and the
@@ -417,13 +442,45 @@ class TestCouplingQuadrature:
             assert same_bits(got.data, np.stack(_rk4_path(rhs, m0, grid, 0, n_steps)))
 
 
+def assert_near_expm(out, stack):
+    """Each slice against scipy's exponential: the relative condition number of
+    exp at A is ||A|| for normal A, so allow SLACK eps times (1 + ||A||_1)."""
+    ref = np.stack([scipy.linalg.expm(x) for x in stack])
+    norm1 = np.abs(stack).sum(axis=1).max(axis=1)
+    assert np.all(frob(out - ref) <= SLACK * EPS * (1.0 + norm1) * frob(ref))
+
+
 class TestMatrixExpStack:
     def test_stack_matches_per_slice(self):
         rng = np.random.default_rng(9)
         stack = rand_complex(rng, (40, 3, 3)) * np.geomspace(1e-3, 8.0, 40)[:, None, None]
         out = vk.matrix_exp(stack)
         assert same_bits(out, np.stack([vk.matrix_exp(x) for x in stack]))
-        assert same_bits(out, np.stack([scipy.linalg.expm(x) for x in stack]))
+        assert_near_expm(out, stack)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 12])
+    def test_every_degree_and_scaling_matches_per_slice(self, n):
+        """1-norms just below and above each theta_m, and the m = 13 scalings
+        s = 1..4 (theta_13 2^s), in one shuffled stack: every (degree, scaling)
+        group sits beside the others, and each slice matches itself alone."""
+        rng = np.random.default_rng(n)
+        x = rand_complex(rng, (1, n, n))
+        edges = [t * 2.0 ** s for t in mk._THETA.values() for s in range(5 if t > 5 else 1)]
+        norms = np.array([e * f for e in edges for f in (1 - 1e-9, 1 + 1e-9)] + [0.0])
+        stack = rng.permutation(x * (norms / np.abs(x).sum(axis=1).max())[:, None, None])
+        out = vk.matrix_exp(stack)
+        assert same_bits(out, np.stack([vk.matrix_exp(a) for a in stack]))
+        assert_near_expm(out, stack)
+
+    def test_overflowing_norm_is_named(self):
+        """Entries near the largest double: the slice is finite, its 1-norm is
+        not.  NonFinite names it; no scaling is derived from the infinite norm."""
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1] = np.full((2, 2), 1e308)
+        with pytest.raises(NonFinite, match="at node 1$"):
+            vk.matrix_exp(stack)
+        with pytest.raises(NonFinite, match="overflowed$"):
+            vk.matrix_exp(stack[1])
 
     def test_empty_stack(self):
         out = vk.matrix_exp(np.zeros((0, 2, 2)))

@@ -5,8 +5,9 @@ the warm one (the two sweeps agree bit for bit), against a round-off bound
 scaled by the norms that carry the error of S: the condition number of
 lam I - A1 and the size of B^H (lam I - A1)^(-1) B sigma1.  The null-pole
 triple of a vessel realizes its transfer function again.  Last, the Krylov
-rank rule and the fundamental matrix are scale invariant, and the guarded
-shifted solve is scale covariant in its right-hand side.
+rank rule and the fundamental matrix are scale invariant, the guarded
+shifted solve is scale covariant in its right-hand side, and the exponential
+of a skew-Hermitian matrix is unitary at every scale.
 """
 
 import numpy as np
@@ -252,3 +253,15 @@ def test_shifted_solve_guard_names_the_node_at_every_scale(shift):
     shifted_solve(a[:1], 0.0, rhs[:1], spectra[:1], nodes=[3])
     with pytest.raises(SingularSystem, match="at node 8$"):
         shifted_solve(a, 0.0, rhs, spectra, nodes=[3, 8])
+
+
+@SETTINGS
+@given(seed=seeds, n=st.integers(1, 4), k=st.integers(-20, 5))
+def test_exp_of_skew_hermitian_is_unitary(seed, n, k):
+    """exp(A) is unitary for skew-Hermitian A.  The Pade value is unitary to a
+    few eps, each of the s squarings at most doubles its defect, and 2^s <
+    2 ||A||_1 / theta_13: allow SLACK eps times max(1, ||A||_1)."""
+    a = 2.0 ** k * rand_skew(np.random.default_rng(seed), n)
+    u = vk.matrix_exp(a)
+    bound = SLACK * EPS * max(1.0, float(np.abs(a).sum(axis=0).max()))
+    assert frob(u @ u.conj().T - np.eye(n)) <= bound
