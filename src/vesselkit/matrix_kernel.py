@@ -58,16 +58,18 @@ def frob(a):
     """Frobenius norm of a matrix, or the (N,) norms of an (N, r, c) stack.
 
     Each norm of a stack is bit for bit the norm of its matrix alone: both
-    take the same two BLAS dot products over the entries in memory order.
+    take the same two BLAS dot products over the entries in memory order.  A
+    norm whose square overflows is inf, without a warning; callers judge it.
     """
     a = np.asarray(a)
-    if a.ndim == 2:
-        return float(np.linalg.norm(a, "fro"))
-    if a.strides[-2] < a.strides[-1]:  # column-major matrices: keep memory order
-        a = a.swapaxes(-1, -2)
-    flat = np.ascontiguousarray(a).reshape(a.shape[0], 1, a.shape[1] * a.shape[2])
-    re, im = flat.real, flat.imag
-    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+    with np.errstate(over="ignore"):
+        if a.ndim == 2:
+            return float(np.linalg.norm(a, "fro"))
+        if a.strides[-2] < a.strides[-1]:  # column-major matrices: keep memory order
+            a = a.swapaxes(-1, -2)
+        flat = np.ascontiguousarray(a).reshape(a.shape[0], 1, a.shape[1] * a.shape[2])
+        re, im = flat.real, flat.imag
+        return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
 
 
 def hermitian_part(a) -> np.ndarray:
@@ -93,14 +95,19 @@ def as_hermitian(a, name: str = "matrix") -> np.ndarray:
     relative.
 
     The projection removes round-off level asymmetry; genuinely non-Hermitian
-    input raises :class:`NotHermitian`.  `a` may be an (N, n, n) stack, each
+    input raises :class:`NotHermitian`, and a matrix whose norm overflows
+    raises :class:`NonFinite` first.  `a` may be an (N, n, n) stack, each
     matrix checked on its own scale; the first failing one is named by node.
     """
     m, nodes = _as_stack(a, name)
     if m.shape[1] != m.shape[2]:
         raise ShapeMismatch(f"{name} must be square, got {m.shape[1:]}")
+    norm = frob(m)
+    over = np.flatnonzero(np.isinf(norm))
+    if over.size:
+        raise NonFinite(f"{name} norm overflows{_at(nodes, over[0])}")
     defect = frob(m - np.swapaxes(m.conj(), 1, 2))
-    scale = np.maximum(frob(m), 1.0)
+    scale = np.maximum(norm, 1.0)
     bad = np.flatnonzero(defect > 1e-12 * scale)
     if bad.size:
         k = bad[0]

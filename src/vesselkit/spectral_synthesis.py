@@ -111,7 +111,7 @@ def build_elementary(
     grid: TimeGrid,
     normalize: bool = False,
 ) -> DifferentialVessel:
-    """One-dimensional vessel at spectrum point z.
+    """One-dimensional vessel at spectrum point z, :func:`build_discrete` of one datum.
 
     b evolves by sigma1 b' = (z sigma2 + gamma) b from b0; the vessel is
     A1 = z, B = b^H (row), A2 = -(b^H sigma2 b)/(2 b^H sigma1 b) + i theta',
@@ -121,9 +121,12 @@ def build_elementary(
     regime in which A2 also satisfies the second colligation.  Colligation
     residuals are always left to verification, never assumed here.
     """
-    for fam, name in ((gamma, "gamma"), (sigma1, "sigma1"), (sigma2, "sigma2")):
-        if not fam.grid.compatible(grid):
-            raise GridMismatch(f"{name} lives on a different grid")
+    return build_discrete([datum], gamma, sigma1, sigma2, grid, normalize=normalize)
+
+
+def _elementary(datum: SpectralDatum, gamma, sigma1, sigma2, grid, normalize: bool):
+    """The row b^H (N, 1, m) and the A2 entry (N,) of the elementary factor of
+    `datum` on `gamma`, as documented in :func:`build_elementary`."""
     m = sigma1.shape[0]
     b0 = datum.b0
     if b0.shape[0] != m:
@@ -134,12 +137,10 @@ def build_elementary(
             raise DegenerateB(f"cannot normalize: b0^H sigma1 b0 = {p0:.3e} <= 0")
         b0 = b0 / np.sqrt(p0)
 
-    z = complex(datum.z)
     s1, s2 = sigma1.data, sigma2.data
-    coeff = GridOperatorFamily(grid, _coefficient(s1, s2, gamma.data, z))
+    coeff = GridOperatorFamily(grid, _coefficient(s1, s2, gamma.data, complex(datum.z)))
     col = integrate_linear_ode(coeff, b0.reshape(-1, 1), grid).data  # b per node
-    nn = grid.n_nodes
-    theta_prime = np.zeros(nn)
+    theta_prime = np.zeros(grid.n_nodes)
     if datum.theta is not None:
         if datum.theta.shape != (1, 1) or not datum.theta.grid.compatible(grid):
             raise ShapeMismatch("theta must be a scalar family on the same grid")
@@ -152,15 +153,7 @@ def build_elementary(
     bad = np.flatnonzero(np.abs(p) <= eps)
     if bad.size:
         raise DegenerateB(f"b^H sigma1 b vanished at node {bad[0]}")
-    return DifferentialVessel(
-        A1=GridOperatorFamily(grid, np.full((nn, 1, 1), z, dtype=complex)),
-        A2=GridOperatorFamily(grid, (-q / (2.0 * p) + 1j * theta_prime)[:, None, None]),
-        B=GridOperatorFamily(grid, row),
-        sigma1=sigma1,
-        sigma2=sigma2,
-        gamma=gamma,
-        gamma_star=_gamma_star(gamma, sigma1, sigma2, row),
-    )
+    return row, -q / (2.0 * p) + 1j * theta_prime
 
 
 def _gamma_star(gamma, sigma1, sigma2, row: np.ndarray) -> GridOperatorFamily:
@@ -170,13 +163,40 @@ def _gamma_star(gamma, sigma1, sigma2, row: np.ndarray) -> GridOperatorFamily:
     return GridOperatorFamily(gamma.grid, gamma.data + s2 @ bbh @ s1 - s1 @ bbh @ s2)
 
 
-def _chain(data, gamma0, sigma1, sigma2, grid, normalize: bool) -> list[DifferentialVessel]:
-    """Elementary factors of `data`, each built on the gamma_star of the one before."""
-    factors = []
+def _chain(data, gamma0, sigma1, sigma2, grid, normalize: bool):
+    """The gammas (gamma0 first), rows b_h^H and A2 entries of the elementary
+    factors of `data`, each built on the gamma_star of the one before."""
+    for fam, name in ((gamma0, "gamma"), (sigma1, "sigma1"), (sigma2, "sigma2")):
+        if not fam.grid.compatible(grid):
+            raise GridMismatch(f"{name} lives on a different grid")
+    gammas, rows, a2_diag = [gamma0], [], []
     for datum in data:
-        gamma = factors[-1].gamma_star if factors else gamma0
-        factors.append(build_elementary(datum, gamma, sigma1, sigma2, grid, normalize=normalize))
-    return factors
+        row, a2 = _elementary(datum, gammas[-1], sigma1, sigma2, grid, normalize)
+        rows.append(row)
+        a2_diag.append(a2)
+        gammas.append(_gamma_star(gammas[-1], sigma1, sigma2, row))
+    return gammas, rows, a2_diag
+
+
+def _chain_vessel(grid, z, rows, a2_diag, gamma, gamma_star, sigma1, sigma2) -> DifferentialVessel:
+    """The lower-triangular coupling of :func:`build_discrete` of the factors
+    (z_h, row b_h^H, A2 entry), from `gamma` to `gamma_star`."""
+    b = np.concatenate(rows, axis=1)
+    bh = b.conj().transpose(0, 2, 1)
+    diag = np.arange(len(rows))
+    a1 = np.tril(-(b @ sigma1.data @ bh), -1)
+    a2 = np.tril(-(b @ sigma2.data @ bh), -1)
+    a1[:, diag, diag] = np.asarray(z, dtype=complex)
+    a2[:, diag, diag] = np.stack(a2_diag, axis=1)
+    return DifferentialVessel(
+        A1=GridOperatorFamily(grid, a1),
+        A2=GridOperatorFamily(grid, a2),
+        B=GridOperatorFamily(grid, b),
+        sigma1=sigma1,
+        sigma2=sigma2,
+        gamma=gamma,
+        gamma_star=gamma_star,
+    )
 
 
 def discrete_chain(
@@ -188,11 +208,10 @@ def discrete_chain(
     normalize: bool = False,
 ) -> DiscreteSynthesisState:
     """Evolve every auxiliary vector along the chained gamma recurrence."""
-    factors = _chain(data, gamma0, sigma1, sigma2, grid, normalize)
+    gammas, rows, _ = _chain(data, gamma0, sigma1, sigma2, grid, normalize)
     return DiscreteSynthesisState(
-        gamma_chain=(gamma0, *(f.gamma_star for f in factors)),
-        b_evolved=tuple(GridOperatorFamily(grid, f.B.data.conj().transpose(0, 2, 1))
-                        for f in factors),
+        gamma_chain=tuple(gammas),
+        b_evolved=tuple(GridOperatorFamily(grid, r.conj().transpose(0, 2, 1)) for r in rows),
     )
 
 
@@ -209,28 +228,15 @@ def build_discrete(
     Gammas chain through the elementary linkage; the assembled operators are
     lower triangular with diagonal z_h, strictly lower entries
     -b_i^H sigma1 b_j in A1 (sigma2 in A2) and the rows b_h^H stacked in B.
-    The result coincides with a left fold of couple() to round-off.
+    The result coincides with a left fold of couple() to round-off.  One
+    vessel is built and validated, not one per factor.
     """
     data = list(data)
     if not data:
         raise ShapeMismatch("need at least one spectral datum")
-    factors = _chain(data, gamma0, sigma1, sigma2, grid, normalize)
-    b = np.concatenate([f.B.data for f in factors], axis=1)  # rows b_h^H
-    bh = b.conj().transpose(0, 2, 1)
-    diag = np.arange(len(factors))
-    a1 = np.tril(-(b @ sigma1.data @ bh), -1)
-    a2 = np.tril(-(b @ sigma2.data @ bh), -1)
-    a1[:, diag, diag] = np.concatenate([f.A1.data for f in factors], axis=1)[:, :, 0]
-    a2[:, diag, diag] = np.concatenate([f.A2.data for f in factors], axis=1)[:, :, 0]
-    return DifferentialVessel(
-        A1=GridOperatorFamily(grid, a1),
-        A2=GridOperatorFamily(grid, a2),
-        B=GridOperatorFamily(grid, b),
-        sigma1=sigma1,
-        sigma2=sigma2,
-        gamma=gamma0,
-        gamma_star=factors[-1].gamma_star,
-    )
+    gammas, rows, a2_diag = _chain(data, gamma0, sigma1, sigma2, grid, normalize)
+    return _chain_vessel(grid, [d.z for d in data], rows, a2_diag, gamma0, gammas[-1],
+                         sigma1, sigma2)
 
 
 def fold_couple(factors) -> DifferentialVessel:
@@ -301,19 +307,9 @@ def extract_elementary(
             f"transported vector stopped being a left eigenvector (drift {worst_drift:.3e})"
         )
 
-    nn = v.grid.n_nodes
     bf = gh @ v.B.data
-    a1f = np.full((nn, 1, 1), z, dtype=complex)
-    a2f = gh @ v.A2.data @ g
-    factor = DifferentialVessel(
-        A1=GridOperatorFamily(v.grid, a1f),
-        A2=GridOperatorFamily(v.grid, a2f),
-        B=GridOperatorFamily(v.grid, bf),
-        sigma1=v.sigma1,
-        sigma2=v.sigma2,
-        gamma=v.gamma,
-        gamma_star=_gamma_star(v.gamma, v.sigma1, v.sigma2, bf),
-    )
+    factor = _chain_vessel(v.grid, [z], [bf], [(gh @ v.A2.data @ g)[:, 0, 0]], v.gamma,
+                           _gamma_star(v.gamma, v.sigma1, v.sigma2, bf), v.sigma1, v.sigma2)
 
     def quotient(lam: complex, node: int) -> np.ndarray:
         s_full = eval_transfer(v, lam, node)

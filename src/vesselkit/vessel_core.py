@@ -37,6 +37,7 @@ from .config import DEFAULTS
 from .errors import (
     ChainMismatch,
     GridMismatch,
+    NonFinite,
     NotHermitian,
     NotMinimal,
     ShapeMismatch,
@@ -118,8 +119,12 @@ class DifferentialVessel:
                 raise GridMismatch(f"{name} lives on a different grid")
         for name in ("sigma1", "sigma2"):
             data = getattr(self, name).data
-            defect = np.linalg.norm(data - data.conj().transpose(0, 2, 1), axis=(1, 2))
-            bad = np.flatnonzero(defect > 1e-9 * np.maximum(1.0, np.linalg.norm(data, axis=(1, 2))))
+            norm = frob(data)
+            over = np.flatnonzero(np.isinf(norm))
+            if over.size:
+                raise NonFinite(f"{name} norm overflows at node {over[0]}")
+            defect = frob(data - data.conj().transpose(0, 2, 1))
+            bad = np.flatnonzero(defect > 1e-9 * np.maximum(1.0, norm))
             if bad.size:
                 i = bad[0]
                 raise NotHermitian(f"{name} not Hermitian at node {i} (defect {defect[i]:.2e})")

@@ -4,14 +4,20 @@ monomial Krylov matrix loses numerical rank read full rank, deliberately
 non-minimal pairs read their true rank, and a gauge is recovered from the
 frames."""
 
+import importlib
+import os
+
 import numpy as np
 import pytest
 
 import vesselkit as vk
 import vesselkit.vessel_core as core
 from vesselkit.errors import NotMinimal
+from vesselkit.matrix_kernel import max_frob, solve_sylvester
 
 from helpers import const, rand_complex
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Q Q^H against I for an orthonormal Q of size n <= 20.
 ROUND_OFF = 64 * np.finfo(float).eps
@@ -165,3 +171,21 @@ def test_basis_spans_an_invariant_subspace():
         proj = basis @ basis.conj().T
         assert np.allclose(proj @ bi, bi, rtol=0, atol=1e-13)
         assert np.allclose(proj @ ai @ basis, ai @ basis, rtol=0, atol=1e-13)
+
+
+def test_monomial_gate_refuses_an_ill_conditioned_probe(monkeypatch, tmp_path):
+    """The benchmark's probe_n20_m4 vessel of inputs.rng_for(14, 0): its
+    coupling Sylvester solve at node 0 gives |X| above 1e6 (1.4e15 when this
+    test was written), so the monomial gate of extract_null_pole must keep
+    refusing it until solve_sylvester guards its conditioning."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    inputs = importlib.import_module("inputs")
+    workloads = importlib.import_module("workloads")
+    probes = workloads.NodeBatch().make(inputs.rng_for(14, 0), "full", str(tmp_path))["probes"]
+    v = {label: pv for label, pv, _ in probes}["probe_n20_m4"]
+    with pytest.raises(NotMinimal, match=r"^monomial Krylov rank 9 < 20 at node 0$"):
+        vk.extract_null_pole(v)
+    a_pi, b_ref, s1 = v.A1[0], v.B[0], v.sigma1[0]
+    a_xi = a_pi + b_ref @ s1 @ b_ref.conj().T
+    c_data = -v.B.data.conj().transpose(0, 2, 1)
+    assert max_frob(solve_sylvester(a_pi, a_xi, v.B.data @ v.sigma1.data @ c_data)) > 1e6

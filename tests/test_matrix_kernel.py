@@ -174,3 +174,9 @@ class TestValidation:
 
         with pytest.raises(NotHermitian):
             as_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        # An overflowing norm would make the relative test compare inf with inf.
+        huge = np.array([[0.0, 1e200], [0.0, 0.0]])
+        with pytest.raises(NonFinite, match="^matrix norm overflows$"):
+            as_hermitian(huge)
+        with pytest.raises(NonFinite, match="^sigma norm overflows at node 2$"):
+            as_hermitian(np.stack([np.eye(2), np.eye(2), huge, huge]), "sigma")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vesselkit as vk
+import vesselkit.spectral_synthesis as synth
 from vesselkit.errors import DegenerateB, DegenerateEigenvalue, ShapeMismatch, SpectrumClash
 from vesselkit.matrix_kernel import frob
 
@@ -13,6 +14,65 @@ from helpers import (
     rand_skew,
     skew_chain_vessel,
 )
+
+
+FAMILIES = ("A1", "A2", "B", "sigma1", "sigma2", "gamma", "gamma_star")
+
+
+def assert_same_vessel(v, ref):
+    for name in FAMILIES:
+        got, want = getattr(v, name).data, getattr(ref, name).data
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def factor_reference(grid, z, row, a2, gamma, sigma1, sigma2):
+    """One elementary vessel assembled on its own, as every factor once was:
+    A1 = z, A2 = `a2` (N,), B = `row` (b^H) and the linkage's gamma_star."""
+    bbh = row.conj().transpose(0, 2, 1) * row
+    s1, s2 = sigma1.data, sigma2.data
+    return vk.DifferentialVessel(
+        A1=vk.GridOperatorFamily(grid, np.full((grid.n_nodes, 1, 1), z, dtype=complex)),
+        A2=vk.GridOperatorFamily(grid, a2[:, None, None]),
+        B=vk.GridOperatorFamily(grid, row),
+        sigma1=sigma1,
+        sigma2=sigma2,
+        gamma=gamma,
+        gamma_star=vk.GridOperatorFamily(gamma.grid, gamma.data + s2 @ bbh @ s1 - s1 @ bbh @ s2),
+    )
+
+
+def elementary_reference(datum, gamma, sigma1, sigma2, grid, normalize=False):
+    """The per-factor elementary vessel: b from sigma1 b' = (z sigma2 + gamma) b,
+    A2 = -(b^H sigma2 b)/(2 b^H sigma1 b) + i theta'."""
+    b0 = datum.b0
+    if normalize:
+        b0 = b0 / np.sqrt(float(np.real(b0.conj() @ sigma1[0] @ b0)))
+    z = complex(datum.z)
+    coeff = np.linalg.solve(sigma1.data, z * sigma2.data + gamma.data)
+    col = vk.integrate_linear_ode(vk.GridOperatorFamily(grid, coeff), b0.reshape(-1, 1),
+                                  grid).data
+    theta_prime = np.zeros(grid.n_nodes)
+    if datum.theta is not None:
+        theta_prime = np.real(vk.family_derivative(datum.theta).data[:, 0, 0])
+    row = col.conj().transpose(0, 2, 1)
+    p = (row @ sigma1.data @ col)[:, 0, 0]
+    q = (row @ sigma2.data @ col)[:, 0, 0]
+    return factor_reference(grid, z, row, -q / (2.0 * p) + 1j * theta_prime,
+                            gamma, sigma1, sigma2)
+
+
+def sigma2_setup(n_steps=40):
+    """A grid, sigma1 = diag(1, -1), a Hermitian sigma2 != 0, a skew gamma, a
+    theta family and two data, the first with and without theta."""
+    grid = vk.TimeGrid(0.0, 1.0, n_steps)
+    rng = np.random.default_rng(1)
+    s1 = const(SIGMA1_INDEFINITE, grid)
+    s2 = const(rand_hermitian(rng, 2, 0.3), grid)
+    gam = const(rand_skew(rng, 2, 0.4), grid)
+    theta = vk.GridOperatorFamily(grid, (0.3 * grid.nodes() ** 2)[:, None, None])
+    d = colligation_datum([1.0, 0.3], 0.2, SIGMA1_INDEFINITE)
+    first = (d, vk.SpectralDatum(z=d.z, b0=d.b0, theta=theta))
+    return grid, s1, s2, gam, first, colligation_datum([1.0, 0.5j], -0.6, SIGMA1_INDEFINITE)
 
 
 def scalar_setup(n_steps=40):
@@ -84,17 +144,42 @@ class TestBuildElementary:
 
 class TestBuildDiscrete:
     def test_single_datum_matches_elementary(self):
-        grid = vk.TimeGrid(0.0, 1.0, 40)
-        rng = np.random.default_rng(1)
-        s1 = const(SIGMA1_INDEFINITE, grid)
-        s2 = const(rand_hermitian(rng, 2, 0.3), grid)
-        gam = const(rand_skew(rng, 2, 0.4), grid)
-        d = colligation_datum([1.0, 0.3], 0.2, SIGMA1_INDEFINITE)
-        vd = vk.build_discrete([d], gam, s1, s2, grid)
-        ve = vk.build_elementary(d, gam, s1, s2, grid)
-        assert np.allclose(vd.A1.data, ve.A1.data)
-        assert np.allclose(vd.B.data, ve.B.data)
-        assert np.allclose(vd.gamma_star.data, ve.gamma_star.data)
+        """build_elementary and build_discrete of one datum against the
+        per-factor assembly, bit for bit, with theta, normalize and sigma2 != 0."""
+        grid, s1, s2, gam, first, _ = sigma2_setup()
+        for d in first:
+            for normalize in (False, True):
+                ref = elementary_reference(d, gam, s1, s2, grid, normalize)
+                assert_same_vessel(vk.build_elementary(d, gam, s1, s2, grid, normalize), ref)
+                assert_same_vessel(vk.build_discrete([d], gam, s1, s2, grid, normalize), ref)
+
+    def test_extracted_factor_matches_per_factor_assembly(self, monkeypatch):
+        """extract_elementary's factor is the per-factor assembly of (z, g^H B,
+        g^H A2 g) on the transported unit vector g, bit for bit."""
+        grid, s1, s2, gam, first, second = sigma2_setup()
+        marched = []
+        march = synth._march
+        monkeypatch.setattr(synth, "_march", lambda *a: marched.append(march(*a)) or marched[-1])
+        for d in first:
+            for normalize in (False, True):
+                v = vk.build_discrete([d, second], gam, s1, s2, grid, normalize)
+                res = vk.extract_elementary(v, d.z)
+                g = marched[-1] / frob(marched[-1])[:, None, None]
+                gh = g.conj().transpose(0, 2, 1)
+                ref = factor_reference(grid, res.eigenvalue, gh @ v.B.data,
+                                       (gh @ v.A2.data @ g)[:, 0, 0], v.gamma, s1, s2)
+                assert_same_vessel(res.factor, ref)
+
+    def test_one_vessel_per_call(self, monkeypatch):
+        grid, s1, s2, gam, first, second = sigma2_setup()
+        built = []
+        post_init = vk.DifferentialVessel.__post_init__
+        monkeypatch.setattr(vk.DifferentialVessel, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        vk.build_discrete([first[0], second, first[1]], gam, s1, s2, grid)
+        assert len(built) == 1
+        vk.build_elementary(first[1], gam, s1, s2, grid)
+        assert len(built) == 2
 
     def test_matches_couple_fold(self):
         grid = vk.TimeGrid(0.0, 1.0, 60)

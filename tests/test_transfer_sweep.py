@@ -10,7 +10,7 @@ import pytest
 
 import vesselkit as vk
 from vesselkit import cli
-from vesselkit.errors import GridMismatch, NotHermitian, SingularSigma1, SpectrumClash
+from vesselkit.errors import GridMismatch, NonFinite, NotHermitian, SingularSigma1, SpectrumClash
 from vesselkit.matrix_kernel import frob, max_frob, shifted_solve
 
 from helpers import SIGMA1_INDEFINITE, const, rand_complex, rand_skew, skew_chain_vessel
@@ -364,6 +364,12 @@ class TestVesselValidation:
         s2 = np.zeros((grid.n_nodes, 2, 2), dtype=complex)
         s2[5, 0, 1] = 1.0
         with pytest.raises(NotHermitian, match="sigma2 not Hermitian at node 5"):
+            vk.DifferentialVessel(A1=v.A1, A2=v.A2, B=v.B, sigma1=v.sigma1,
+                                  sigma2=_family(grid, s2), gamma=v.gamma,
+                                  gamma_star=v.gamma_star)
+        # An overflowing norm would make the relative test compare inf with inf.
+        s2[7, 0, 1] = 1e200
+        with pytest.raises(NonFinite, match="sigma2 norm overflows at node 7"):
             vk.DifferentialVessel(A1=v.A1, A2=v.A2, B=v.B, sigma1=v.sigma1,
                                   sigma2=_family(grid, s2), gamma=v.gamma,
                                   gamma_star=v.gamma_star)
