@@ -41,7 +41,6 @@ from .matrix_kernel import (
     SpectrumReport,
     hermitian_sqrt,
     matrix_exp,
-    resolvent,
     solve_sylvester,
     spectrum_report,
 )
@@ -67,7 +66,6 @@ from .spectral_synthesis import (
     discrete_chain,
     continuous_model_evolve,
     extract_elementary,
-    fold_couple,
     mult_integral,
     residue_norm,
 )

@@ -68,9 +68,6 @@ def _enc_array(a) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
-_enc_matrix = _enc_array
-
-
 def _enc_family(fam: GridOperatorFamily) -> list:
     return _enc_array(fam.data)
 
@@ -428,8 +425,10 @@ def cmd_factor(args, stages: Stages) -> dict:
     _node(args, v.grid)
     which = _parse_complex(args.which) if "," in args.which else int(args.which)
     result = synth.extract_elementary(v, which, node_ref=args.node, tol=args.tol)
+    # A zero tol would put the contour on the eigenvalue itself: floor it at eps.
+    radius = max(args.tol, np.finfo(float).eps) ** 0.25 * 1e-1
     res = synth.residue_norm(lambda lam: result.quotient_transfer(lam, args.node),
-                             result.eigenvalue, radius=args.tol ** 0.25 * 1e-1)
+                             result.eigenvalue, radius=radius)
     checks = (core.Check("quotient_residue", res, args.tol),
               core.Check("eigvec_transport", result.eigvec_residual, 1e-6))
     with stages("encode"):

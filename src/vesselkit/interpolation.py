@@ -41,14 +41,13 @@ from .errors import (
     InconsistentInitialData,
     NonFinite,
     NotMinimal,
-    NotPositiveDefinite,
     ShapeMismatch,
 )
 from .matrix_kernel import (
+    _sqrt_eigh,
     as_matrix,
     frob,
     hermitian_part,
-    hermitian_sqrt,
     max_frob,
     shifted_solve,
     solve_sylvester,
@@ -381,8 +380,10 @@ def hermitian_realize(
     untouched.  The transfer then obeys S(lam) sigma1^(-1) S(-conj(lam))^H =
     sigma1^(-1).  X is solved independently per node, from one factorization
     shared by all nodes; the maximal step jump of X is reported as a
-    smoothness cross-check.  The first node where X fails to be positive
-    definite raises NotPositiveDefinite.
+    smoothness cross-check.  One eigendecomposition of X per node gives Y and
+    ``min_eig_X``; the first node whose smallest eigenvalue is at most ``eps_pd
+    = EPS_PD_REL * max(||X||_F, 1)`` (an indefinite X included) raises
+    NotPositiveDefinite.
     """
     a1 = as_matrix(a1, "A1")
     n = a1.shape[0]
@@ -397,14 +398,7 @@ def hermitian_realize(
     # Stacks go straight into their families (which copy them): none is held twice.
     x = GridOperatorFamily(grid, hermitian_part(
         solve_sylvester(a1, -a1.conj().T, -(cd.conj().transpose(0, 2, 1) @ s1 @ cd))))
-    w = np.linalg.eigvalsh(x.data)[:, 0]  # smallest eigenvalue per node
-    bad = np.flatnonzero(w <= 0)
-    # The first node to fail either test decides, as in a node-by-node pass:
-    # the square root's eps_pd test runs on the nodes before this one's.
-    y = hermitian_sqrt(x.data[: bad[0] if bad.size else None], require_pd=True)
-    if bad.size:
-        i = bad[0]
-        raise NotPositiveDefinite(f"coupling matrix not PD at node {i}: min eigenvalue {w[i]:.3e}")
+    y, w = _sqrt_eigh(x.data, require_pd=True)
     y = GridOperatorFamily(grid, y)
     yinv = np.linalg.inv(y.data)
     ct = GridOperatorFamily(grid, cd @ yinv)
@@ -426,6 +420,6 @@ def hermitian_realize(
         transfer=transfer,
         colligation_residual=max_frob(at.data + at.data.conj().transpose(0, 2, 1)
                                       + ct.data.conj().transpose(0, 2, 1) @ s1 @ ct.data),
-        min_eig_X=float(w.min()),
+        min_eig_X=float(w[:, 0].min()),
         max_step_jump=max_frob(np.diff(x.data, axis=0)),
     )

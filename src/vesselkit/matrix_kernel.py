@@ -34,7 +34,6 @@ __all__ = [
     "max_frob",
     "hermitian_part",
     "spectrum_report",
-    "resolvent",
     "shifted_solve",
     "hermitian_sqrt",
     "solve_sylvester",
@@ -90,6 +89,23 @@ def _as_stack(a, name: str):
     return m, range(len(m))
 
 
+def _check_hermitian(m: np.ndarray, name: str, nodes, rtol: float) -> None:
+    """The one Hermitian guard, on an (N, n, n) stack: NonFinite for the first
+    slice whose norm overflows, then NotHermitian for the first whose defect
+    ``||m_k - m_k^H||_F`` exceeds ``rtol * max(||m_k||_F, 1)``."""
+    norm = frob(m)
+    over = np.flatnonzero(np.isinf(norm))
+    if over.size:
+        raise NonFinite(f"{name} norm overflows{_at(nodes, over[0])}")
+    defect = frob(m - np.swapaxes(m.conj(), 1, 2))
+    scale = np.maximum(norm, 1.0)
+    bad = np.flatnonzero(defect > rtol * scale)
+    if bad.size:
+        k = bad[0]
+        raise NotHermitian(f"{name} not Hermitian{_at(nodes, k)}: defect {defect[k]:.3e} > "
+                           f"{rtol:.1e} * {scale[k]:.3e}")
+
+
 def as_hermitian(a, name: str = "matrix") -> np.ndarray:
     """Project `a` onto its Hermitian part after checking it is Hermitian to 1e-12
     relative.
@@ -102,17 +118,7 @@ def as_hermitian(a, name: str = "matrix") -> np.ndarray:
     m, nodes = _as_stack(a, name)
     if m.shape[1] != m.shape[2]:
         raise ShapeMismatch(f"{name} must be square, got {m.shape[1:]}")
-    norm = frob(m)
-    over = np.flatnonzero(np.isinf(norm))
-    if over.size:
-        raise NonFinite(f"{name} norm overflows{_at(nodes, over[0])}")
-    defect = frob(m - np.swapaxes(m.conj(), 1, 2))
-    scale = np.maximum(norm, 1.0)
-    bad = np.flatnonzero(defect > 1e-12 * scale)
-    if bad.size:
-        k = bad[0]
-        raise NotHermitian(f"{name} is not Hermitian{_at(nodes, k)}: defect {defect[k]:.3e} > "
-                           f"1.0e-12 * {scale[k]:.3e}")
+    _check_hermitian(m, name, nodes, 1e-12)
     out = hermitian_part(m)
     return out[0] if nodes is None else out
 
@@ -156,7 +162,7 @@ def shifted_solve(a, lam: complex, rhs, spectra, nodes=None) -> np.ndarray:
     """
     lam = complex(lam)
     if not (np.isfinite(lam.real) and np.isfinite(lam.imag)):
-        raise NonFinite("resolvent spectral parameter is not finite")
+        raise NonFinite("shifted solve spectral parameter is not finite")
     eps_spec = EPS_SPEC_REL * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
     dist = np.min(np.abs(spectra - lam), axis=1)
     clash = np.flatnonzero(dist <= eps_spec)
@@ -183,17 +189,6 @@ def _at(nodes, k: int) -> str:
     return "" if nodes is None else f" at node {nodes[k]}"
 
 
-def resolvent(a, lam: complex) -> np.ndarray:
-    """(lam*I - a)^(-1), guarded against lam sitting on the spectrum of `a`:
-    :func:`shifted_solve` with the identity as right-hand side.
-    """
-    m = as_matrix(a, "resolvent operand")
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"resolvent needs a square matrix, got {m.shape}")
-    return shifted_solve(m[None], lam, np.eye(len(m), dtype=complex)[None],
-                         np.linalg.eigvals(m)[None])[0]
-
-
 def hermitian_sqrt(x, require_pd: bool = False) -> np.ndarray:
     """Principal square root of a Hermitian positive (semi)definite matrix.
 
@@ -205,6 +200,12 @@ def hermitian_sqrt(x, require_pd: bool = False) -> np.ndarray:
     Hermitian.  `x` may be an (N, n, n) stack: each matrix gets its own
     ``eps_pd``, and the first failing one is named by its node.
     """
+    return _sqrt_eigh(x, require_pd)[0]
+
+
+def _sqrt_eigh(x, require_pd: bool):
+    """:func:`hermitian_sqrt` of `x`, and the (N, n) ascending ``eigh``
+    eigenvalues it was taken from, before clamping (N = 1 for a matrix)."""
     m = as_hermitian(x, name="hermitian_sqrt operand")
     nodes = None if m.ndim == 2 else range(len(m))
     m = m.reshape((-1,) + m.shape[-2:])
@@ -218,9 +219,8 @@ def hermitian_sqrt(x, require_pd: bool = False) -> np.ndarray:
             f"min eigenvalue {low[k]:.3e} <= eps_pd {eps_pd[k]:.3e}{_at(nodes, k)}" if require_pd
             else f"matrix has negative eigenvalue {low[k]:.3e}{_at(nodes, k)}"
         )
-    w = np.clip(w, 0.0, None)
-    root = hermitian_part((v * np.sqrt(w)[:, None, :]) @ np.swapaxes(v.conj(), 1, 2))
-    return root[0] if nodes is None else root
+    root = hermitian_part((v * np.sqrt(w.clip(0.0))[:, None, :]) @ np.swapaxes(v.conj(), 1, 2))
+    return root[0] if nodes is None else root, w
 
 
 def solve_sylvester(a_pi, a_xi, q) -> np.ndarray:

@@ -40,7 +40,7 @@ from .ode_engine import (
     family_derivative,
     integrate_linear_ode,
 )
-from .vessel_core import DifferentialVessel, couple, eval_transfer
+from .vessel_core import DifferentialVessel, eval_transfer
 
 __all__ = [
     "SpectralDatum",
@@ -51,7 +51,6 @@ __all__ = [
     "ContinuousModelResiduals",
     "build_elementary",
     "build_discrete",
-    "fold_couple",
     "extract_elementary",
     "mult_integral",
     "continuous_model_evolve",
@@ -237,14 +236,6 @@ def build_discrete(
     gammas, rows, a2_diag = _chain(data, gamma0, sigma1, sigma2, grid, normalize)
     return _chain_vessel(grid, [d.z for d in data], rows, a2_diag, gamma0, gammas[-1],
                          sigma1, sigma2)
-
-
-def fold_couple(factors) -> DifferentialVessel:
-    """Left fold of couple(); reference path for build_discrete."""
-    out = factors[0]
-    for f in factors[1:]:
-        out = couple(out, f)
-    return out
 
 
 def _select_eigenvalue(eigs: np.ndarray, which) -> int:

@@ -37,14 +37,13 @@ from .config import DEFAULTS
 from .errors import (
     ChainMismatch,
     GridMismatch,
-    NonFinite,
-    NotHermitian,
     NotMinimal,
     ShapeMismatch,
     SingularSystem,
     SpectrumClash,
 )
 from .matrix_kernel import (
+    _check_hermitian,
     frob,
     hermitian_part,
     max_frob,
@@ -118,16 +117,7 @@ class DifferentialVessel:
             if not fam.grid.compatible(grid):
                 raise GridMismatch(f"{name} lives on a different grid")
         for name in ("sigma1", "sigma2"):
-            data = getattr(self, name).data
-            norm = frob(data)
-            over = np.flatnonzero(np.isinf(norm))
-            if over.size:
-                raise NonFinite(f"{name} norm overflows at node {over[0]}")
-            defect = frob(data - data.conj().transpose(0, 2, 1))
-            bad = np.flatnonzero(defect > 1e-9 * np.maximum(1.0, norm))
-            if bad.size:
-                i = bad[0]
-                raise NotHermitian(f"{name} not Hermitian at node {i} (defect {defect[i]:.2e})")
+            _check_hermitian(getattr(self, name).data, name, range(grid.n_nodes), 1e-9)
         _check_sigma1(self.sigma1)
 
     @property
@@ -217,6 +207,8 @@ class GaugeMap:
 
     @classmethod
     def from_family(cls, u_family: GridOperatorFamily) -> "GaugeMap":
+        """Gauge map of a family unitary to ``||U^H U - I||_F <= 1e-8`` at every node:
+        an absolute bound on purpose, as U^H U - I has no scale (``||U||_2 = 1``)."""
         n = u_family.shape[0]
         if u_family.shape != (n, n):
             raise ShapeMismatch("gauge family must be square")

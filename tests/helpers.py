@@ -53,6 +53,14 @@ def skew_chain_vessel(grid, seed=5, n_points=3, sigma1_matrix=None):
     return vk.build_discrete(data, gam, s1, s2, grid), data
 
 
+def fold_couple(factors):
+    """Left fold of couple(): the reference path for build_discrete."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = vk.couple(out, f)
+    return out
+
+
 def constant_sigma2_vessel(grid):
     """Constant one-dimensional vessel with sigma2 != 0, all conditions exact.
 

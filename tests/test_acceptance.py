@@ -21,6 +21,7 @@ from helpers import (
     const,
     consistent_triple_data,
     constant_sigma2_vessel,
+    fold_couple,
     observable_stable_pair,
     rand_skew,
     random_vessel,
@@ -240,7 +241,7 @@ def test_c06_blaschke_round_trip():
         for f in factors:
             q = q @ np.linalg.inv(vk.eval_transfer(f, lam, node))
         worst_q = max(worst_q, frob(q - np.eye(v.signal_dim)))
-        recoupled = vk.fold_couple(factors)
+        recoupled = fold_couple(factors)
         worst_r = max(worst_r, frob(vk.eval_transfer(recoupled, lam, node)
                                     - vk.eval_transfer(v, lam, node)))
     ok = worst_q < 1e-8 and worst_r < 1e-8

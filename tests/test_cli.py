@@ -134,9 +134,9 @@ class TestCommands:
         v, data, _ = vessel_and_doc
         spec = {
             "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 40},
-            "sigma1": cli._enc_matrix(v.sigma1[0]),
-            "sigma2": cli._enc_matrix(v.sigma2[0]),
-            "gamma0": cli._enc_matrix(v.gamma[0]),
+            "sigma1": cli._enc_array(v.sigma1[0]),
+            "sigma2": cli._enc_array(v.sigma2[0]),
+            "gamma0": cli._enc_array(v.gamma[0]),
             "data": [
                 {"z": [d.z.real, d.z.imag],
                  "b0": [[x.real, x.imag] for x in d.b0]}
@@ -161,9 +161,9 @@ class TestCommands:
         v, _, _ = vessel_and_doc
         spec = {
             "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 40},
-            "sigma1": cli._enc_matrix(v.sigma1[0]),
-            "sigma2": cli._enc_matrix(v.sigma2[0]),
-            "gamma0": cli._enc_matrix(v.gamma[0]),
+            "sigma1": cli._enc_array(v.sigma1[0]),
+            "sigma2": cli._enc_array(v.sigma2[0]),
+            "gamma0": cli._enc_array(v.gamma[0]),
             "data": [],
         }
         spec_path = tmp_path / "spec.json"
@@ -229,6 +229,17 @@ class TestCommands:
         factor = cli.vessel_from_document(rep["factor"])
         assert factor.state_dim == 1
 
+    def test_factor_at_zero_tol_writes_a_report(self, vessel_file):
+        """--tol 0 floors the residue contour's radius at eps**0.25 / 10: a radius
+        of 0 would put every contour point on the eigenvalue (SpectrumClash, exit
+        2).  The residue is finite and judged against 0, so the row fails."""
+        code, out = run_cli(["factor", vessel_file, "--which", "0", "--node", "5",
+                             "--tol", "0"])
+        assert code == 3
+        row = json.loads(out)["residuals"][0]
+        assert (row["name"], row["bound"], row["passed"]) == ("quotient_residue", 0.0, False)
+        assert 0.0 < row["value"] < 1e-12
+
     @pytest.mark.parametrize("which", ["7", "-1"])
     def test_factor_index_outside_the_spectrum(self, vessel_file, capsys, which):
         code, out = run_cli(["factor", vessel_file, "--which", which])
@@ -242,14 +253,14 @@ class TestCommands:
         triple = vk.extract_null_pole(v, node_ref=0)
         doc = {
             "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 40},
-            "sigma1": cli._enc_matrix(v.sigma1[0]),
-            "sigma2": cli._enc_matrix(v.sigma2[0]),
+            "sigma1": cli._enc_array(v.sigma1[0]),
+            "sigma2": cli._enc_array(v.sigma2[0]),
             "gamma_star": cli._enc_family(v.gamma_star),
             "C": cli._enc_family(triple.C),
             "Bn": cli._enc_family(triple.Bn),
-            "A_pi": cli._enc_matrix(triple.A_pi),
-            "A_xi": cli._enc_matrix(triple.A_xi),
-            "X0": cli._enc_matrix(triple.X[0]),
+            "A_pi": cli._enc_array(triple.A_pi),
+            "A_xi": cli._enc_array(triple.A_xi),
+            "X0": cli._enc_array(triple.X[0]),
         }
         path = tmp_path / "triple.json"
         path.write_text(cli.dump_json(doc))
@@ -309,14 +320,14 @@ def triple_document(v, n_steps=40):
     triple = vk.extract_null_pole(v, node_ref=0)
     return {
         "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": n_steps},
-        "sigma1": cli._enc_matrix(v.sigma1[0]),
-        "sigma2": cli._enc_matrix(v.sigma2[0]),
+        "sigma1": cli._enc_array(v.sigma1[0]),
+        "sigma2": cli._enc_array(v.sigma2[0]),
         "gamma_star": cli._enc_family(v.gamma_star),
         "C": cli._enc_family(triple.C),
         "Bn": cli._enc_family(triple.Bn),
-        "A_pi": cli._enc_matrix(triple.A_pi),
-        "A_xi": cli._enc_matrix(triple.A_xi),
-        "X0": cli._enc_matrix(triple.X[0]),
+        "A_pi": cli._enc_array(triple.A_pi),
+        "A_xi": cli._enc_array(triple.A_xi),
+        "X0": cli._enc_array(triple.X[0]),
     }
 
 
@@ -511,9 +522,9 @@ def spec_documents(v):
     """One valid spec document per spec-reading command, with its fields."""
     grid = {"t_start": 0.0, "t_end": 1.0, "n_steps": 40}
     return {
-        "synthesize": {"grid": grid, "sigma1": cli._enc_matrix(v.sigma1[0]),
-                       "sigma2": cli._enc_matrix(v.sigma2[0]),
-                       "gamma0": cli._enc_matrix(v.gamma[0]),
+        "synthesize": {"grid": grid, "sigma1": cli._enc_array(v.sigma1[0]),
+                       "sigma2": cli._enc_array(v.sigma2[0]),
+                       "gamma0": cli._enc_array(v.gamma[0]),
                        "data": [{"z": [-0.48, 0.3], "b0": [[1.0, 0.0], [0.0, 0.2]]}]},
         "fundamental": {"grid": grid, "sigma1": [[[1.0, 0.0]]], "sigma2": [[[1.0, 0.0]]],
                         "gamma": [[[0.0, 0.0]]]},
@@ -595,7 +606,7 @@ class TestConfigErrors:
 def test_multint_overflow_is_numerical_failure(tmp_path):
     """exp(1000 ds) per step overflows the product near s step 142."""
     doc = {"s_grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 200},
-           "K": cli._enc_matrix(1000.0 * np.eye(2)), "c": [0.0] * 201}
+           "K": cli._enc_array(1000.0 * np.eye(2)), "c": [0.0] * 201}
     path = tmp_path / "kernel.json"
     path.write_text(cli.dump_json(doc))
     code, out = run_cli(["multint", str(path), "--lambda", "1.0,0.0"])

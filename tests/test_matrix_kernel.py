@@ -4,42 +4,51 @@ import pytest
 import vesselkit as vk
 from vesselkit.errors import (
     NonFinite,
+    NotHermitian,
     NotPositiveDefinite,
     ShapeMismatch,
     SpectrumClash,
 )
-from vesselkit.matrix_kernel import as_hermitian, frob
+from vesselkit.matrix_kernel import as_hermitian, frob, shifted_solve
 
-from helpers import rand_complex, rand_hermitian
+from helpers import rand_complex, rand_hermitian, skew_chain_vessel
+
+
+def resolvent(a, lam):
+    """(lam I - a)^(-1) as the shifted solve against the identity."""
+    a = np.asarray(a, dtype=complex)
+    eye = np.eye(len(a), dtype=complex)
+    return shifted_solve(a[None], lam, eye[None], np.linalg.eigvals(a)[None])[0]
 
 
 class TestResolvent:
     def test_zero_matrix(self):
-        r = vk.resolvent(np.zeros((1, 1)), 2.0)
+        r = resolvent(np.zeros((1, 1)), 2.0)
         assert r[0, 0] == pytest.approx(0.5)
 
     def test_diagonal(self):
         z = np.array([0.3 + 1j, -0.7, 2.0 - 0.5j])
         lam = 1.5 + 0.25j
-        r = vk.resolvent(np.diag(z), lam)
+        r = resolvent(np.diag(z), lam)
         assert np.allclose(np.diagonal(r), 1.0 / (lam - z))
 
     def test_residual_oracle_random(self):
         rng = np.random.default_rng(0)
         a = rand_complex(rng, (5, 5))
         lam = 10.0 + 3.0j
-        r = vk.resolvent(a, lam)
+        r = resolvent(a, lam)
         assert frob((lam * np.eye(5) - a) @ r - np.eye(5)) < 1e-10
         assert frob(r @ (lam * np.eye(5) - a) - np.eye(5)) < 1e-10
 
     def test_spectrum_clash(self):
         a = np.diag([1.0 + 0.0j, 2.0])
         with pytest.raises(SpectrumClash):
-            vk.resolvent(a, 1.0)
+            resolvent(a, 1.0)
 
     def test_non_finite_input(self):
-        with pytest.raises(NonFinite):
-            vk.resolvent(np.array([[np.nan]]), 1.0)
+        for lam in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+            with pytest.raises(NonFinite, match="^shifted solve spectral parameter is not finite$"):
+                resolvent(np.eye(2), lam)
 
 
 class TestHermitianSqrt:
@@ -159,8 +168,12 @@ class TestSpectrumReport:
 
 class TestValidation:
     def test_degenerate_dimension_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            vk.resolvent(np.zeros((0, 0)), 1.0)
+        empty = np.zeros((0, 0))
+        for call in (lambda: vk.matrix_exp(empty), lambda: vk.hermitian_sqrt(empty),
+                     lambda: vk.spectrum_report(empty),
+                     lambda: vk.solve_sylvester(empty, np.eye(1), np.zeros((1, 0)))):
+            with pytest.raises(ShapeMismatch, match="must have positive dimensions"):
+                call()
 
     def test_hermitian_projection(self):
         rng = np.random.default_rng(6)
@@ -170,8 +183,6 @@ class TestValidation:
         assert frob(proj - proj.conj().T) == 0.0
 
     def test_hermitian_rejects_asymmetric(self):
-        from vesselkit.errors import NotHermitian
-
         with pytest.raises(NotHermitian):
             as_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
         # An overflowing norm would make the relative test compare inf with inf.
@@ -180,3 +191,34 @@ class TestValidation:
             as_hermitian(huge)
         with pytest.raises(NonFinite, match="^sigma norm overflows at node 2$"):
             as_hermitian(np.stack([np.eye(2), np.eye(2), huge, huge]), "sigma")
+
+
+def vessel_sigma2_guard(s2):
+    """The vessel's Hermitian guard on a sigma2 stack (rtol 1e-9)."""
+    v, _ = skew_chain_vessel(vk.TimeGrid(0.0, 1.0, len(s2) - 1))
+    vk.DifferentialVessel(A1=v.A1, A2=v.A2, B=v.B, sigma1=v.sigma1,
+                          sigma2=vk.GridOperatorFamily(v.grid, s2), gamma=v.gamma,
+                          gamma_star=v.gamma_star)
+
+
+@pytest.mark.parametrize("guard,rtol", [(vessel_sigma2_guard, 1e-9),
+                                        (lambda s2: as_hermitian(s2, "sigma2"), 1e-12)])
+def test_one_hermitian_guard_at_two_thresholds(guard, rtol):
+    """The vessel and as_hermitian run one Hermitian check at their own rtol: a
+    defect of 1e-10 relative at node 3 passes the vessel and fails as_hermitian,
+    one 100 times past each rtol fails at node 3, one 100 times inside passes,
+    and an overflowing norm raises the same NonFinite in both."""
+    def stack(defect, node=3):
+        s2 = np.stack([np.diag([1.0, -1.0]).astype(complex)] * 11)
+        s2[node, 0, 1] = defect  # ||s2 - s2^H||_F = sqrt(2) defect, ||s2||_F ~ sqrt(2)
+        return s2
+
+    fails = f"^sigma2 not Hermitian at node 3: defect .* > {rtol:.1e} \\* "
+    for defect in (1e-10, 1e-2 * rtol, 1e2 * rtol):
+        if defect <= rtol:
+            guard(stack(defect))
+        else:
+            with pytest.raises(NotHermitian, match=fails):
+                guard(stack(defect))
+    with pytest.raises(NonFinite, match="^sigma2 norm overflows at node 7$"):
+        guard(stack(1e200, node=7))

@@ -145,11 +145,8 @@ def hermitian_reference(c, a1, sigma1):
     coll, min_eig = 0.0, np.inf
     for i in range(len(c)):
         x = hermitian_part(solve_sylvester(a1, -a1.conj().T, -(c[i].conj().T @ sigma1[i] @ c[i])))
-        w = np.linalg.eigvalsh(x)
-        min_eig = min(min_eig, float(w[0]))
-        if w[0] <= 0:
-            return NotPositiveDefinite, i, f"coupling matrix not PD at node {i}: "
-        try:
+        min_eig = min(min_eig, float(np.linalg.eigh(x)[0][0]))
+        try:  # an indefinite X fails the same eps_pd test as a tiny one
             y = hermitian_sqrt(x, require_pd=True)
         except NotPositiveDefinite as exc:
             return NotPositiveDefinite, i, str(exc)

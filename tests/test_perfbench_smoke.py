@@ -1,5 +1,5 @@
-"""The benchmark harness still runs against the package (its tracer hooks
-call `resolvent(args[0])` and `fundamental_matrix(...).grid`)."""
+"""The benchmark harness still runs against the package (its tracer wraps
+the public functions that exist, and a hook reads `fundamental_matrix(...).grid`)."""
 
 import json
 import os

@@ -10,6 +10,7 @@ from helpers import (
     SIGMA1_INDEFINITE,
     colligation_datum,
     const,
+    fold_couple,
     rand_hermitian,
     rand_skew,
     skew_chain_vessel,
@@ -189,7 +190,7 @@ class TestBuildDiscrete:
         f1 = vk.build_elementary(data[0], v.gamma, s1, s2, grid)
         f2 = vk.build_elementary(data[1], f1.gamma_star, s1, s2, grid)
         f3 = vk.build_elementary(data[2], f2.gamma_star, s1, s2, grid)
-        folded = vk.fold_couple([f1, f2, f3])
+        folded = fold_couple([f1, f2, f3])
         for name in ("A1", "A2", "B", "gamma", "gamma_star"):
             assert np.max(np.abs(getattr(v, name).data - getattr(folded, name).data)) < 1e-12
 

@@ -168,12 +168,13 @@ class TestBatchedResiduals:
             assert same_bits(x[k], np.linalg.solve(lam * np.eye(3) - a[k], b[k]))
 
     def test_resolvent_keeps_the_inverse_bits(self, moving_vessel):
-        """resolvent is the identity-rhs shifted solve: the bits of the one
-        (1, n, n) LAPACK solve against I that it has always been."""
-        lam = 0.4 + 0.9j
+        """The resolvent as the identity-rhs shifted solve of one operand has the
+        bits of the one (1, n, n) LAPACK solve against I."""
+        lam, eye = 0.4 + 0.9j, np.eye(3, dtype=complex)
         for a in moving_vessel.A1.data:
-            inverse = np.linalg.solve((lam * np.eye(3) - a)[None], np.eye(3, dtype=complex))[0]
-            assert same_bits(vk.resolvent(a, lam), inverse)
+            inverse = np.linalg.solve((lam * np.eye(3) - a)[None], eye)[0]
+            resolvent = shifted_solve(a[None], lam, eye[None], np.linalg.eigvals(a)[None])[0]
+            assert same_bits(resolvent, inverse)
 
 
 class TestReroutedCallersMatchInverseForm:
@@ -484,14 +485,14 @@ class TestCliNodesAndClashes:
         triple = vk.extract_null_pole(v, node_ref=0)
         doc = {
             "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 40},
-            "sigma1": cli._enc_matrix(v.sigma1[0]),
-            "sigma2": cli._enc_matrix(v.sigma2[0]),
+            "sigma1": cli._enc_array(v.sigma1[0]),
+            "sigma2": cli._enc_array(v.sigma2[0]),
             "gamma_star": cli._enc_family(v.gamma_star),
             "C": cli._enc_family(triple.C),
             "Bn": cli._enc_family(triple.Bn),
-            "A_pi": cli._enc_matrix(triple.A_pi),
-            "A_xi": cli._enc_matrix(triple.A_xi),
-            "X0": cli._enc_matrix(triple.X[0]),
+            "A_pi": cli._enc_array(triple.A_pi),
+            "A_xi": cli._enc_array(triple.A_xi),
+            "X0": cli._enc_array(triple.X[0]),
         }
         path = tmp_path / "triple.json"
         path.write_text(cli.dump_json(doc))
