@@ -18,6 +18,7 @@ from .errors import (
     NotHermitian,
     NotMinimal,
     NotPositiveDefinite,
+    NumericalFailure,
     ShapeMismatch,
     SingularSigma1,
     SingularSystem,

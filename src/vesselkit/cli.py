@@ -1,13 +1,13 @@
 """Command-line surface: JSON documents in, JSON reports out.
 
 Exit codes: 0 all checks pass, 1 input/validation error, 2 numerical failure
-(spectrum clash, singular sigma1, ...), 3 condition failure: some report row
-{name, value, bound, passed} failed value <= bound (a non-finite value or bound
-is written as null, and fails).  stdout carries the result document, written
-compactly on one line; stderr carries the human log, ending in one line of
-stage times (load, decode, compute, encode, emit) and the exit code.  All
-randomized probe choices are drawn from --seed (default 0), so reports are
-byte-identical across runs.
+(an errors.NumericalFailure: spectrum clash, singular sigma1, ...), 3 condition
+failure: some report row {name, value, bound, passed} failed value <= bound (a
+non-finite value or bound is written as null, and fails).  stdout carries the
+result document, written compactly on one line; stderr carries the human log,
+ending in one line of stage times (load, decode, compute, encode, emit) and the
+exit code.  All randomized probe choices are drawn from --seed (default 0), so
+reports are byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 from . import spectral_synthesis as synth
 from . import vessel_core as core
 from .config import load_config
-from .errors import VesselKitError, ShapeMismatch
+from .errors import NumericalFailure, ShapeMismatch, VesselKitError
 from .interpolation import (
     NullPoleTriple,
     evolve_coupling,
@@ -38,19 +38,6 @@ _EXIT_OK = 0
 _EXIT_INPUT = 1
 _EXIT_NUMERICAL = 2
 _EXIT_CONDITION = 3
-
-_NUMERICAL_ERRORS = (
-    "SpectrumClash",
-    "SingularSigma1",
-    "SingularSystem",
-    "NonFinite",
-    "NotPositiveDefinite",
-    "DegenerateB",
-    "DegenerateEigenvalue",
-    "TransportBreakdown",
-    "CouplingSingular",
-    "NotMinimal",
-)
 
 
 class InputError(Exception):
@@ -114,11 +101,24 @@ def _dec_family(nodes, grid: TimeGrid, name: str) -> GridOperatorFamily:
     raise InputError(f"{name}: cannot interpret operator array of rank {arr.ndim}")
 
 
+def _dec_number(doc, key: str, name: str, integer: bool = False):
+    """Field `key` of the JSON object `doc` called `name`: a JSON integer if
+    `integer`, else any JSON number (true and false are neither)."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise InputError(f"missing field {name}.{key}")
+    value = doc[key]
+    if type(value) not in ((int,) if integer else (int, float)):
+        raise InputError(f"{name}.{key} must be a JSON {'integer' if integer else 'number'}, "
+                         f"got {value!r}")
+    return value
+
+
 def _dec_grid(doc, name: str = "grid") -> TimeGrid:
+    t_start, t_end = (_dec_number(doc, key, name) for key in ("t_start", "t_end"))
+    n_steps = _dec_number(doc, "n_steps", name, integer=True)
     try:
-        n_steps = int(doc["n_steps"])
-        return TimeGrid(float(doc["t_start"]), float(doc["t_end"]), n_steps)
-    except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
+        return TimeGrid(float(t_start), float(t_end), n_steps)
+    except (OverflowError, ShapeMismatch) as exc:
         raise InputError(f"{name}: {exc}") from exc
 
 
@@ -150,16 +150,13 @@ def vessel_from_document(doc) -> core.DifferentialVessel:
         raise InputError("vessel document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise InputError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    dims = doc.get("dims")
-    if not isinstance(dims, dict) or "n" not in dims or "m" not in dims:
-        raise InputError("missing dims {n, m}")
+    n, m = (_dec_number(doc.get("dims"), key, "dims", integer=True) for key in ("n", "m"))
     grid = _dec_grid(doc.get("grid", {}))
     fams = {}
     for key in _OPERATOR_KEYS:
         if key not in doc:
             raise InputError(f"missing operator array {key!r}")
         fams[key] = _dec_family(doc[key], grid, key)
-    n, m = int(dims["n"]), int(dims["m"])
     if fams["B"].shape != (n, m):
         raise InputError(f"B shape {fams['B'].shape} inconsistent with dims ({n}, {m})")
     try:
@@ -406,7 +403,7 @@ def cmd_multint(args, stages: Stages) -> dict:
     with stages("decode"):
         grid = _dec_grid(_field(spec, "s_grid"), "s_grid")
         kernel = _dec_family(_field(spec, "K"), grid, "K")
-        c = _dec_complex(_field(spec, "c"), 1, "c").real
+        c = _dec_complex(_field(spec, "c"), 1, "c")
     lam = _lam(args, 1.0 + 0.0j)
     s_upper = grid.n_steps if args.s_upper is None else args.s_upper
     w = synth.mult_integral(kernel, c, lam, s_upper)
@@ -574,7 +571,7 @@ def main(argv=None) -> int:
     except VesselKitError as exc:
         kind = type(exc).__name__
         _emit_error(kind, str(exc))
-        code = _EXIT_NUMERICAL if kind in _NUMERICAL_ERRORS else _EXIT_INPUT
+        code = _EXIT_NUMERICAL if isinstance(exc, NumericalFailure) else _EXIT_INPUT
     except (KeyError, TypeError, ValueError) as exc:
         # malformed document structure surfacing past the codecs
         _emit_error("input", f"{type(exc).__name__}: {exc}")

@@ -7,7 +7,11 @@ class VesselKitError(Exception):
     """Base class for all library errors."""
 
 
-class NonFinite(VesselKitError):
+class NumericalFailure(VesselKitError):
+    """Base of the errors of a computation that failed on valid input (CLI exit 2)."""
+
+
+class NonFinite(NumericalFailure):
     """An input or an intermediate stage produced NaN or Inf."""
 
 
@@ -15,19 +19,19 @@ class NotHermitian(VesselKitError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 
 
-class SpectrumClash(VesselKitError):
+class SpectrumClash(NumericalFailure):
     """A spectral-parameter value is too close to a forbidden spectrum."""
 
 
-class NotPositiveDefinite(VesselKitError):
+class NotPositiveDefinite(NumericalFailure):
     """A Hermitian matrix required to be positive definite is not."""
 
 
-class SingularSystem(VesselKitError):
+class SingularSystem(NumericalFailure):
     """A dense linear solve failed or left an unacceptable residual."""
 
 
-class SingularSigma1(VesselKitError):
+class SingularSigma1(NumericalFailure):
     """The channel metric sigma1 is not invertible at some grid node."""
 
 
@@ -43,7 +47,7 @@ class ChainMismatch(VesselKitError):
     """Coupling precondition gamma_second == gamma_star_first violated."""
 
 
-class NotMinimal(VesselKitError):
+class NotMinimal(NumericalFailure):
     """Krylov span of the state operator and input operator is defective.
 
     Carries the observed rank in ``rank``.
@@ -54,19 +58,19 @@ class NotMinimal(VesselKitError):
         self.rank = rank
 
 
-class DegenerateB(VesselKitError):
+class DegenerateB(NumericalFailure):
     """b^H sigma1 b vanished at a node; the elementary builder divides by it."""
 
 
-class DegenerateEigenvalue(VesselKitError):
+class DegenerateEigenvalue(NumericalFailure):
     """Requested eigenvalue is not simple within the spectral gap tolerance."""
 
 
-class TransportBreakdown(VesselKitError):
+class TransportBreakdown(NumericalFailure):
     """Eigenvector continuation lost normalization or eigenvector property."""
 
 
-class CouplingSingular(VesselKitError):
+class CouplingSingular(NumericalFailure):
     """The coupling matrix X lost invertibility at some nodes.
 
     Carries the offending node indices in ``nodes``.

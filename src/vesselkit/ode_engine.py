@@ -38,17 +38,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid node(i) = t_start + i*h, h = (t_end - t_start)/n_steps."""
+    """Uniform grid node(i) = t_start + i*h, h = (t_end - t_start)/n_steps:
+    an integer n_steps >= 1 (bool is no integer), and finite t_start < t_end
+    with a finite h."""
 
     t_start: float
     t_end: float
     n_steps: int
 
     def __post_init__(self):
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)):
+            raise ShapeMismatch(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ShapeMismatch(f"n_steps must be >= 1, got {self.n_steps}")
         if not (self.t_end > self.t_start):
             raise ShapeMismatch("t_end must exceed t_start")
+        for name in ("t_start", "t_end", "h"):
+            if not np.isfinite(getattr(self, name)):
+                raise ShapeMismatch(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @property
     def h(self) -> float:

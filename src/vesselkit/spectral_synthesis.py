@@ -40,7 +40,7 @@ from .ode_engine import (
     family_derivative,
     integrate_linear_ode,
 )
-from .vessel_core import DifferentialVessel, eval_transfer
+from .vessel_core import DifferentialVessel, _coupling, eval_transfer
 
 __all__ = [
     "SpectralDatum",
@@ -124,8 +124,8 @@ def build_elementary(
 
 
 def _elementary(datum: SpectralDatum, gamma, sigma1, sigma2, grid, normalize: bool):
-    """The row b^H (N, 1, m) and the A2 entry (N,) of the elementary factor of
-    `datum` on `gamma`, as documented in :func:`build_elementary`."""
+    """The coupling block (z, A2 entry (N, 1, 1), row b^H (N, 1, m)) of the
+    elementary factor of `datum` on `gamma`, as documented in :func:`build_elementary`."""
     m = sigma1.shape[0]
     b0 = datum.b0
     if b0.shape[0] != m:
@@ -152,7 +152,7 @@ def _elementary(datum: SpectralDatum, gamma, sigma1, sigma2, grid, normalize: bo
     bad = np.flatnonzero(np.abs(p) <= eps)
     if bad.size:
         raise DegenerateB(f"b^H sigma1 b vanished at node {bad[0]}")
-    return row, -q / (2.0 * p) + 1j * theta_prime
+    return datum.z, (-q / (2.0 * p) + 1j * theta_prime)[:, None, None], row
 
 
 def _gamma_star(gamma, sigma1, sigma2, row: np.ndarray) -> GridOperatorFamily:
@@ -163,39 +163,17 @@ def _gamma_star(gamma, sigma1, sigma2, row: np.ndarray) -> GridOperatorFamily:
 
 
 def _chain(data, gamma0, sigma1, sigma2, grid, normalize: bool):
-    """The gammas (gamma0 first), rows b_h^H and A2 entries of the elementary
-    factors of `data`, each built on the gamma_star of the one before."""
+    """The gammas (gamma0 first) and the coupling blocks (z_h, A2 entry, row
+    b_h^H) of the elementary factors of `data`, each built on the gamma_star
+    of the one before."""
     for fam, name in ((gamma0, "gamma"), (sigma1, "sigma1"), (sigma2, "sigma2")):
         if not fam.grid.compatible(grid):
             raise GridMismatch(f"{name} lives on a different grid")
-    gammas, rows, a2_diag = [gamma0], [], []
+    gammas, blocks = [gamma0], []
     for datum in data:
-        row, a2 = _elementary(datum, gammas[-1], sigma1, sigma2, grid, normalize)
-        rows.append(row)
-        a2_diag.append(a2)
-        gammas.append(_gamma_star(gammas[-1], sigma1, sigma2, row))
-    return gammas, rows, a2_diag
-
-
-def _chain_vessel(grid, z, rows, a2_diag, gamma, gamma_star, sigma1, sigma2) -> DifferentialVessel:
-    """The lower-triangular coupling of :func:`build_discrete` of the factors
-    (z_h, row b_h^H, A2 entry), from `gamma` to `gamma_star`."""
-    b = np.concatenate(rows, axis=1)
-    bh = b.conj().transpose(0, 2, 1)
-    diag = np.arange(len(rows))
-    a1 = np.tril(-(b @ sigma1.data @ bh), -1)
-    a2 = np.tril(-(b @ sigma2.data @ bh), -1)
-    a1[:, diag, diag] = np.asarray(z, dtype=complex)
-    a2[:, diag, diag] = np.stack(a2_diag, axis=1)
-    return DifferentialVessel(
-        A1=GridOperatorFamily(grid, a1),
-        A2=GridOperatorFamily(grid, a2),
-        B=GridOperatorFamily(grid, b),
-        sigma1=sigma1,
-        sigma2=sigma2,
-        gamma=gamma,
-        gamma_star=gamma_star,
-    )
+        blocks.append(_elementary(datum, gammas[-1], sigma1, sigma2, grid, normalize))
+        gammas.append(_gamma_star(gammas[-1], sigma1, sigma2, blocks[-1][2]))
+    return gammas, blocks
 
 
 def discrete_chain(
@@ -207,10 +185,11 @@ def discrete_chain(
     normalize: bool = False,
 ) -> DiscreteSynthesisState:
     """Evolve every auxiliary vector along the chained gamma recurrence."""
-    gammas, rows, _ = _chain(data, gamma0, sigma1, sigma2, grid, normalize)
+    gammas, blocks = _chain(data, gamma0, sigma1, sigma2, grid, normalize)
     return DiscreteSynthesisState(
         gamma_chain=tuple(gammas),
-        b_evolved=tuple(GridOperatorFamily(grid, r.conj().transpose(0, 2, 1)) for r in rows),
+        b_evolved=tuple(GridOperatorFamily(grid, row.conj().transpose(0, 2, 1))
+                        for *_, row in blocks),
     )
 
 
@@ -233,9 +212,8 @@ def build_discrete(
     data = list(data)
     if not data:
         raise ShapeMismatch("need at least one spectral datum")
-    gammas, rows, a2_diag = _chain(data, gamma0, sigma1, sigma2, grid, normalize)
-    return _chain_vessel(grid, [d.z for d in data], rows, a2_diag, gamma0, gammas[-1],
-                         sigma1, sigma2)
+    gammas, blocks = _chain(data, gamma0, sigma1, sigma2, grid, normalize)
+    return _coupling(grid, blocks, sigma1, sigma2, gamma0, gammas[-1])
 
 
 def _select_eigenvalue(eigs: np.ndarray, which) -> int:
@@ -299,8 +277,8 @@ def extract_elementary(
         )
 
     bf = gh @ v.B.data
-    factor = _chain_vessel(v.grid, [z], [bf], [(gh @ v.A2.data @ g)[:, 0, 0]], v.gamma,
-                           _gamma_star(v.gamma, v.sigma1, v.sigma2, bf), v.sigma1, v.sigma2)
+    factor = _coupling(v.grid, [(z, gh @ v.A2.data @ g, bf)], v.sigma1, v.sigma2, v.gamma,
+                       _gamma_star(v.gamma, v.sigma1, v.sigma2, bf))
 
     def quotient(lam: complex, node: int) -> np.ndarray:
         s_full = eval_transfer(v, lam, node)
@@ -330,19 +308,29 @@ def mult_integral(
     W = exp(K(s_{j}) ds / (lam + c(s_j))) * ... * exp(K(s_0) ds / (lam + c(s_0)))
     with the rightmost factor first; kernel values are taken left-continuous
     at the nodes.  First-order product steps only: the step defect against
-    the true product integral is O(ds).  SpectrumClash where |lam + c(s_j)| <=
+    the true product integral is O(ds).  `c` must be real (ShapeMismatch at
+    its first nonzero imaginary part).  SpectrumClash where |lam + c(s_j)| <=
     EPS_SPEC_REL * max(max_norm(K), 1); NonFinite names an overflowing step.
     """
     m = kernel.shape[0]
     if kernel.shape != (m, m):
         raise ShapeMismatch("kernel samples must be square")
-    c_arr = np.asarray(c, dtype=float).reshape(-1)
+    c_arr = _real_c(c)
     if c_arr.shape[0] != len(kernel):
         raise ShapeMismatch("c must have one value per s node")
     if not (0 <= s_upper <= kernel.grid.n_steps):
         raise GridMismatch(f"s_upper {s_upper} outside the grid")
     eps_spec = EPS_SPEC_REL * max(kernel.max_norm(), 1.0)
     return _ordered_products(kernel.data[:s_upper], c_arr, lam, kernel.grid.h, eps_spec)[-1]
+
+
+def _real_c(c) -> np.ndarray:
+    """`c` as a flat float array; ShapeMismatch at its first nonzero imaginary part."""
+    c = np.asarray(c).reshape(-1)
+    bad = np.flatnonzero(np.imag(c))
+    if bad.size:
+        raise ShapeMismatch(f"c must be real, got {c[bad[0]]} at s node {bad[0]}")
+    return np.real(c).astype(float)
 
 
 def _ordered_products(kern: np.ndarray, c: np.ndarray, lam: complex, ds: float,
@@ -385,7 +373,7 @@ class ContinuousSpectrumModel:
     t_grid: TimeGrid | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float).reshape(-1)
+        c = _real_c(self.c)
         beta = np.asarray(self.beta, dtype=complex)
         gam = np.asarray(self.gamma_s, dtype=complex)
         ns = self.s_grid.n_nodes

@@ -319,26 +319,28 @@ def couple(v_first: DifferentialVessel, v_second: DifferentialVessel,
         raise ChainMismatch(
             f"gamma of the second vessel differs from gamma_star of the first by {chain_defect:.3e}"
         )
-    n1, n2 = v_first.state_dim, v_second.state_dim
-    b1, b2 = v_first.B.data, v_second.B.data
-    a1 = np.zeros((v_first.grid.n_nodes, n1 + n2, n1 + n2), dtype=complex)
-    a2 = np.zeros_like(a1)
-    for a, name in ((a1, "A1"), (a2, "A2")):
-        a[:, :n1, :n1] = getattr(v_first, name).data
-        a[:, n1:, n1:] = getattr(v_second, name).data
-    a1[:, n1:, :n1] = -b2 @ v_first.sigma1.data @ b1.conj().transpose(0, 2, 1)
-    a2[:, n1:, :n1] = -b2 @ v_first.sigma2.data @ b1.conj().transpose(0, 2, 1)
-    bb = np.concatenate([b1, b2], axis=1)
-    grid = v_first.grid
-    return DifferentialVessel(
-        A1=GridOperatorFamily(grid, a1),
-        A2=GridOperatorFamily(grid, a2),
-        B=GridOperatorFamily(grid, bb),
-        sigma1=v_first.sigma1,
-        sigma2=v_first.sigma2,
-        gamma=v_first.gamma,
-        gamma_star=v_second.gamma_star,
-    )
+    return _coupling(v_first.grid, [(v.A1.data, v.A2.data, v.B.data) for v in (v_first, v_second)],
+                     v_first.sigma1, v_first.sigma2, v_first.gamma, v_second.gamma_star)
+
+
+def _coupling(grid, blocks, sigma1, sigma2, gamma, gamma_star) -> DifferentialVessel:
+    """The coupling of the vessels `blocks`, (A1_k, A2_k, B_k) node stacks
+    first to last, as one vessel from `gamma` to `gamma_star`: B stacks the
+    rows B_k, and A1 (A2) is block lower triangular with A1_k (A2_k) on its
+    block diagonal and -B_i sigma1 B_j^H (sigma2) in block (i, j), i > j."""
+    b = np.concatenate([bk for _, _, bk in blocks], axis=1)
+    bh = b.conj().transpose(0, 2, 1)
+    sizes = [bk.shape[1] for _, _, bk in blocks]
+    owner = np.repeat(np.arange(len(sizes)), sizes)  # block of each state index
+    spans = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+    ops = []
+    for j, sigma in enumerate((sigma1, sigma2)):
+        a = np.where(owner[:, None] > owner[None, :], -(b @ sigma.data @ bh), 0)
+        for span, block in zip(spans, blocks):
+            a[:, span, span] = block[j]
+        ops.append(GridOperatorFamily(grid, a))
+    return DifferentialVessel(A1=ops[0], A2=ops[1], B=GridOperatorFamily(grid, b),
+                              sigma1=sigma1, sigma2=sigma2, gamma=gamma, gamma_star=gamma_star)
 
 
 def adjoint_symmetry_residual(v: DifferentialVessel, lam, node) -> float:

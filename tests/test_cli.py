@@ -623,3 +623,89 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "False"
+
+
+_GRID_CASES = [  # (field, JSON literal, error message)
+    ("n_steps", "20.7", "grid.n_steps must be a JSON integer, got 20.7"),
+    ("n_steps", "20.0", "grid.n_steps must be a JSON integer, got 20.0"),
+    ("n_steps", "true", "grid.n_steps must be a JSON integer, got True"),
+    ("n_steps", '"20"', "grid.n_steps must be a JSON integer, got '20'"),
+    ("n_steps", "0", "grid: n_steps must be >= 1, got 0"),
+    ("t_start", '"0.0"', "grid.t_start must be a JSON number, got '0.0'"),
+    ("t_end", "false", "grid.t_end must be a JSON number, got False"),
+    ("t_end", "1e400", "grid: t_end must be finite, got inf"),
+    ("t_end", "1" + "0" * 400, "grid: int too large to convert to float"),
+]
+
+
+@pytest.mark.parametrize("key, literal, message", _GRID_CASES,
+                         ids=[f"{key}={literal[:8]}" for key, literal, _ in _GRID_CASES])
+@pytest.mark.parametrize("command", ["synthesize", "verify"])
+def test_grid_is_what_the_document_says(vessel_and_doc, tmp_path, command, key, literal,
+                                        message):
+    """A spec grid and a vessel grid alike need a JSON integer n_steps >= 1
+    and finite numeric endpoints; anything else exits 1 naming the field."""
+    v, _, text = vessel_and_doc
+    doc = spec_documents(v)["synthesize"] if command == "synthesize" else json.loads(text)
+    doc["grid"] = dict(doc["grid"], **{key: "@"})
+    path = tmp_path / "doc.json"
+    path.write_text(cli.dump_json(doc).replace('"@"', literal))
+    code, out = run_cli([command, str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "input", "message": message}
+
+
+@pytest.mark.parametrize("key, value", [("n", 2.0), ("m", True), ("n", "2"), ("m", None)])
+def test_dims_are_json_integers(vessel_and_doc, key, value):
+    _, _, text = vessel_and_doc
+    doc = json.loads(text)
+    doc["dims"][key] = value
+    with pytest.raises(cli.InputError, match=f"^dims.{key} must be a JSON integer, got "):
+        cli.vessel_from_document(doc)
+    del doc["dims"][key]
+    with pytest.raises(cli.InputError, match=f"^missing field dims.{key}$"):
+        cli.vessel_from_document(doc)
+
+
+def test_multint_rejects_an_imaginary_c(tmp_path):
+    """c is real: an imaginary part is an input error naming c, not dropped."""
+    doc = {"s_grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 4},
+           "K": [[[0.0, 1.0]]], "c": [[0.5, 0.0]] * 5}
+    path = tmp_path / "kernel.json"
+    path.write_text(cli.dump_json(doc))
+    code, real_out = run_cli(["multint", str(path)])
+    assert code == 0
+    doc["c"][3] = [0.5, 7.0]
+    path.write_text(cli.dump_json(doc))
+    code, out = run_cli(["multint", str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "ShapeMismatch",
+                                        "message": "c must be real, got (0.5+7j) at s node 3"}
+    doc["c"] = [0.5] * 5  # bare reals write the same document as zero imaginary parts
+    path.write_text(cli.dump_json(doc))
+    assert run_cli(["multint", str(path)]) == (0, real_out)
+
+
+_NUMERICAL = {"NumericalFailure", "SpectrumClash", "SingularSigma1", "SingularSystem",
+              "NonFinite", "NotPositiveDefinite", "DegenerateB", "DegenerateEigenvalue",
+              "TransportBreakdown", "CouplingSingular", "NotMinimal"}
+_INPUT = {"VesselKitError", "NotHermitian", "GridMismatch", "ShapeMismatch", "ChainMismatch",
+          "InconsistentInitialData"}
+
+
+def test_every_library_error_has_a_pinned_exit_code(vessel_file, monkeypatch):
+    """Exit 2 for a NumericalFailure, 1 for every other VesselKitError, decided
+    on the type: a new error class fails here until it is pinned."""
+    from vesselkit import errors
+
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.VesselKitError)}
+    assert {c.__name__ for c in classes} == _NUMERICAL | _INPUT
+    for cls in classes:
+        def fail(path, cls=cls):
+            raise cls(f"{cls.__name__} raised")
+        monkeypatch.setattr(cli, "load_json", fail)
+        code, out = run_cli(["verify", vessel_file])
+        assert code == (2 if cls.__name__ in _NUMERICAL else 1), cls.__name__
+        assert json.loads(out)["error"] == {"kind": cls.__name__,
+                                            "message": f"{cls.__name__} raised"}

@@ -236,6 +236,27 @@ class TestGridTypes:
         assert np.allclose(grid.nodes(), [0.0, 0.5, 1.0, 1.5, 2.0])
         assert grid.h == 0.5
 
+    @pytest.mark.parametrize("t_start, t_end, n_steps, message", [
+        (0.0, 1.0, 2.5, "n_steps must be an integer, got 2.5"),
+        (0.0, 1.0, True, "n_steps must be an integer, got True"),
+        (0.0, 1.0, "20", "n_steps must be an integer, got '20'"),
+        (0.0, 1.0, np.float64(20.0), "n_steps must be an integer"),
+        (0.0, 1.0, 0, "n_steps must be >= 1, got 0"),
+        (0.0, np.inf, 10, "t_end must be finite, got inf"),
+        (-np.inf, 0.0, 10, "t_start must be finite, got -inf"),
+        (-1e308, 1e308, 10, "h must be finite, got inf"),
+    ])
+    def test_grid_must_be_what_it_says(self, t_start, t_end, n_steps, message):
+        """An integer n_steps >= 1 (not bool), finite endpoints and a finite h."""
+        from vesselkit.errors import ShapeMismatch
+
+        with pytest.raises(ShapeMismatch, match=message.replace(".", r"\.")):
+            vk.TimeGrid(t_start, t_end, n_steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        grid = vk.TimeGrid(0.0, 2.0, np.int64(4))
+        assert grid.n_nodes == 5 and grid.h == 0.5
+
     def test_family_shape_validation(self):
         grid = vk.TimeGrid(0.0, 1.0, 2)
         from vesselkit.errors import ShapeMismatch

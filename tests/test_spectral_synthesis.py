@@ -352,6 +352,36 @@ class TestMultIntegral:
             vk.mult_integral(k, c, -0.5, 10)
 
 
+class TestRealC:
+    """c is real: an imaginary part raises ShapeMismatch naming c (it used to
+    be dropped with a ComplexWarning), and a zero one changes no bit."""
+
+    grid = vk.TimeGrid(0.0, 1.0, 10)
+    c = np.linspace(0.0, 1.0, 11)
+
+    def model(self, c):
+        beta = np.ones((self.grid.n_nodes, 2, 1), dtype=complex)
+        return vk.ContinuousSpectrumModel(s_grid=self.grid, c=c, beta=beta,
+                                          gamma_s=np.zeros((self.grid.n_nodes, 2, 2)))
+
+    def test_imaginary_part_rejected(self):
+        k = const(np.array([[1.0, 0.5j], [-0.5j, 0.3]]), self.grid)
+        c = self.c.astype(complex)
+        c[4] += 7j
+        with pytest.raises(ShapeMismatch, match=r"^c must be real, got \(0\.4\+7j\) at s node 4$"):
+            vk.mult_integral(k, c, 2.0 + 0.5j, 10)
+        with pytest.raises(ShapeMismatch, match=r"^c must be real, got .* at s node 4$"):
+            self.model(c)
+
+    def test_zero_imaginary_part_is_the_real_c(self):
+        k = const(np.array([[1.0, 0.5j], [-0.5j, 0.3]]), self.grid)
+        as_complex = self.c.astype(complex)
+        w_real, w_complex = (vk.mult_integral(k, c, 2.0 + 0.5j, 10) for c in (self.c, as_complex))
+        assert w_real.tobytes() == w_complex.tobytes()
+        assert self.model(as_complex).c.tobytes() == self.model(list(self.c)).c.tobytes()
+        assert self.model(as_complex).c.dtype == float
+
+
 class TestContinuousModel:
     def decoupled_model(self, n_s, m=2, seed=6):
         rng = np.random.default_rng(seed)

@@ -3,7 +3,7 @@ import pytest
 
 import vesselkit as vk
 from vesselkit.errors import ChainMismatch, NotMinimal, SpectrumClash
-from vesselkit.matrix_kernel import frob
+from vesselkit.matrix_kernel import frob, max_frob
 
 from helpers import (
     SIGMA1_INDEFINITE,
@@ -11,6 +11,7 @@ from helpers import (
     const,
     constant_sigma2_vessel,
     rand_complex,
+    rand_hermitian,
     rand_skew,
     random_vessel,
     skew_chain_vessel,
@@ -213,6 +214,38 @@ class TestCouple:
                 lhs = vk.eval_transfer(coupled, lam, node)
                 rhs = vk.eval_transfer(vb, lam, node) @ vk.eval_transfer(va, lam, node)
                 assert frob(lhs - rhs) < 1e-11
+
+    @pytest.mark.parametrize("n1, n2", [(3, 2), (1, 3)])
+    def test_block_assembly_matches_two_block_reference(self, n1, n2):
+        """The transfer function cannot see A2 or a misplaced block, so the
+        operators are compared with the former two-block assembly directly:
+        the same lower blocks to 8 u m ||B||^2 ||sigma|| per entry, and the
+        factors' blocks, a zero upper block and B bit for bit."""
+        grid = vk.TimeGrid(0.0, 1.0, 12)
+        rng = np.random.default_rng(40 + n1)
+        m = 2
+        t = grid.nodes()[:, None, None]
+        s1 = const(np.diag([1.0, -1.0]) + 0.2 * np.eye(2), grid)
+        s2 = vk.GridOperatorFamily(grid, rand_hermitian(rng, m)[None] + t * rand_hermitian(rng, m))
+        va = random_vessel(n1, m, grid, s1, s2, const(rand_skew(rng, m), grid), seed=300 + n1)
+        vb = random_vessel(n2, m, grid, s1, s2, va.gamma_star, seed=400 + n2)
+        coupled = vk.couple(va, vb)
+        b = coupled.B.data
+        assert b.tobytes() == np.concatenate([va.B.data, vb.B.data], axis=1).tobytes()
+        u = np.finfo(float).eps / 2
+        for name, sigma in (("A1", s1), ("A2", s2)):
+            got = getattr(coupled, name).data
+            ref = np.zeros_like(got)
+            ref[:, :n1, :n1] = getattr(va, name).data
+            ref[:, n1:, n1:] = getattr(vb, name).data
+            ref[:, n1:, :n1] = -vb.B.data @ sigma.data @ va.B.data.conj().transpose(0, 2, 1)
+            bound = 8 * u * m * max_frob(b) ** 2 * sigma.max_norm()
+            assert np.max(np.abs(got - ref)) <= bound < 1e-6 * np.max(np.abs(ref[:, n1:, :n1]))
+            assert not np.any(got[:, :n1, n1:])
+            assert got[:, :n1, :n1].tobytes() == getattr(va, name).data.tobytes()
+            assert got[:, n1:, n1:].tobytes() == getattr(vb, name).data.tobytes()
+        assert coupled.gamma is va.gamma and coupled.gamma_star is vb.gamma_star
+        assert coupled.sigma1 is va.sigma1 and coupled.sigma2 is va.sigma2
 
     def test_chain_mismatch(self, chain_vessel):
         v, _ = chain_vessel
