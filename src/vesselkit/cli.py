@@ -33,6 +33,7 @@ from .ode_engine import GridOperatorFamily, TimeGrid, fundamental_matrix
 
 SCHEMA_VERSION = "vesselkit/1"
 _OPERATOR_KEYS = ("A1", "A2", "B", "sigma1", "sigma2", "gamma", "gamma_star")
+_PER_NODE_KEYS = ("A1", "B")  # the realization: every transfer evaluation reads it node by node
 
 _EXIT_OK = 0
 _EXIT_INPUT = 1
@@ -56,7 +57,10 @@ def _enc_array(a) -> list:
 
 
 def _enc_family(fam: GridOperatorFamily) -> list:
-    return _enc_array(fam.data)
+    """One matrix if every node holds the same bits (so -0.0 stays apart from
+    0.0), else the node matrices: the shortest form `_dec_family` reads back."""
+    bits = fam.data.view(np.int64)
+    return _enc_array(fam.data[0] if (bits == bits[:1]).all() else fam.data)
 
 
 def _dec_array(value, name: str) -> np.ndarray:
@@ -65,8 +69,9 @@ def _dec_array(value, name: str) -> np.ndarray:
         arr = np.array(value)
     except ValueError as exc:
         raise InputError(f"{name}: ragged array, or bare reals mixed with [re, im] pairs") from exc
-    if arr.dtype.kind not in "biuf":
-        raise InputError(f"{name}: entries must be numbers (integers within the 64-bit range)")
+    if arr.dtype.kind not in "iuf":  # "b": all true/false (mixed with numbers, they read as floats)
+        raise InputError(f"{name}: entries must be numbers, not true/false "
+                         "(integers within the 64-bit range)")
     if arr.size == 0:
         raise InputError(f"{name}: empty array")
     arr = arr.astype(float, copy=False)
@@ -141,7 +146,8 @@ def vessel_to_document(v: core.DifferentialVessel) -> dict:
         },
     }
     for key in _OPERATOR_KEYS:
-        doc[key] = _enc_family(getattr(v, key))
+        fam = getattr(v, key)
+        doc[key] = _enc_array(fam.data) if key in _PER_NODE_KEYS else _enc_family(fam)
     return doc
 
 
@@ -374,7 +380,7 @@ def cmd_simulate(args, stages: Stages) -> dict:
     with stages("encode"):
         doc = _report("simulate", {"tol": args.tol}, checks,
                       {"lambdas": [_enc_array(lam)], "nodes": []})
-        doc["y"] = _enc_family(traj.y)
+        doc["y"] = _enc_array(traj.y.data)
     return doc
 
 
@@ -394,7 +400,7 @@ def cmd_fundamental(args, stages: Stages) -> dict:
             "lambda": _enc_array(lam),
             "side": args.side,
             "base_index": args.node,
-            "samples": _enc_family(phi.family),
+            "samples": _enc_array(phi.family.data),
         }
 
 
@@ -477,7 +483,7 @@ def cmd_gauge(args, stages: Stages) -> dict:
         doc = _report("gauge", {"tol": args.tol}, [check], {"lambdas": [], "nodes": [args.node]})
         doc["equivalent"] = equivalent
         if equivalent:
-            doc["U"] = _enc_family(verdict.U)
+            doc["U"] = _enc_array(verdict.U.data)
         else:
             doc["reason"] = verdict.reason
     return doc

@@ -59,7 +59,8 @@ class TimeGrid:
 
     @property
     def h(self) -> float:
-        return (self.t_end - self.t_start) / self.n_steps
+        # In Python floats an overflowing span is inf (then rejected as such), not a numpy warning.
+        return (float(self.t_end) - float(self.t_start)) / self.n_steps
 
     @property
     def n_nodes(self) -> int:
@@ -81,12 +82,9 @@ class TimeGrid:
 
     def compatible(self, other: "TimeGrid") -> bool:
         """Same step count, endpoints within 1e-12 of the longer span."""
-        tol = 1e-12 * max(self.t_end - self.t_start, other.t_end - other.t_start)
-        return (
-            self.n_steps == other.n_steps
-            and abs(self.t_start - other.t_start) < tol
-            and abs(self.t_end - other.t_end) < tol
-        )
+        a0, a1, b0, b1 = map(float, (self.t_start, self.t_end, other.t_start, other.t_end))
+        tol = 1e-12 * max(a1 - a0, b1 - b0)
+        return self.n_steps == other.n_steps and abs(a0 - b0) < tol and abs(a1 - b1) < tol
 
 
 class GridOperatorFamily:

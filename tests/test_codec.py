@@ -11,7 +11,7 @@ import pytest
 import vesselkit as vk
 from vesselkit import cli
 
-from helpers import rand_complex, skew_chain_vessel
+from helpers import consistent_triple_data, rand_complex, skew_chain_vessel
 
 
 def run_cli(args):
@@ -82,7 +82,9 @@ class TestRoundTrip:
             assert np.array_equal(np.signbit(data.view(float)).reshape(want.shape),
                                   np.signbit(want))
             assert np.signbit(data[:, 0, -1].real).all() and np.signbit(data[:, 0, -1].imag).all()
-        assert cli.dump_json(cli.vessel_to_document(v)) == text
+        canonical = cli.dump_json(cli.vessel_to_document(v))
+        again = cli.vessel_from_document(json.loads(canonical))
+        assert cli.dump_json(cli.vessel_to_document(again)) == canonical
 
     def test_decoder_matches_per_entry_reference(self, grid):
         rng = np.random.default_rng(3)
@@ -116,6 +118,85 @@ class TestRoundTrip:
         v = cli.vessel_from_document(doc)
         assert np.array_equal(v.sigma1.data, base.sigma1.data)
         assert np.array_equal(v.sigma2.data, base.sigma2.data)
+
+
+def _per_node_document(v) -> dict:
+    """Reference encoding: every family as its node matrices, as documents were
+    written before constant families were shortened."""
+    doc = cli.vessel_to_document(v)
+    for key in cli._OPERATOR_KEYS:
+        doc[key] = cli._enc_array(getattr(v, key).data)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def command_vessels():
+    """The vessels the synthesize, couple, factor and realize commands write."""
+    va, _ = skew_chain_vessel(vk.TimeGrid(0.0, 1.0, 40), seed=5, n_points=2)
+    vb, _ = skew_chain_vessel(vk.TimeGrid(0.0, 1.0, 40), seed=5, n_points=3)
+    grid, s1, s2, gs, a_pi, a_xi, c, bn, x0 = consistent_triple_data(40)
+    x = vk.evolve_coupling(c, a_pi, a_xi, bn, x0, s1, s2, gs, grid)
+    triple = vk.NullPoleTriple(C=c, A_pi=a_pi, A_xi=a_xi, Bn=bn, X=x)
+    return {
+        "synthesize": va,
+        "couple": vk.couple(va, vb),
+        "factor": vk.extract_elementary(vb, 0, node_ref=3).factor,
+        "realize": vk.zero_pole_realize(triple, gs, s1, s2).vessel,
+    }
+
+
+class TestShortestDocument:
+    """A family constant to the bit is written as one matrix; A1 and B never are."""
+
+    def test_one_signed_zero_keeps_the_node_matrices(self, grid):
+        data = np.broadcast_to(np.array([[0.0, 1.5 - 2.0j]]), (grid.n_nodes, 1, 2)).copy()
+        data[5, 0, 0] = complex(-0.0, 0.0)
+        fam = vk.GridOperatorFamily(grid, data)
+        written = cli._enc_family(fam)
+        assert written == cli._enc_array(data)
+        assert repr(written[5][0][0]) == "[-0.0, 0.0]" and repr(written[4][0][0]) == "[0.0, 0.0]"
+        back = cli._dec_family(json.loads(json.dumps(written)), grid, "sigma2")
+        assert back.data.tobytes() == data.tobytes()
+
+    def test_bit_equal_nodes_become_one_matrix(self, grid):
+        matrix = np.array([[-0.0 + 1.0j, 2.5], [0.0, -1e-300 - 0.0j]])
+        fam = vk.GridOperatorFamily(grid, np.broadcast_to(matrix, (grid.n_nodes, 2, 2)))
+        written = cli._enc_family(fam)
+        assert written == cli._enc_array(matrix)
+        assert repr(written) == repr(cli._enc_array(matrix))  # -0.0 kept in the one matrix
+        back = cli._dec_family(json.loads(json.dumps(written)), grid, "gamma")
+        assert back.data.tobytes() == fam.data.tobytes()
+
+    def test_realization_stays_per_node(self, command_vessels):
+        v = command_vessels["realize"]
+        a1 = v.A1.data.view(np.int64)
+        assert (a1 == a1[:1]).all()  # zero_pole_realize's A1 is A_pi at every node
+        doc = cli.vessel_to_document(v)
+        for key in ("A1", "B"):
+            assert doc[key] == cli._enc_array(getattr(v, key).data), key
+        assert doc["A2"] == cli._enc_array(v.A2.data[0])
+
+    @pytest.mark.parametrize("command", ["synthesize", "couple", "factor", "realize"])
+    def test_decodes_like_the_per_node_document(self, command_vessels, command):
+        v = command_vessels[command]
+        doc = json.loads(cli.dump_json(cli.vessel_to_document(v)))
+        ref = cli.vessel_from_document(json.loads(cli.dump_json(_per_node_document(v))))
+        got = cli.vessel_from_document(doc)
+        shortened = set()
+        for key in cli._OPERATOR_KEYS:
+            assert getattr(got, key).data.tobytes() == getattr(ref, key).data.tobytes(), key
+            assert getattr(got, key).data.tobytes() == getattr(v, key).data.tobytes(), key
+            if len(doc[key]) != v.grid.n_nodes:
+                shortened.add(key)
+        assert not shortened & {"A1", "B"}
+        assert {"sigma1", "sigma2", "gamma_star"} <= shortened  # constant in every such vessel
+
+    @pytest.mark.parametrize("command", ["synthesize", "couple", "factor", "realize"])
+    def test_encode_decode_encode_is_a_fixed_point(self, command_vessels, command):
+        text = cli.dump_json(cli.vessel_to_document(command_vessels[command]))
+        again = cli.vessel_from_document(json.loads(text))
+        assert cli.dump_json(cli.vessel_to_document(again)) == text
+        assert len(text) < len(cli.dump_json(_per_node_document(command_vessels[command])))
 
 
 class TestRejections:
@@ -153,6 +234,24 @@ class TestRejections:
         assert code == 1
         err = json.loads(out)["error"]
         assert err["kind"] == "input"
+
+    @pytest.mark.parametrize("command, field", [("multint", "c"), ("verify", "sigma2")])
+    def test_json_booleans_are_not_numbers(self, vessel_text, tmp_path, command, field):
+        """An all-boolean operator array is an input error naming its field."""
+        if command == "multint":
+            doc = {"s_grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 2},
+                   "K": [[[0.0, 1.0]]], "c": [True, False, True]}
+        else:
+            doc = json.loads(vessel_text)
+            doc["sigma2"] = [[False, False], [False, False]]
+        path = tmp_path / "bools.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([command, str(path)])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "input"
+        assert error["message"].startswith(f"{field}: entries must be numbers, not true/false")
+        assert err.endswith("; exit 1\n")
 
     def test_messages_name_the_operator(self):
         with pytest.raises(cli.InputError, match="B: ragged"):

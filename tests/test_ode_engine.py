@@ -245,6 +245,8 @@ class TestGridTypes:
         (0.0, np.inf, 10, "t_end must be finite, got inf"),
         (-np.inf, 0.0, 10, "t_start must be finite, got -inf"),
         (-1e308, 1e308, 10, "h must be finite, got inf"),
+        pytest.param(np.float64(-1e308), np.float64(1e308), 10, "h must be finite, got inf",
+                     id="numpy_float_span_overflows"),
     ])
     def test_grid_must_be_what_it_says(self, t_start, t_end, n_steps, message):
         """An integer n_steps >= 1 (not bool), finite endpoints and a finite h."""
@@ -252,6 +254,13 @@ class TestGridTypes:
 
         with pytest.raises(ShapeMismatch, match=message.replace(".", r"\.")):
             vk.TimeGrid(t_start, t_end, n_steps)
+
+    def test_far_apart_grids_compare_without_a_warning(self):
+        """Endpoints whose difference overflows compare as incompatible."""
+        low = vk.TimeGrid(np.float64(-1.7e308), np.float64(-1.6e308), 10)
+        high = vk.TimeGrid(np.float64(1.6e308), np.float64(1.7e308), 10)
+        assert not low.compatible(high) and not high.compatible(low)
+        assert low.compatible(vk.TimeGrid(-1.7e308, -1.6e308, 10))
 
     def test_numpy_integer_steps_accepted(self):
         grid = vk.TimeGrid(0.0, 2.0, np.int64(4))
