@@ -39,11 +39,9 @@ from .interpolation import (
     zero_pole_realize,
 )
 from .matrix_kernel import (
-    SpectrumReport,
     hermitian_sqrt,
     matrix_exp,
     solve_sylvester,
-    spectrum_report,
 )
 from .ode_engine import (
     FundamentalMatrix,

@@ -29,7 +29,7 @@ from .interpolation import (
     sylvester_residuals,
     zero_pole_realize,
 )
-from .ode_engine import GridOperatorFamily, TimeGrid, fundamental_matrix
+from .ode_engine import GridOperatorFamily, TimeGrid, _is_constant, fundamental_matrix
 
 SCHEMA_VERSION = "vesselkit/1"
 _OPERATOR_KEYS = ("A1", "A2", "B", "sigma1", "sigma2", "gamma", "gamma_star")
@@ -57,10 +57,9 @@ def _enc_array(a) -> list:
 
 
 def _enc_family(fam: GridOperatorFamily) -> list:
-    """One matrix if every node holds the same bits (so -0.0 stays apart from
-    0.0), else the node matrices: the shortest form `_dec_family` reads back."""
-    bits = fam.data.view(np.int64)
-    return _enc_array(fam.data[0] if (bits == bits[:1]).all() else fam.data)
+    """One matrix if every node holds the same bits, else the node matrices:
+    the shortest form `_dec_family` reads back."""
+    return _enc_array(fam.data[0] if _is_constant(fam.data) else fam.data)
 
 
 def _dec_array(value, name: str) -> np.ndarray:

@@ -52,7 +52,8 @@ from .matrix_kernel import (
     shifted_solve,
     solve_sylvester,
 )
-from .ode_engine import GridOperatorFamily, TimeGrid, _interp4, _rk4_path, family_derivative
+from .ode_engine import (GridOperatorFamily, TimeGrid, _check_sigma1, _interp4, _rk4_path,
+                         family_derivative)
 from .vessel_core import DifferentialVessel, krylov_rank
 
 __all__ = [
@@ -156,6 +157,7 @@ def evolve_pole_pair(
     """Integrate sigma1 C' = sigma2 C A_pi + gamma_star C from C(t_start)."""
     c0 = as_matrix(c0, "C0")
     a_pi = as_matrix(a_pi, "A_pi")
+    _check_sigma1(sigma1.data)
     at = _rhs_family({"s1": sigma1, "s2": sigma2, "gs": gamma_star})
 
     def rhs(pos, c):
@@ -176,6 +178,7 @@ def evolve_null_pair(
     """Integrate Bn' sigma1 = -A_xi Bn sigma2 - Bn gamma_star from Bn(t_start)."""
     bn0 = as_matrix(bn0, "Bn0")
     a_xi = as_matrix(a_xi, "A_xi")
+    _check_sigma1(sigma1.data)
     at = _rhs_family({"s1": sigma1, "s2": sigma2, "gs": gamma_star})
 
     def rhs(pos, bn):

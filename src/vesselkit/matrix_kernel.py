@@ -11,7 +11,6 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -27,13 +26,11 @@ from .errors import (
 )
 
 __all__ = [
-    "SpectrumReport",
     "as_matrix",
     "as_hermitian",
     "frob",
     "max_frob",
     "hermitian_part",
-    "spectrum_report",
     "shifted_solve",
     "hermitian_sqrt",
     "solve_sylvester",
@@ -121,29 +118,6 @@ def as_hermitian(a, name: str = "matrix") -> np.ndarray:
     _check_hermitian(m, name, nodes, 1e-12)
     out = hermitian_part(m)
     return out[0] if nodes is None else out
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalues of a square matrix plus the minimal pairwise gap."""
-
-    eigenvalues: tuple[complex, ...]
-    min_pairwise_gap: float
-
-
-def spectrum_report(a) -> SpectrumReport:
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"spectrum_report needs a square matrix, got {m.shape}")
-    ev = np.linalg.eigvals(m)
-    ev = ev[np.lexsort((ev.imag, ev.real))]
-    if len(ev) < 2:
-        gap = np.inf
-    else:
-        diff = ev[:, None] - ev[None, :]
-        off = np.abs(diff[~np.eye(len(ev), dtype=bool)])
-        gap = float(off.min())
-    return SpectrumReport(tuple(complex(z) for z in ev), float(gap))
 
 
 def max_frob(stack) -> float:

@@ -302,18 +302,25 @@ class FundamentalMatrix:
     def grid(self) -> TimeGrid:
         return self.family.grid
 
-    @property
-    def base_point(self) -> float:
-        return self.grid.node(self.base_index)
-
     def __getitem__(self, i: int) -> np.ndarray:
         return self.family[i]
 
 
-def _check_sigma1(sigma1: GridOperatorFamily) -> None:
-    """SingularSigma1 at the first node with sigma_min <= EPS_SPEC_REL * max_norm."""
-    eps = EPS_SPEC_REL * sigma1.max_norm()
-    smin = np.linalg.svd(sigma1.data, compute_uv=False)[:, -1]
+def _is_constant(stack: np.ndarray) -> bool:
+    """Every slice along the first axis holds the same bits as the first (so
+    -0.0 is not 0.0)."""
+    bits = np.ascontiguousarray(stack).view(np.int64)
+    return bool((bits == bits[:1]).all())
+
+
+def _check_sigma1(stack: np.ndarray) -> None:
+    """The one sigma1 check of every entry that solves with it: SingularSigma1
+    at the first node of the (N, m, m) stack with sigma_min <= EPS_SPEC_REL *
+    its largest Frobenius norm.  A constant stack takes one SVD, of node 0."""
+    if _is_constant(stack):
+        stack = stack[:1]
+    eps = EPS_SPEC_REL * max_frob(stack)
+    smin = np.linalg.svd(stack, compute_uv=False)[:, -1]
     bad = np.flatnonzero(smin <= eps)
     if bad.size:
         i = bad[0]
@@ -340,7 +347,7 @@ def fundamental_matrix(
     m = sigma1.shape[0]
     if sigma1.shape != (m, m) or sigma2.shape != (m, m) or gamma.shape != (m, m):
         raise ShapeMismatch("coefficient families must share a square shape")
-    _check_sigma1(sigma1)
+    _check_sigma1(sigma1.data)
     if not (0 <= base_index <= grid.n_steps):
         raise GridMismatch(f"base_index {base_index} outside the grid")
 

@@ -33,6 +33,7 @@ from .matrix_kernel import as_matrix, frob, matrix_exp, max_frob
 from .ode_engine import (
     GridOperatorFamily,
     TimeGrid,
+    _check_sigma1,
     _coefficient,
     _march,
     _node_derivative,
@@ -169,6 +170,7 @@ def _chain(data, gamma0, sigma1, sigma2, grid, normalize: bool):
     for fam, name in ((gamma0, "gamma"), (sigma1, "sigma1"), (sigma2, "sigma2")):
         if not fam.grid.compatible(grid):
             raise GridMismatch(f"{name} lives on a different grid")
+    _check_sigma1(sigma1.data)
     gammas, blocks = [gamma0], []
     for datum in data:
         blocks.append(_elementary(datum, gammas[-1], sigma1, sigma2, grid, normalize))
@@ -357,6 +359,18 @@ def _ordered_products(kern: np.ndarray, c: np.ndarray, lam: complex, ds: float,
         f"multiplicative integral blew up between s nodes {j} and {j + 1}"))
 
 
+def _kernel(beta: np.ndarray, sigma1: np.ndarray) -> np.ndarray:
+    """K = beta beta^H sigma1 over any leading (t and) s axes of beta."""
+    return np.einsum("...ij,...kj->...ik", beta, beta.conj()) @ sigma1
+
+
+def _gamma_s_defect(dgam: np.ndarray, kern: np.ndarray, s1, s2) -> np.ndarray:
+    """sigma1^(-1) d(gamma_s)/ds + P K - K P, P = sigma1^(-1) sigma2, at the s nodes of
+    `dgam`, over kernel samples `kern` at those s nodes (and any t nodes)."""
+    p = np.linalg.solve(s1, s2)
+    return np.linalg.solve(s1, dgam) + p @ kern - kern @ p
+
+
 @dataclass(frozen=True)
 class ContinuousSpectrumModel:
     """Kernel data (beta, c, gamma_s) over the spectral axis s in [0, L].
@@ -392,9 +406,14 @@ class ContinuousSpectrumModel:
         object.__setattr__(self, "gamma_s", gam)
 
     def kernel_at(self, t_index: int | None, sigma1: np.ndarray) -> np.ndarray:
-        """K(t, s) = beta beta^H sigma1 for all s at one t node."""
-        beta = self.beta if self.t_grid is None else self.beta[t_index]
-        return np.einsum("sij,skj->sik", beta, beta.conj()) @ sigma1
+        """K(t, s) = beta beta^H sigma1 for all s: at t node `t_index` of an
+        evolved model, at t_start (`t_index` None) of one that is not."""
+        if (t_index is None) != (self.t_grid is None):
+            state = ("evolved: pass a t node" if self.t_grid is not None
+                     else "not evolved: pass t_index=None")
+            raise ShapeMismatch(f"model is {state}, got t_index={t_index!r}")
+        beta = self.beta if t_index is None else self.beta[self.t_grid.node_indices(t_index)]
+        return _kernel(beta, sigma1)
 
 
 @dataclass(frozen=True)
@@ -426,7 +445,8 @@ def consistent_gamma_s(
                                 f"got shape {np.shape(arg)}")
     s1 = as_matrix(sigma1)
     s2 = as_matrix(sigma2)
-    k = np.einsum("sij,skj->sik", beta0, beta0.conj()) @ s1
+    _check_sigma1(s1[None])
+    k = _kernel(beta0, s1)
     rhs = s1 @ k @ np.linalg.solve(s1, s2) - s2 @ k
     steps = 0.5 * s_grid.h * (rhs[:-1] + rhs[1:])
     return np.cumsum(np.concatenate([as_matrix(gamma_origin)[None], steps]), axis=0)
@@ -453,6 +473,7 @@ def continuous_model_evolve(
         raise ShapeMismatch("model is already evolved")
     s1 = as_matrix(sigma1)
     s2 = as_matrix(sigma2)
+    _check_sigma1(s1[None])
     ns = model.s_grid.n_nodes
     nt = t_grid.n_nodes
     ds = model.s_grid.h
@@ -461,8 +482,7 @@ def continuous_model_evolve(
     # Initial-data consistency with the gamma_s equation, checked in s.
     dgam0 = _node_derivative(model.gamma_s, ds)[mid]
     k0 = model.kernel_at(None, s1)
-    worst0 = max_frob(np.linalg.solve(s1, dgam0) + np.linalg.solve(s1, s2 @ k0[mid])
-                      - k0[mid] @ np.linalg.solve(s1, s2))
+    worst0 = max_frob(_gamma_s_defect(dgam0, k0[mid], s1, s2))
     allowance = (ds ** 2) * max(1.0, float(np.max(np.abs(k0))) ** 2)
     if worst0 > consistency_tol + allowance:
         raise InconsistentInitialData(
@@ -479,24 +499,14 @@ def continuous_model_evolve(
         s_grid=model.s_grid, c=model.c, beta=beta, gamma_s=model.gamma_s, t_grid=t_grid
     )
 
-    kern = np.einsum("tsij,tskj->tsik", beta, beta.conj()) @ s1
-
-    s1_inv = np.linalg.inv(s1)
-    s1_inv_s2 = s1_inv @ s2
+    kern = _kernel(beta, s1)
+    comm = coeff @ kern - kern @ coeff  # the analytic t-derivative of the kernel
 
     # (a) gamma_s equation at every (t, interior s), batched over both axes.
-    res_a = worst0
-    if ns > 2:
-        km = kern[:, mid]
-        r = (s1_inv @ dgam0)[None, :, :, :] + s1_inv @ s2 @ km - km @ s1_inv_s2
-        res_a = max(res_a, max_frob(r))
+    res_a = max_frob(_gamma_s_defect(dgam0, kern[:, mid], s1, s2))
 
     # (b) kernel evolution in t at every (interior t, s).
-    res_b = 0.0
-    if nt > 2:
-        dk = _node_derivative(kern, h)[1:-1]
-        comm = coeff[None, :, :, :] @ kern[1:-1] - kern[1:-1] @ coeff[None, :, :, :]
-        res_b = max_frob(dk - comm)
+    res_b = max_frob(_node_derivative(kern, h)[1:-1] - comm[1:-1])
 
     # (c) product-derivative law at the probe points.  Each product and its
     # guard are those of mult_integral over the kernel at that t.
@@ -521,11 +531,10 @@ def continuous_model_evolve(
         dcoeff = _node_derivative(coeff, ds)[mid]
         cm = coeff[mid]
         for i in t_slices:
-            kt = coeff @ kern[i] - kern[i] @ coeff  # analytic t-derivative
             dk = _node_derivative(kern[i], ds)[mid]
             ki = kern[i, mid]
             m2 = dcoeff @ ki + cm @ dk - dk @ cm - ki @ dcoeff
-            res_mixed = max(res_mixed, max_frob(_node_derivative(kt, ds)[mid] - m2))
+            res_mixed = max(res_mixed, max_frob(_node_derivative(comm[i], ds)[mid] - m2))
 
     residuals = ContinuousModelResiduals(
         gamma_s_equation=float(res_a),

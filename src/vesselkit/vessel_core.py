@@ -118,7 +118,7 @@ class DifferentialVessel:
                 raise GridMismatch(f"{name} lives on a different grid")
         for name in ("sigma1", "sigma2"):
             _check_hermitian(getattr(self, name).data, name, range(grid.n_nodes), 1e-9)
-        _check_sigma1(self.sigma1)
+        _check_sigma1(self.sigma1.data)
 
     @property
     def grid(self) -> TimeGrid:
@@ -408,6 +408,7 @@ def transfer_pde_residual_values(
     """
     if len(s_values) != grid.n_nodes:
         raise GridMismatch("need one transfer sample per node")
+    _check_sigma1(sigma1.data)
     s = GridOperatorFamily(grid, s_values).data
     mid = slice(1, grid.n_nodes - 1)
     s1, s2 = sigma1.data[mid], sigma2.data[mid]

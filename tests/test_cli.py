@@ -116,6 +116,19 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "SpectrumClash"
 
+    def test_singular_sigma1_is_two(self, tmp_path):
+        """A singular sigma1 is a numerical failure, not an input error."""
+        zero = cli._enc_array(np.zeros((2, 2)))
+        spec = {"grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 20},
+                "sigma1": cli._enc_array(np.array([[1.0, 1j], [-1j, 1.0]])),
+                "sigma2": zero, "gamma0": zero,
+                "data": [{"z": [-0.48, 0.3], "b0": [[1.0, 0.0], [0.0, 0.2]]}]}
+        path = tmp_path / "spec.json"
+        path.write_text(cli.dump_json(spec))
+        code, out = run_cli(["synthesize", str(path)])
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "SingularSigma1"
+
     def test_missing_file_is_one(self):
         code, out = run_cli(["verify", "/nonexistent/v.json"])
         assert code == 1

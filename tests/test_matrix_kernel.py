@@ -155,22 +155,10 @@ class TestMatrixExp:
         assert frob(vk.matrix_exp(m) - ref) / frob(ref) < 1e-10
 
 
-class TestSpectrumReport:
-    def test_eigenvalue_count_and_gap(self):
-        rep = vk.spectrum_report(np.diag([1.0, 2.0, 2.5]))
-        assert len(rep.eigenvalues) == 3
-        assert rep.min_pairwise_gap == pytest.approx(0.5)
-
-    def test_scalar_gap_infinite(self):
-        rep = vk.spectrum_report(np.array([[3.0]]))
-        assert rep.min_pairwise_gap == np.inf
-
-
 class TestValidation:
     def test_degenerate_dimension_rejected(self):
         empty = np.zeros((0, 0))
         for call in (lambda: vk.matrix_exp(empty), lambda: vk.hermitian_sqrt(empty),
-                     lambda: vk.spectrum_report(empty),
                      lambda: vk.solve_sylvester(empty, np.eye(1), np.zeros((1, 0)))):
             with pytest.raises(ShapeMismatch, match="must have positive dimensions"):
                 call()

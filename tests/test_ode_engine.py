@@ -5,7 +5,7 @@ import vesselkit as vk
 from vesselkit.errors import GridMismatch, NonFinite, SingularSigma1
 from vesselkit.matrix_kernel import frob
 
-from helpers import const, rand_complex, rand_hermitian, rand_skew
+from helpers import const, rand_complex, rand_hermitian, rand_skew, skew_chain_vessel
 
 
 def coefficient_fixture(n_steps, m=2, seed=8, sigma2_scale=0.25, gamma_scale=0.3):
@@ -315,3 +315,80 @@ class TestGridTypes:
         short = vk.TimeGrid(0.0, 1e-6, 10)
         assert short.compatible(vk.TimeGrid(5e-19, 1e-6, 10))
         assert not short.compatible(vk.TimeGrid(2e-18, 1e-6, 10))
+
+
+# Hermitian with eigenvalues 0 and 2; its transpose is Hermitian too, and not
+# C-contiguous, so an int64 view of its bits needs a copy first.
+SINGULAR_SIGMA1 = np.array([[1.0, 1j], [-1j, 1.0]])
+
+
+def _sigma1_entries():
+    """Every public entry that solves with sigma1, as f(sigma1 matrix) -> call."""
+    grid = vk.TimeGrid(0.0, 1.0, 10)
+    n, m = 2, 2
+    zero_n, zero_m = const(np.zeros((n, n)), grid), const(np.zeros((m, m)), grid)
+    b = const(np.ones((n, m)), grid)
+    eye_stack = np.broadcast_to(np.eye(m), (grid.n_nodes, m, m))
+    s_grid = vk.TimeGrid(0.0, 1.0, 8)
+    beta0 = np.ones((s_grid.n_nodes, m, 1), dtype=complex)
+    c = np.full(s_grid.n_nodes, 0.4)
+    model = vk.ContinuousSpectrumModel(s_grid=s_grid, c=c, beta=beta0,
+                                       gamma_s=np.zeros((s_grid.n_nodes, m, m)))
+    datum = vk.SpectralDatum(z=-0.5 + 0.3j, b0=np.array([1.0, 0.2j]))
+    return {
+        "build_discrete": lambda s1: vk.build_discrete(
+            [datum], zero_m, const(s1, grid), zero_m, grid),
+        "build_elementary": lambda s1: vk.build_elementary(
+            datum, zero_m, const(s1, grid), zero_m, grid),
+        "discrete_chain": lambda s1: vk.discrete_chain(
+            [datum], zero_m, const(s1, grid), zero_m, grid),
+        "DifferentialVessel": lambda s1: vk.DifferentialVessel(
+            A1=zero_n, A2=zero_n, B=b, sigma1=const(s1, grid), sigma2=zero_m, gamma=zero_m,
+            gamma_star=zero_m),
+        "fundamental_matrix": lambda s1: vk.fundamental_matrix(
+            1.0, const(s1, grid), zero_m, zero_m, grid),
+        "transfer_pde_residual_values": lambda s1: vk.transfer_pde_residual_values(
+            eye_stack, const(s1, grid), zero_m, zero_m, zero_m, 1.0, grid),
+        "evolve_pole_pair": lambda s1: vk.evolve_pole_pair(
+            np.ones((m, n)), -np.eye(n), zero_m, const(s1, grid), zero_m, grid),
+        "evolve_null_pair": lambda s1: vk.evolve_null_pair(
+            np.ones((n, m)), np.eye(n), zero_m, const(s1, grid), zero_m, grid),
+        "consistent_gamma_s": lambda s1: vk.consistent_gamma_s(
+            beta0, c, s1, np.zeros((m, m)), np.zeros((m, m)), s_grid),
+        "continuous_model_evolve": lambda s1: vk.continuous_model_evolve(
+            model, s1, np.zeros((m, m)), grid),
+    }
+
+
+class TestOneSigma1Check:
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    @pytest.mark.parametrize("entry", sorted(_sigma1_entries()))
+    def test_singular_sigma1_raises_at_every_entry(self, entry, layout):
+        s1 = SINGULAR_SIGMA1 if layout == "contiguous" else SINGULAR_SIGMA1.T
+        assert s1.flags.c_contiguous == (layout == "contiguous")
+        with pytest.raises(SingularSigma1, match="at node 0:"):
+            _sigma1_entries()[entry](s1)
+
+    def test_constant_sigma1_takes_one_svd_of_one_node(self, monkeypatch):
+        grid = vk.TimeGrid(0.0, 1.0, 800)
+        v, _ = skew_chain_vessel(grid)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        lams = 0.5 + 0.3j + 0.05 * np.arange(64)
+        for lam in lams:
+            vk.input_fundamental(v, lam)
+        assert shapes and (801, 2, 2) not in shapes
+        # A sigma1 that varies by node is judged node by node.
+        varying = vk.GridOperatorFamily(grid, (1.0 + 0.1 * grid.nodes())[:, None, None]
+                                        * v.sigma1.data)
+        moved = vk.DifferentialVessel(A1=v.A1, A2=v.A2, B=v.B, sigma1=varying,
+                                      sigma2=v.sigma2, gamma=v.gamma, gamma_star=v.gamma_star)
+        shapes.clear()
+        vk.input_fundamental(moved, lams[0])
+        assert (801, 2, 2) in shapes

@@ -512,3 +512,34 @@ class TestContinuousModel:
                                                   consistency_tol=1e-4)
         assert res.kernel_evolution < 1e-4
         assert np.isfinite(res.gamma_s_equation)
+
+    def test_kernel_at_evolved_model_takes_a_t_node(self):
+        model, _ = self.decoupled_model(20)
+        evolved, _ = vk.continuous_model_evolve(model, np.eye(2), np.zeros((2, 2)),
+                                                vk.TimeGrid(0.0, 1.0, 10))
+        beta = evolved.beta[3]
+        ref = np.einsum("sij,skj->sik", beta, beta.conj())
+        assert np.array_equal(evolved.kernel_at(3, np.eye(2)), ref @ np.eye(2))
+        with pytest.raises(ShapeMismatch, match="model is evolved: pass a t node"):
+            evolved.kernel_at(None, np.eye(2))
+
+    def test_kernel_at_model_not_evolved_takes_none(self):
+        model, _ = self.decoupled_model(20)
+        with pytest.raises(ShapeMismatch, match="model is not evolved: pass t_index=None"):
+            model.kernel_at(3, np.eye(2))
+
+    def test_gamma_s_residual_matches_inverse_form(self):
+        """The gamma_s residual applies sigma1^(-1) by one LU; against the
+        inverse-times-product form it agrees to round-off on a sigma1 that is
+        not the identity (where the two forms round differently)."""
+        model, _, s2 = self.coupled_compatible_model(40)
+        s1 = np.array([[2.0, 0.3j], [-0.3j, -1.5]])
+        evolved, res = vk.continuous_model_evolve(model, s1, s2, vk.TimeGrid(0.0, 1.0, 20),
+                                                  probe_lambdas=(1.3 + 0.5j,),
+                                                  consistency_tol=1.0)
+        s1_inv = np.linalg.inv(s1)
+        kern = np.einsum("tsij,tskj->tsik", evolved.beta, evolved.beta.conj())[:, 1:-1] @ s1
+        dgam = vk.family_derivative(vk.GridOperatorFamily(model.s_grid, model.gamma_s)).data
+        ref = s1_inv @ dgam[1:-1] + s1_inv @ s2 @ kern - kern @ s1_inv @ s2
+        want = np.max(np.linalg.norm(ref, axis=(-2, -1)))
+        assert abs(res.gamma_s_equation - want) <= 64 * np.finfo(float).eps * want
