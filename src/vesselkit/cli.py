@@ -22,7 +22,7 @@ import numpy as np
 from . import spectral_synthesis as synth
 from . import vessel_core as core
 from .config import load_config
-from .errors import NumericalFailure, ShapeMismatch, VesselKitError
+from .errors import GridMismatch, NumericalFailure, ShapeMismatch, VesselKitError
 from .interpolation import (
     NullPoleTriple,
     evolve_coupling,
@@ -286,9 +286,10 @@ def _parse_complex(s: str) -> complex:
 
 
 def _node(args, grid: TimeGrid) -> int:
-    if not 0 <= args.node <= grid.n_steps:
-        raise InputError(f"--node {args.node} outside the grid nodes [0, {grid.n_steps}]")
-    return args.node
+    try:
+        return int(grid.node_indices(args.node))
+    except GridMismatch as exc:
+        raise InputError(f"--node {args.node}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +392,15 @@ def cmd_fundamental(args, stages: Stages) -> dict:
         sigma1, sigma2, gamma = (_dec_family(_field(spec, k), grid, k)
                                  for k in ("sigma1", "sigma2", key))
     lam = _lam(args, 1.0 + 0.0j)
-    phi = fundamental_matrix(lam, sigma1, sigma2, gamma, grid, side=args.side, base_index=args.node)
+    node = _node(args, grid)
+    phi = fundamental_matrix(lam, sigma1, sigma2, gamma, grid, side=args.side, base_index=node)
     with stages("encode"):
         return {
             "schema_version": SCHEMA_VERSION,
             "command": "fundamental",
             "lambda": _enc_array(lam),
             "side": args.side,
-            "base_index": args.node,
+            "base_index": node,
             "samples": _enc_array(phi.family.data),
         }
 

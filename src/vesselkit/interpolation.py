@@ -37,7 +37,6 @@ import numpy as np
 from .config import DEFAULTS, EPS_COUPLING_REL
 from .errors import (
     CouplingSingular,
-    GridMismatch,
     InconsistentInitialData,
     NonFinite,
     NotMinimal,
@@ -52,8 +51,8 @@ from .matrix_kernel import (
     shifted_solve,
     solve_sylvester,
 )
-from .ode_engine import (GridOperatorFamily, TimeGrid, _check_sigma1, _interp4, _rk4_path,
-                         family_derivative)
+from .ode_engine import (GridOperatorFamily, TimeGrid, _check_sigma1, _interp4, _on_grid,
+                         _rk4_path, family_derivative)
 from .vessel_core import DifferentialVessel, krylov_rank
 
 __all__ = [
@@ -96,9 +95,7 @@ class NullPoleTriple:
             raise ShapeMismatch(f"Bn must be {k} x {m}")
         if self.X.shape != (k, n):
             raise ShapeMismatch(f"X must be {k} x {n}")
-        for fam in (self.Bn, self.X):
-            if not fam.grid.compatible(self.C.grid):
-                raise GridMismatch("triple families live on different grids")
+        _on_grid(self.C.grid, Bn=self.Bn, X=self.X)
 
     @property
     def grid(self) -> TimeGrid:
@@ -157,6 +154,7 @@ def evolve_pole_pair(
     """Integrate sigma1 C' = sigma2 C A_pi + gamma_star C from C(t_start)."""
     c0 = as_matrix(c0, "C0")
     a_pi = as_matrix(a_pi, "A_pi")
+    _on_grid(grid, gamma_star=gamma_star, sigma1=sigma1, sigma2=sigma2)
     _check_sigma1(sigma1.data)
     at = _rhs_family({"s1": sigma1, "s2": sigma2, "gs": gamma_star})
 
@@ -178,6 +176,7 @@ def evolve_null_pair(
     """Integrate Bn' sigma1 = -A_xi Bn sigma2 - Bn gamma_star from Bn(t_start)."""
     bn0 = as_matrix(bn0, "Bn0")
     a_xi = as_matrix(a_xi, "A_xi")
+    _on_grid(grid, gamma_star=gamma_star, sigma1=sigma1, sigma2=sigma2)
     _check_sigma1(sigma1.data)
     at = _rhs_family({"s1": sigma1, "s2": sigma2, "gs": gamma_star})
 
@@ -191,6 +190,7 @@ def evolve_null_pair(
 
 def sylvester_residuals(triple: NullPoleTriple, sigma1: GridOperatorFamily) -> np.ndarray:
     """Per-node Frobenius residual of X A_pi - A_xi X = Bn sigma1 C."""
+    _on_grid(triple.grid, sigma1=sigma1)
     x = triple.X.data
     return frob(x @ triple.A_pi - triple.A_xi @ x - triple.Bn.data @ sigma1.data @ triple.C.data)
 
@@ -220,6 +220,7 @@ def evolve_coupling(
     a_pi = as_matrix(a_pi, "A_pi")
     a_xi = as_matrix(a_xi, "A_xi")
     x0 = as_matrix(x0, "X0")
+    _on_grid(grid, c=c, bn=bn, sigma1=sigma1, sigma2=sigma2, gamma_star=gamma_star)
     res0 = frob(x0 @ a_pi - a_xi @ x0 - bn[0] @ sigma1[0] @ c[0])
     scale = max(frob(a_pi) + frob(a_xi), 1.0) * max(frob(x0), 1.0)
     if tol < np.inf and not res0 <= tol * scale < np.inf:
@@ -282,6 +283,7 @@ def zero_pole_realize(
     if n != k:
         raise ShapeMismatch("realization needs square coupling (n == k)")
     grid = triple.grid
+    _on_grid(grid, gamma_star=gamma_star, sigma1=sigma1, sigma2=sigma2)
     m = triple.C.shape[0]
     sv = np.linalg.svd(triple.X.data, compute_uv=False)
     regular = sv[:, -1] > rtol * sv[:, 0]
@@ -393,6 +395,7 @@ def hermitian_realize(
     m = c.shape[0]
     if c.shape != (m, n):
         raise ShapeMismatch(f"C must be m x {n}")
+    _on_grid(c.grid, sigma1=sigma1)
     rank = krylov_rank(a1.conj().T, c[0].conj().T)
     if rank < n:
         raise NotMinimal(f"(A1, C) not observable: Krylov rank {rank} < {n}", rank=rank)

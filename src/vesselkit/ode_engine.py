@@ -5,7 +5,14 @@ Coefficient values between nodes come from linear interpolation of the node
 samples, which is the simplest model compatible with merely absolutely
 continuous coefficients.  The ODE is linear, so each step is a matrix: the
 march builds the RK4 step propagators over the whole node stack at once, then
-takes their running product.  Consequence for the observed orders: endpoint
+takes their running product.  A fundamental matrix whose coefficient holds the
+same bits at every node (a time-invariant vessel) has one step propagator P,
+so its samples are the powers P^j, filled by repeated squaring in about
+log2 N products; they equal the running product to round-off, not bit for
+bit, and every other march keeps the running product.  Grid nodes are read
+by one rule (TimeGrid.node_indices: integers in [0, n_steps], not floats or
+bools) and grid-bound families are checked by one rule (_on_grid), each
+raising GridMismatch.  Consequence for the observed orders: endpoint
 error is O(h^4) on constant-coefficient problems, while genuinely time-varying
 coefficient families are limited to O(h^2) by the midpoint interpolation.
 All checks are evaluated at grid nodes; there is no dense output, no
@@ -73,8 +80,14 @@ class TimeGrid:
         return self.t_start + self.h * np.arange(self.n_nodes)
 
     def node_indices(self, nodes) -> np.ndarray:
-        """`nodes` (one index or several) as intp; GridMismatch for any outside [0, n_steps]."""
-        idx = np.asarray(nodes, np.intp)
+        """`nodes` (one index or several) as intp.  GridMismatch for an index that
+        is not an integer (a float or a bool) and for any outside [0, n_steps]."""
+        idx = np.asarray(nodes)
+        bools = isinstance(nodes, (list, tuple)) and any(
+            isinstance(x, (bool, np.bool_)) for x in nodes)
+        if bools or (idx.size and idx.dtype.kind not in "iu"):  # numpy reads [0, True] as int
+            raise GridMismatch(f"node indices must be integers, got {nodes!r}")
+        idx = idx.astype(np.intp, copy=False)
         outside = idx[(idx < 0) | (idx > self.n_steps)]
         if outside.size:
             raise GridMismatch(f"node {outside[0]} outside the grid nodes [0, {self.n_steps}]")
@@ -85,6 +98,13 @@ class TimeGrid:
         a0, a1, b0, b1 = map(float, (self.t_start, self.t_end, other.t_start, other.t_end))
         tol = 1e-12 * max(a1 - a0, b1 - b0)
         return self.n_steps == other.n_steps and abs(a0 - b0) < tol and abs(a1 - b1) < tol
+
+
+def _on_grid(grid: TimeGrid, **families: "GridOperatorFamily") -> None:
+    """GridMismatch naming the first of `families` whose grid is not compatible with `grid`."""
+    for name, fam in families.items():
+        if not fam.grid.compatible(grid):
+            raise GridMismatch(f"{name} lives on a different grid")
 
 
 class GridOperatorFamily:
@@ -218,6 +238,14 @@ def _rk4_steps(c0: np.ndarray, cm: np.ndarray, c1: np.ndarray, h: float) -> np.n
     return eye + (h / 6.0) * (c0 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _check_path(w: np.ndarray, blew_up: Callable[[int], str]) -> np.ndarray:
+    """`w` itself; NonFinite(blew_up(j)) for the first j whose w[j + 1] is not finite."""
+    bad = np.flatnonzero(~np.isfinite(w[1:]).all(axis=tuple(range(1, w.ndim))))
+    if bad.size:
+        raise NonFinite(blew_up(int(bad[0])))
+    return w
+
+
 def _running_product(steps: np.ndarray, m0: np.ndarray,
                      blew_up: Callable[[int], str]) -> np.ndarray:
     """W_0 = m0, W_(j+1) = steps[j] @ W_j: the ordered product of a transition
@@ -228,10 +256,12 @@ def _running_product(steps: np.ndarray, m0: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for step, prev, nxt in zip(steps, w[:-1], w[1:]):
             np.matmul(step, prev, out=nxt)
-    bad = np.flatnonzero(~np.isfinite(w[1:]).all(axis=tuple(range(1, w.ndim))))
-    if bad.size:
-        raise NonFinite(blew_up(int(bad[0])))
-    return w
+    return _check_path(w, blew_up)
+
+
+def _leg_blew_up(b: int, step: int) -> Callable[[int], str]:
+    """The NonFinite message of step j of the leg that leaves node b by `step`."""
+    return lambda j: f"integration blew up between nodes {b + step * j} and {b + step * (j + 1)}"
 
 
 def _march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid, base_index: int) -> np.ndarray:
@@ -249,8 +279,35 @@ def _march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid, base_index: int) -
     for step, c0, cm, c1 in legs:
         with np.errstate(over="ignore", invalid="ignore"):
             steps = _rk4_steps(c0, cm, c1, step * h)
-        out[b::step] = _running_product(steps, m0, lambda j: (
-            f"integration blew up between nodes {b + step * j} and {b + step * (j + 1)}"))
+        out[b::step] = _running_product(steps, m0, _leg_blew_up(b, step))
+    return out
+
+
+def _power_march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid, base_index: int) -> np.ndarray:
+    """_march for a coefficient that holds the same bits at every node.
+
+    Every RK4 step of a leg is then one propagator P, and the leg's samples
+    are P^j m0.  They are filled by doubling, W[k:2k] = P^k W[0:k] with P^k
+    squared between rounds: ceil(log2 N) batched products per leg in place of
+    N, and about log2 j products (not j) in sample j (Higham, Functions of
+    Matrices, 2008, sec. 4.1).  NonFinite as in _march.
+    """
+    b, c = base_index, cdata[:1]
+    out = np.empty((grid.n_nodes,) + m0.shape, dtype=complex)
+    for step, count in ((1, grid.n_steps - b), (-1, b)):
+        if not count:  # the other leg writes m0 at b
+            continue
+        w = np.empty((count + 1,) + m0.shape, dtype=complex)
+        w[0] = m0
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, k = _rk4_steps(c, c, c, step * grid.h)[0], 1
+            while k <= count:
+                n = min(k, count + 1 - k)
+                np.matmul(p, w[:n], out=w[k:k + n])
+                k *= 2
+                if k <= count:
+                    p = p @ p
+        out[b::step] = _check_path(w, _leg_blew_up(b, step))
     return out
 
 
@@ -272,8 +329,7 @@ def integrate_linear_ode(
     the reversed ODE rather than inverting forward samples.
     """
     m = as_matrix(m0, "initial value")
-    if not coeff.grid.compatible(grid):
-        raise GridMismatch("coefficient family grid differs from target grid")
+    _on_grid(grid, coeff=coeff)
     p = coeff.shape[0]
     if coeff.shape[1] != p:
         raise ShapeMismatch("coefficient matrices must be square")
@@ -338,21 +394,23 @@ def fundamental_matrix(
 ) -> FundamentalMatrix:
     """Fundamental matrix of  lam*sigma2*u - sigma1*u' + gamma*u = 0.
 
-    Integrates u' = sigma1^(-1) (lam*sigma2 + gamma) u with the identity at
-    `base_index`; pass gamma_star (side="output") for the output equation.
+    Integrates u' = sigma1^(-1) (lam*sigma2 + gamma) u by RK4 with the
+    identity at `base_index` (a grid node: an integer, not a float or a bool);
+    pass gamma_star (side="output") for the output equation.  A coefficient
+    that holds the same bits at every node (a time-invariant vessel) has one
+    step propagator P, and the samples are its powers P^j, taken by repeated
+    squaring: the same RK4 solution to round-off, in about log2 N products.
     """
-    for fam, name in ((sigma1, "sigma1"), (sigma2, "sigma2"), (gamma, "gamma")):
-        if not fam.grid.compatible(grid):
-            raise GridMismatch(f"{name} lives on a different grid")
+    _on_grid(grid, sigma1=sigma1, sigma2=sigma2, gamma=gamma)
     m = sigma1.shape[0]
     if sigma1.shape != (m, m) or sigma2.shape != (m, m) or gamma.shape != (m, m):
         raise ShapeMismatch("coefficient families must share a square shape")
     _check_sigma1(sigma1.data)
-    if not (0 <= base_index <= grid.n_steps):
-        raise GridMismatch(f"base_index {base_index} outside the grid")
+    base_index = int(grid.node_indices(base_index))
 
     coeff = _coefficient(sigma1.data, sigma2.data, gamma.data, lam)
-    data = _march(coeff, np.eye(m, dtype=complex), grid, base_index)
+    march = _power_march if _is_constant(coeff) else _march
+    data = march(coeff, np.eye(m, dtype=complex), grid, base_index)
     return FundamentalMatrix(
         lam=complex(lam), base_index=base_index, side=side, family=GridOperatorFamily(grid, data)
     )
@@ -379,8 +437,7 @@ def phi_symmetry_residual(
     _check_pair(phi, phi_conj)
     if abs(phi_conj.lam + np.conj(phi.lam)) > 1e-12 * max(1.0, abs(phi.lam)):
         raise GridMismatch("phi_conj must be sampled at -conj(lambda)")
-    if not sigma1.grid.compatible(phi.grid):
-        raise GridMismatch("sigma1 lives on a different grid")
+    _on_grid(phi.grid, sigma1=sigma1)
     rhs = np.linalg.inv(phi_conj.family.data).conj().transpose(0, 2, 1) @ sigma1[phi.base_index]
     return max_frob(sigma1.data @ phi.family.data - rhs)
 
@@ -397,9 +454,7 @@ def phi_bilinear_residual(
     residual carries an O(h^2) floor even on exact data.
     """
     _check_pair(phi_mu, phi_lam)
-    for fam in (sigma1, sigma2):
-        if not fam.grid.compatible(phi_mu.grid):
-            raise GridMismatch("sigma family lives on a different grid")
+    _on_grid(phi_mu.grid, sigma1=sigma1, sigma2=sigma2)
     h = phi_mu.grid.h
     lam = phi_lam.lam
     mu = phi_mu.lam

@@ -23,7 +23,6 @@ from .config import EPS_SPEC_REL
 from .errors import (
     DegenerateB,
     DegenerateEigenvalue,
-    GridMismatch,
     InconsistentInitialData,
     ShapeMismatch,
     SpectrumClash,
@@ -37,6 +36,7 @@ from .ode_engine import (
     _coefficient,
     _march,
     _node_derivative,
+    _on_grid,
     _running_product,
     family_derivative,
     integrate_linear_ode,
@@ -167,9 +167,7 @@ def _chain(data, gamma0, sigma1, sigma2, grid, normalize: bool):
     """The gammas (gamma0 first) and the coupling blocks (z_h, A2 entry, row
     b_h^H) of the elementary factors of `data`, each built on the gamma_star
     of the one before."""
-    for fam, name in ((gamma0, "gamma"), (sigma1, "sigma1"), (sigma2, "sigma2")):
-        if not fam.grid.compatible(grid):
-            raise GridMismatch(f"{name} lives on a different grid")
+    _on_grid(grid, gamma=gamma0, sigma1=sigma1, sigma2=sigma2)
     _check_sigma1(sigma1.data)
     gammas, blocks = [gamma0], []
     for datum in data:
@@ -320,8 +318,7 @@ def mult_integral(
     c_arr = _real_c(c)
     if c_arr.shape[0] != len(kernel):
         raise ShapeMismatch("c must have one value per s node")
-    if not (0 <= s_upper <= kernel.grid.n_steps):
-        raise GridMismatch(f"s_upper {s_upper} outside the grid")
+    s_upper = int(kernel.grid.node_indices(s_upper))
     eps_spec = EPS_SPEC_REL * max(kernel.max_norm(), 1.0)
     return _ordered_products(kernel.data[:s_upper], c_arr, lam, kernel.grid.h, eps_spec)[-1]
 

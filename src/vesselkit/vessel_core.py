@@ -56,6 +56,7 @@ from .ode_engine import (
     _check_sigma1,
     _coefficient,
     _node_derivative,
+    _on_grid,
     family_derivative,
     fundamental_matrix,
 )
@@ -110,12 +111,11 @@ class DifferentialVessel:
             "gamma": (m, m),
             "gamma_star": (m, m),
         }
+        fams = {name: getattr(self, name) for name in expected}
         for name, shape in expected.items():
-            fam: GridOperatorFamily = getattr(self, name)
-            if fam.shape != shape:
-                raise ShapeMismatch(f"{name} must be {shape}, got {fam.shape}")
-            if not fam.grid.compatible(grid):
-                raise GridMismatch(f"{name} lives on a different grid")
+            if fams[name].shape != shape:
+                raise ShapeMismatch(f"{name} must be {shape}, got {fams[name].shape}")
+        _on_grid(grid, **fams)
         for name in ("sigma1", "sigma2"):
             _check_hermitian(getattr(self, name).data, name, range(grid.n_nodes), 1e-9)
         _check_sigma1(self.sigma1.data)
@@ -408,6 +408,7 @@ def transfer_pde_residual_values(
     """
     if len(s_values) != grid.n_nodes:
         raise GridMismatch("need one transfer sample per node")
+    _on_grid(grid, sigma1=sigma1, sigma2=sigma2, gamma=gamma, gamma_star=gamma_star)
     _check_sigma1(sigma1.data)
     s = GridOperatorFamily(grid, s_values).data
     mid = slice(1, grid.n_nodes - 1)
@@ -494,8 +495,7 @@ def gauge_transform(v: DifferentialVessel, gmap: GaugeMap) -> DifferentialVessel
     n = v.state_dim
     if gmap.U.shape != (n, n):
         raise ShapeMismatch(f"gauge map must be {n}x{n}, got {gmap.U.shape}")
-    if not gmap.U.grid.compatible(v.grid):
-        raise GridMismatch("gauge map lives on a different grid")
+    _on_grid(v.grid, gmap=gmap.U)
     u = gmap.U.data
     uh = u.conj().transpose(0, 2, 1)
     return DifferentialVessel(

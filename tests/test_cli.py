@@ -222,6 +222,19 @@ class TestCommands:
         sam = json.loads(out)["samples"]
         assert abs(complex(*sam[-1][0][0]) - np.e) < 1e-8
 
+    @pytest.mark.parametrize("node", ["101", "-1"])
+    def test_fundamental_node_outside_grid_is_input_error(self, tmp_path, node):
+        """--node of `fundamental` is read by the same rule as every other --node."""
+        doc = {"grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 100},
+               "sigma1": [[[1.0, 0.0]]], "sigma2": [[[1.0, 0.0]]],
+               "gamma": [[[0.0, 0.0]]]}
+        path = tmp_path / "coeff.json"
+        path.write_text(cli.dump_json(doc))
+        code, out = run_cli(["fundamental", str(path), f"--node={node}"])
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["kind"] == "input" and f"--node {node}" in err["message"]
+
     def test_multint_constant_kernel(self, tmp_path):
         n_steps = 200
         doc = {"s_grid": {"t_start": 0.0, "t_end": 2.0, "n_steps": n_steps},

@@ -2,7 +2,8 @@
 quadrature: each shared helper against the loop it replaced, kept here as the
 reference, bit for bit.  The march is the one exception: it matches the RK4
 stage form it replaced to round-off, and an in-test propagator loop bit for
-bit."""
+bit; a time-invariant fundamental matrix, taken as powers of one propagator,
+matches the sequential march to round-off."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.linalg
 
 import vesselkit as vk
 import vesselkit.matrix_kernel as mk
+import vesselkit.ode_engine as oe
 import vesselkit.spectral_synthesis as synth
 import vesselkit.vessel_core as core
 from vesselkit.config import EPS_SPEC_REL
@@ -156,6 +158,96 @@ class TestTwoWayMarch:
         g = (raw / frob(raw[:, None, :])[:, None])[:, :, None]
         assert same_bits(res.factor.B.data, g.conj().transpose(0, 2, 1) @ v.B.data)
         assert same_bits(res.factor.A2.data, g.conj().transpose(0, 2, 1) @ v.A2.data @ g)
+
+
+def constant_coefficients(grid, m, seed=23):
+    """Time-invariant sigma1, sigma2, gamma with |C| below 1: sigma1 = diag(+-(2..3))
+    plus a small Hermitian part, so that it stays invertible."""
+    rng = np.random.default_rng(seed)
+    signs = np.diag(rng.choice([-1.0, 1.0], m) * rng.uniform(2.0, 3.0, m))
+    return tuple(const(x, grid) for x in (signs + rand_hermitian(rng, m, 0.2),
+                                          rand_hermitian(rng, m, 0.4), rand_skew(rng, m, 0.5)))
+
+
+class TestPowerMarch:
+    """A coefficient with the same bits at every node takes its fundamental
+    matrix as powers of one RK4 propagator; every other march keeps the
+    sequential product, bit for bit."""
+
+    lam = 0.7 - 1.3j
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 800])
+    @pytest.mark.parametrize("where", ["start", "interior", "end"])
+    def test_matches_sequential_march(self, n_steps, m, where):
+        """Within the march round-off bound (these cases use at most 0.32 of it)."""
+        grid = vk.TimeGrid(0.0, 1.0, n_steps)
+        base = {"start": 0, "interior": n_steps // 3, "end": n_steps}[where]
+        s1, s2, g = constant_coefficients(grid, m)
+        coeff = node_coefficients(s1, s2, g, self.lam)
+        phi = vk.fundamental_matrix(self.lam, s1, s2, g, grid, base_index=base)
+        ref = oe._march(coeff, np.eye(m, dtype=complex), grid, base)
+        assert_march_round_off(phi.family.data, ref, n_steps)
+        assert same_bits(phi[base], np.eye(m, dtype=complex))
+
+    @pytest.mark.parametrize("varying", ["every node", "last node only"])
+    def test_varying_coefficient_keeps_the_sequential_bits(self, varying):
+        grid = vk.TimeGrid(0.0, 1.0, 800)
+        s1, s2, g = constant_coefficients(grid, 3)
+        gdata = g.data.copy()
+        if varying == "every node":
+            gdata = gdata + grid.nodes()[:, None, None] * gdata
+        else:
+            gdata[-1] = np.nextafter(gdata[-1].real, np.inf) + 1j * gdata[-1].imag
+        g = vk.GridOperatorFamily(grid, gdata)
+        coeff = node_coefficients(s1, s2, g, self.lam)
+        for base in (0, 300, 800):
+            phi = vk.fundamental_matrix(self.lam, s1, s2, g, grid, base_index=base)
+            assert same_bits(phi.family.data, oe._march(coeff, np.eye(3, dtype=complex),
+                                                        grid, base))
+
+    def test_constant_coefficient_takes_the_doubling_path(self, monkeypatch):
+        grid = vk.TimeGrid(0.0, 1.0, 800)
+        s1, s2, g = constant_coefficients(grid, 2)
+        monkeypatch.setattr(oe, "_march", None)
+        vk.fundamental_matrix(self.lam, s1, s2, g, grid, base_index=300)
+        ramp = vk.GridOperatorFamily(grid, g.data * (1.0 + grid.nodes()[:, None, None]))
+        with pytest.raises(TypeError):
+            vk.fundamental_matrix(self.lam, s1, s2, ramp, grid, base_index=300)
+
+    @pytest.mark.parametrize("base, step", [
+        (0, "between nodes 56 and 57$"),      # forward
+        (120, "between nodes 63 and 62$"),    # backward
+        (60, "between nodes 116 and 117$"),   # interior: both legs blow up, forward first
+    ])
+    def test_blow_up_names_the_reference_step(self, base, step):
+        """C = 5000 (I + a small skew part) on h = 1/100: about e^12.5 of growth
+        per RK4 step either way, so the last finite and the first overflowing
+        sample each sit a factor e^3 or more from the overflow threshold, far
+        beyond round-off."""
+        grid = vk.TimeGrid(0.0, 1.2, 120)
+        rng = np.random.default_rng(4)
+        eye = np.eye(2)
+        s1, s2 = const(eye, grid), const(np.zeros((2, 2)), grid)
+        g = const(5000.0 * (eye + rand_skew(rng, 2, 1e-3)), grid)
+        coeff = node_coefficients(s1, s2, g, 1.0)
+        with pytest.raises(NonFinite) as ref:
+            oe._march(coeff, np.eye(2, dtype=complex), grid, base)
+        with pytest.raises(NonFinite, match=step) as got:
+            vk.fundamental_matrix(1.0, s1, s2, g, grid, base_index=base)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_integrate_linear_ode_keeps_the_sequential_product(self, direction):
+        """The synthesis columns march through integrate_linear_ode: a constant
+        coefficient still takes the one-step-at-a-time product there."""
+        grid = vk.TimeGrid(0.0, 1.0, 800)
+        s1, s2, g = constant_coefficients(grid, 3)
+        coeff = node_coefficients(s1, s2, g, self.lam)
+        m0 = rand_complex(np.random.default_rng(6), (3, 1))
+        base = 0 if direction == "forward" else 800
+        fam = vk.integrate_linear_ode(vk.GridOperatorFamily(grid, coeff), m0, grid, direction)
+        assert same_bits(fam.data, propagator_reference(coeff, m0, grid, base))
 
 
 def mult_integral_reference(kernel, c, lam, s_upper, expm=vk.matrix_exp):

@@ -350,3 +350,100 @@ class TestNodeArguments:
         assert hr.transfer(2.0, 8).shape == (2, 2)
         with pytest.raises(GridMismatch):
             hr.transfer(2.0, node)
+
+
+class TestOneNodeRuleAndOneGridRule:
+    """Every public entry that takes a grid node refuses a float or bool node,
+    and every entry that takes grid-bound families refuses one from another
+    grid, each with GridMismatch (not numpy's error or a silent truncation)."""
+
+    grid = vk.TimeGrid(0.0, 1.0, 8)
+    other = vk.TimeGrid(0.0, 1.0, 4)
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        v = skew_chain_vessel(self.grid)[0]
+        triple = vk.extract_null_pole(v)
+        rng = np.random.default_rng(12)
+        s_grid = self.grid
+        beta0 = np.stack([np.array([[np.cos(x) + 0.2j], [0.4 + 0.3j * x]]) for x in s_grid.nodes()])
+        s1 = rand_hermitian(rng, 2) + 3.0 * np.eye(2)
+        s2 = rand_hermitian(rng, 2, 0.3)
+        c = 0.4 + 0.3 * s_grid.nodes()
+        model = vk.ContinuousSpectrumModel(
+            s_grid=s_grid, c=c, beta=beta0,
+            gamma_s=vk.consistent_gamma_s(beta0, c, s1, s2, np.zeros((2, 2)), s_grid))
+        return {
+            "v": v, "triple": triple, "c": c, "s1": s1,
+            "kernel": vk.GridOperatorFamily(s_grid, model.kernel_at(None, s1)),
+            "evolved": vk.continuous_model_evolve(model, s1, s2, self.grid)[0],
+            "zero_pole": vk.zero_pole_realize(triple, v.gamma_star, v.sigma1, v.sigma2),
+            "hermitian": vk.hermitian_realize(const(np.eye(2), self.grid), -np.eye(2),
+                                              const(np.eye(2), self.grid)),
+            "quotient": vk.extract_elementary(v, 0).quotient_transfer,
+        }
+
+    node_entries = {
+        "transfer_sweep": lambda x, i: vk.transfer_sweep(x["v"], [2.0], i),
+        "eval_transfer": lambda x, i: vk.eval_transfer(x["v"], 2.0, i),
+        "adjoint_symmetry_residual": lambda x, i: vk.adjoint_symmetry_residual(x["v"], 2.0, i),
+        "expansivity_factor_form": lambda x, i: vk.expansivity_factor_form(x["v"], 2.0, i),
+        "expansivity_check": lambda x, i: vk.expansivity_check(x["v"], 2.0, i),
+        "gauge_equivalence": lambda x, i: vk.gauge_equivalence(x["v"], x["v"], i),
+        "extract_null_pole": lambda x, i: vk.extract_null_pole(x["v"], i),
+        "extract_elementary": lambda x, i: vk.extract_elementary(x["v"], 0, i),
+        "quotient_transfer": lambda x, i: x["quotient"](2.0, i),
+        "zero_pole_realize.transfer": lambda x, i: x["zero_pole"].transfer(2.0, i),
+        "hermitian_realize.transfer": lambda x, i: x["hermitian"].transfer(2.0, i),
+        "fundamental_matrix": lambda x, i: vk.fundamental_matrix(
+            1.0, x["v"].sigma1, x["v"].sigma2, x["v"].gamma, x["v"].grid, base_index=i),
+        "input_fundamental": lambda x, i: vk.input_fundamental(x["v"], 1.0, i),
+        "output_fundamental": lambda x, i: vk.output_fundamental(x["v"], 1.0, i),
+        "mult_integral": lambda x, i: vk.mult_integral(x["kernel"], x["c"], 2.0, i),
+        "kernel_at": lambda x, i: x["evolved"].kernel_at(i, x["s1"]),
+    }
+
+    @pytest.mark.parametrize("node", [2.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("entry", node_entries)
+    def test_node_must_be_an_integer(self, ctx, entry, node):
+        with pytest.raises(GridMismatch, match="node indices must be integers"):
+            self.node_entries[entry](ctx, node)
+
+    @pytest.mark.parametrize("nodes", [2.7, True, np.float64(2.0), np.True_, [1, 2.5],
+                                       [0, True], np.array([True, False]), np.array([1.0])])
+    def test_node_indices_refuses(self, nodes):
+        with pytest.raises(GridMismatch, match="node indices must be integers"):
+            self.grid.node_indices(nodes)
+
+    @pytest.mark.parametrize("nodes, want", [(2, 2), (np.int32(8), 8), ([0, 3], [0, 3]),
+                                             (np.array([4], np.uint8), [4]), ([], [])])
+    def test_node_indices_accepts(self, nodes, want):
+        got = self.grid.node_indices(nodes)
+        assert got.dtype == np.intp and np.array_equal(got, want)
+
+    grid_entries = {
+        "transfer_pde_residual_values": lambda x, f: vk.transfer_pde_residual_values(
+            vk.transfer_at_nodes(x["v"], 2.0), x["v"].sigma1, x["v"].sigma2, x["v"].gamma, f,
+            2.0, x["v"].grid),
+        "evolve_pole_pair": lambda x, f: vk.evolve_pole_pair(
+            x["triple"].C[0], x["triple"].A_pi, x["v"].gamma_star, f, x["v"].sigma2,
+            x["v"].grid),
+        "evolve_null_pair": lambda x, f: vk.evolve_null_pair(
+            x["triple"].Bn[0], x["triple"].A_xi, x["v"].gamma_star, f, x["v"].sigma2,
+            x["v"].grid),
+        "evolve_coupling": lambda x, f: vk.evolve_coupling(
+            x["triple"].C, x["triple"].A_pi, x["triple"].A_xi, x["triple"].Bn, x["triple"].X[0],
+            x["v"].sigma1, x["v"].sigma2, f, x["v"].grid),
+        "zero_pole_realize": lambda x, f: vk.zero_pole_realize(
+            x["triple"], f, x["v"].sigma1, x["v"].sigma2),
+        "sylvester_residuals": lambda x, f: vk.sylvester_residuals(x["triple"], f),
+        "hermitian_realize": lambda x, f: vk.hermitian_realize(
+            const(np.eye(2), x["v"].grid), -np.eye(2), f),
+    }
+
+    @pytest.mark.parametrize("entry", grid_entries)
+    def test_family_on_another_grid(self, ctx, entry):
+        """The family is a metric-like constant, diag(1, -1), on a 4-step grid."""
+        fam = const(np.diag([1.0, -1.0]), self.other)
+        with pytest.raises(GridMismatch, match="lives on a different grid"):
+            self.grid_entries[entry](ctx, fam)
