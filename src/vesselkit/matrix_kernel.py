@@ -11,7 +11,7 @@ concurrently.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -130,18 +130,28 @@ def shifted_solve(a, lam: complex, rhs, spectra, nodes=None) -> np.ndarray:
     for a stack `a` (N, n, n) or one operand (1, n, n) serving every rhs.
 
     `spectra` (N, n) are the eigenvalues of the operands, computed once by a
-    caller that sweeps lam.  SpectrumClash for lam within ``EPS_SPEC_REL *
-    max(||a[k]||_F, 1)`` of the spectrum, SingularSystem for a residual above
+    caller that sweeps lam.  NonFinite for a lam that is not finite,
+    SpectrumClash for lam within ``EPS_SPEC_REL * max(||a[k]||_F, 1)`` of the
+    spectrum, SingularSystem for a residual above
     ``1e-10 * max(||rhs[k]||, ||X[k]|| ||lam*I - a[k]||)``; both name ``nodes[k]``.
     """
+    return _shifted_solve(a, lam, rhs, spectra, _spectral_guard(a), frob(rhs), nodes)
+
+
+def _spectral_guard(a) -> np.ndarray:
+    """The SpectrumClash threshold of :func:`shifted_solve` for each operand of
+    the (N, n, n) stack `a`: ``EPS_SPEC_REL * max(||a[k]||_F, 1)``."""
+    return EPS_SPEC_REL * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
+
+
+def _shifted_solve(a, lam, rhs, spectra, eps_spec, rhs_norm, nodes) -> np.ndarray:
+    """:func:`shifted_solve` given the lam-independent scales of its guards:
+    `eps_spec` from :func:`_spectral_guard` and `rhs_norm` = frob(rhs)."""
     lam = complex(lam)
-    if not (np.isfinite(lam.real) and np.isfinite(lam.imag)):
-        raise NonFinite("shifted solve spectral parameter is not finite")
-    eps_spec = EPS_SPEC_REL * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
+    _check_lambda(lam)
     dist = np.min(np.abs(spectra - lam), axis=1)
-    clash = np.flatnonzero(dist <= eps_spec)
-    if clash.size:
-        k = clash[0]
+    if (dist <= eps_spec).any():
+        k = np.flatnonzero(dist <= eps_spec)[0]
         raise SpectrumClash(f"lambda={lam} lies within {dist[k]:.3e} of the spectrum"
                             f"{_at(nodes, k)} (threshold {eps_spec[k]:.3e})")
     shifted = lam * np.eye(a.shape[-1]) - a
@@ -150,13 +160,38 @@ def shifted_solve(a, lam: complex, rhs, spectra, nodes=None) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by dist check
         raise SingularSystem(f"shifted solve failed: {exc}") from exc
     residual = frob(shifted @ x - rhs)
-    bound = 1e-10 * np.maximum(frob(rhs), frob(x) * frob(shifted))
-    bad = np.flatnonzero(~(residual <= bound))
-    if bad.size:
-        k = bad[0]
+    bound = 1e-10 * np.maximum(rhs_norm, frob(x) * frob(shifted))
+    if not (residual <= bound).all():
+        k = np.flatnonzero(~(residual <= bound))[0]
         raise SingularSystem(f"shifted solve residual {residual[k]:.3e} exceeds {bound[k]:.3e}"
                              f"{_at(nodes, k)}")
     return x
+
+
+def _check_lambda(lam) -> None:
+    """The one check of a spectral parameter: NonFinite naming `lam` unless its
+    real and imaginary parts are both finite."""
+    z = complex(lam)
+    if not (isfinite(z.real) and isfinite(z.imag)):
+        raise NonFinite(f"spectral parameter lambda={z} is not finite")
+
+
+def _fold(stack, mat) -> np.ndarray:
+    """stack @ mat with the rows of the stacked matrices folded into one GEMM
+    per matrix of `mat`: a matrix (k, c) multiplies every matrix of the stack,
+    an (S, k, c) stack multiplies the matrices of stack[s] (S, ..., r, k).
+    Bit for bit the per-matrix product (numpy loops over the matrices)."""
+    stack = np.ascontiguousarray(stack)
+    lead = stack.shape[:np.ndim(mat) - 2]
+    out = stack.reshape(lead + (-1, stack.shape[-1])) @ mat
+    return out.reshape(stack.shape[:-1] + out.shape[-1:])
+
+
+def _fold_left(mat, stack) -> np.ndarray:
+    """mat @ stack as :func:`_fold` of the transposes, (stack^T mat^T)^T: one
+    GEMM in place of one per matrix.  Equal to the per-matrix product to
+    round-off, not bit for bit (OpenBLAS rounds some small products apart)."""
+    return _fold(np.swapaxes(stack, -1, -2), np.swapaxes(mat, -1, -2)).swapaxes(-1, -2)
 
 
 def _at(nodes, k: int) -> str:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import EPS_SPEC_REL
 from .errors import GridMismatch, NonFinite, ShapeMismatch, SingularSigma1
-from .matrix_kernel import as_matrix, max_frob
+from .matrix_kernel import _check_lambda, as_matrix, max_frob
 
 __all__ = [
     "TimeGrid",
@@ -252,10 +252,12 @@ def _running_product(steps: np.ndarray, m0: np.ndarray,
     stack; NonFinite(blew_up(j)) for the first j whose W_(j+1) is not finite."""
     w = np.empty((len(steps) + 1,) + m0.shape, dtype=complex)
     w[0] = m0
+    # np.dot is a cheaper call than np.matmul on 2-D operands, with the same bits.
+    product = np.dot if m0.ndim == 2 else np.matmul
     # Overflow is reported as NonFinite, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
         for step, prev, nxt in zip(steps, w[:-1], w[1:]):
-            np.matmul(step, prev, out=nxt)
+            product(step, prev, out=nxt)
     return _check_path(w, blew_up)
 
 
@@ -312,7 +314,17 @@ def _power_march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid, base_index: 
 
 
 def _coefficient(sigma1: np.ndarray, sigma2: np.ndarray, gamma: np.ndarray, lam) -> np.ndarray:
-    """sigma1^(-1) (lam sigma2 + gamma) over node stacks; `lam` may broadcast."""
+    """sigma1^(-1) (lam sigma2 + gamma) over node stacks; `lam` may broadcast.
+
+    For a scalar lam and (N, m, m) stacks that each hold the same bits at
+    every node (a time-invariant vessel), node 0 is solved once and broadcast
+    to the N nodes as a read-only view: LAPACK gives equal inputs equal bits,
+    so this is the N-node solve bit for bit.
+    """
+    stacks = (sigma1, sigma2, gamma)
+    if np.ndim(lam) == 0 and all(np.ndim(x) == 3 and _is_constant(x) for x in stacks):
+        one = np.linalg.solve(sigma1[:1], lam * sigma2[:1] + gamma[:1])
+        return np.broadcast_to(one, np.broadcast_shapes(*(np.shape(x) for x in stacks)))
     return np.linalg.solve(sigma1, lam * sigma2 + gamma)
 
 
@@ -377,9 +389,8 @@ def _check_sigma1(stack: np.ndarray) -> None:
         stack = stack[:1]
     eps = EPS_SPEC_REL * max_frob(stack)
     smin = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    bad = np.flatnonzero(smin <= eps)
-    if bad.size:
-        i = bad[0]
+    if (smin <= eps).any():
+        i = np.flatnonzero(smin <= eps)[0]
         raise SingularSigma1(f"sigma1 not invertible at node {i}: min singular value {smin[i]:.3e}")
 
 
@@ -399,8 +410,12 @@ def fundamental_matrix(
     pass gamma_star (side="output") for the output equation.  A coefficient
     that holds the same bits at every node (a time-invariant vessel) has one
     step propagator P, and the samples are its powers P^j, taken by repeated
-    squaring: the same RK4 solution to round-off, in about log2 N products.
+    squaring: the same RK4 solution to round-off, in about log2 N products;
+    when sigma1, sigma2 and gamma each hold the same bits at every node, it
+    is solved at one node only (see _coefficient).  NonFinite for a lam that
+    is not finite.
     """
+    _check_lambda(lam)
     _on_grid(grid, sigma1=sigma1, sigma2=sigma2, gamma=gamma)
     m = sigma1.shape[0]
     if sigma1.shape != (m, m) or sigma2.shape != (m, m) or gamma.shape != (m, m):

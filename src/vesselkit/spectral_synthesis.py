@@ -24,11 +24,12 @@ from .errors import (
     DegenerateB,
     DegenerateEigenvalue,
     InconsistentInitialData,
+    NonFinite,
     ShapeMismatch,
     SpectrumClash,
     TransportBreakdown,
 )
-from .matrix_kernel import as_matrix, frob, matrix_exp, max_frob
+from .matrix_kernel import _check_lambda, _fold, _fold_left, as_matrix, frob, matrix_exp, max_frob
 from .ode_engine import (
     GridOperatorFamily,
     TimeGrid,
@@ -42,6 +43,10 @@ from .ode_engine import (
     integrate_linear_ode,
 )
 from .vessel_core import DifferentialVessel, _coupling, eval_transfer
+
+# t rows per block of continuous_model_evolve's kernel-wide residuals, so each
+# temporary is a small part of the kernel.
+_T_ROWS = 16
 
 __all__ = [
     "SpectralDatum",
@@ -310,8 +315,10 @@ def mult_integral(
     at the nodes.  First-order product steps only: the step defect against
     the true product integral is O(ds).  `c` must be real (ShapeMismatch at
     its first nonzero imaginary part).  SpectrumClash where |lam + c(s_j)| <=
-    EPS_SPEC_REL * max(max_norm(K), 1); NonFinite names an overflowing step.
+    EPS_SPEC_REL * max(max_norm(K), 1); NonFinite for a lam that is not
+    finite, and naming an overflowing step.
     """
+    _check_lambda(lam)
     m = kernel.shape[0]
     if kernel.shape != (m, m):
         raise ShapeMismatch("kernel samples must be square")
@@ -320,7 +327,8 @@ def mult_integral(
         raise ShapeMismatch("c must have one value per s node")
     s_upper = int(kernel.grid.node_indices(s_upper))
     eps_spec = EPS_SPEC_REL * max(kernel.max_norm(), 1.0)
-    return _ordered_products(kernel.data[:s_upper], c_arr, lam, kernel.grid.h, eps_spec)[-1]
+    return _ordered_products(kernel.data[None, :s_upper], c_arr, [lam], kernel.grid.h,
+                             [eps_spec])[-1, 0]
 
 
 def _real_c(c) -> np.ndarray:
@@ -332,40 +340,77 @@ def _real_c(c) -> np.ndarray:
     return np.real(c).astype(float)
 
 
-def _ordered_products(kern: np.ndarray, c: np.ndarray, lam: complex, ds: float,
-                      eps_spec: float) -> np.ndarray:
-    """Running products W_0 = I, W_(j+1) = exp(K_j ds / (lam + c_j)) W_j over `kern`.
+def _ordered_products(kern: np.ndarray, c: np.ndarray, lams, ds: float, eps_spec) -> np.ndarray:
+    """Running products W_0 = I, W_(j+1) = exp(K_j ds / (lam + c_j)) W_j over the
+    s steps of each kernel slice of `kern` (T, S, m, m), for each of `lams`:
+    one (S + 1, L T, m, m) stack, lam-major, from one matrix_exp and one
+    running product.  `eps_spec` (T,) is the clash threshold of each slice.
 
-    SpectrumClash at the first j with |lam + c_j| <= eps_spec, once the steps
-    before it are exponentiated, so an overflow there raises NonFinite first;
-    an overflowing product raises NonFinite naming its step.
+    Errors are those of the L T products taken one at a time in that order.
+    The first that fails raises SpectrumClash at its first j with |lam + c_j|
+    <= eps_spec, once the steps before it are exponentiated, so an overflow
+    there raises NonFinite first; or NonFinite naming its overflowing step.
     Each step factor takes one scalar division: numpy's vectorised complex
     division rounds some of them differently.
     """
-    scales, clash = [], None
-    for j in range(len(kern)):
-        denom = lam + c[j]
-        if abs(denom) <= eps_spec:
-            clash = SpectrumClash(f"lambda + c(s_{j}) = {denom} too close to zero")
-            break
-        scales.append(ds / denom)
-    exps = matrix_exp(kern[:len(scales)] * np.array(scales, dtype=complex)[:, None, None])
-    if clash is not None:
-        raise clash
-    return _running_product(exps, np.eye(kern.shape[1], dtype=complex), lambda j: (
-        f"multiplicative integral blew up between s nodes {j} and {j + 1}"))
+    n_t, n_s, m = kern.shape[:3]
+    one = len(lams) * n_t == 1
+    cs, eps = c.tolist(), max(eps_spec)
+    scales = []
+    for lam in lams:
+        for j in range(n_s):
+            denom = lam + cs[j]
+            if abs(denom) <= eps:
+                clash = SpectrumClash(f"lambda + c(s_{j}) = {denom} too close to zero")
+                if one:
+                    matrix_exp(kern[0, :j] * np.array(scales, dtype=complex)[:, None, None])
+                else:  # the slice with the largest eps clashes
+                    _each_product(kern, c, lams, ds, eps_spec)
+                raise clash
+            scales.append(ds / denom)
+    scales = np.array(scales, dtype=complex).reshape(len(lams), 1, n_s, 1, 1)
+    eye = np.eye(m, dtype=complex)
+    try:
+        exps = matrix_exp((kern * scales).reshape(-1, m, m))
+        exps = exps.reshape(len(lams) * n_t, n_s, m, m).swapaxes(0, 1)
+        if one:  # 2-D steps take np.dot
+            return _running_product(exps[:, 0], eye, _product_blew_up)[:, None]
+        return _running_product(exps, np.broadcast_to(eye, exps.shape[1:]), _product_blew_up)
+    except NonFinite:
+        if not one:
+            _each_product(kern, c, lams, ds, eps_spec)
+        raise
+
+
+def _each_product(kern, c, lams, ds, eps_spec) -> None:
+    """:func:`_ordered_products` one product at a time, in its order, for a
+    stack in which some product fails: the first that fails raises its error."""
+    for lam in lams:
+        for t in range(len(kern)):
+            _ordered_products(kern[t:t + 1], c, [lam], ds, eps_spec[t:t + 1])
+
+
+def _product_blew_up(j: int) -> str:
+    return f"multiplicative integral blew up between s nodes {j} and {j + 1}"
 
 
 def _kernel(beta: np.ndarray, sigma1: np.ndarray) -> np.ndarray:
     """K = beta beta^H sigma1 over any leading (t and) s axes of beta."""
-    return np.einsum("...ij,...kj->...ik", beta, beta.conj()) @ sigma1
+    return _fold(np.einsum("...ij,...kj->...ik", beta, beta.conj()), sigma1)
 
 
-def _gamma_s_defect(dgam: np.ndarray, kern: np.ndarray, s1, s2) -> np.ndarray:
-    """sigma1^(-1) d(gamma_s)/ds + P K - K P, P = sigma1^(-1) sigma2, at the s nodes of
-    `dgam`, over kernel samples `kern` at those s nodes (and any t nodes)."""
-    p = np.linalg.solve(s1, s2)
-    return np.linalg.solve(s1, dgam) + p @ kern - kern @ p
+def _gamma_s_defect(q: np.ndarray, kern: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """q + P K - K P: the gamma_s defect sigma1^(-1) d(gamma_s)/ds + P K - K P, with
+    q = sigma1^(-1) d(gamma_s)/ds at the s nodes of `kern` (any t axis before
+    them) and P = sigma1^(-1) sigma2; each product is one GEMM."""
+    return q + _fold_left(p, kern) - _fold(kern, p)
+
+
+def _commutator(coeff: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """[coeff, K] = coeff K - K coeff over kern (T, S, m, m), coeff (S, m, m) at the
+    same s nodes: for each s, each product is one GEMM over the T rows."""
+    x = kern.swapaxes(0, 1)
+    return (_fold_left(coeff, x) - _fold(x, coeff)).swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -464,22 +509,28 @@ def continuous_model_evolve(
     exact one-step exponential.  Returned residuals: the gamma_s equation
     (central differences in s, all t), the kernel evolution equation (central
     differences in t, all s), the product-derivative law at the probe points,
-    and the mixed-partial cross check of the two-variable product.
+    and the mixed-partial cross check of the two-variable product.  NonFinite
+    for a probe lambda that is not finite.
     """
     if model.t_grid is not None:
         raise ShapeMismatch("model is already evolved")
+    probe_lambdas = tuple(probe_lambdas)
+    for lam in probe_lambdas:
+        _check_lambda(lam)
     s1 = as_matrix(sigma1)
     s2 = as_matrix(sigma2)
     _check_sigma1(s1[None])
+    m = s1.shape[0]
     ns = model.s_grid.n_nodes
     nt = t_grid.n_nodes
     ds = model.s_grid.h
     mid = slice(1, ns - 1)
 
     # Initial-data consistency with the gamma_s equation, checked in s.
-    dgam0 = _node_derivative(model.gamma_s, ds)[mid]
+    q = np.linalg.solve(s1, _node_derivative(model.gamma_s, ds)[mid])
+    p = np.linalg.solve(s1, s2)
     k0 = model.kernel_at(None, s1)
-    worst0 = max_frob(_gamma_s_defect(dgam0, k0[mid], s1, s2))
+    worst0 = max_frob(_gamma_s_defect(q, k0[mid], p))
     allowance = (ds ** 2) * max(1.0, float(np.max(np.abs(k0))) ** 2)
     if worst0 > consistency_tol + allowance:
         raise InconsistentInitialData(
@@ -497,24 +548,31 @@ def continuous_model_evolve(
     )
 
     kern = _kernel(beta, s1)
-    comm = coeff @ kern - kern @ coeff  # the analytic t-derivative of the kernel
 
-    # (a) gamma_s equation at every (t, interior s), batched over both axes.
-    res_a = max_frob(_gamma_s_defect(dgam0, kern[:, mid], s1, s2))
-
-    # (b) kernel evolution in t at every (interior t, s).
-    res_b = max_frob(_node_derivative(kern, h)[1:-1] - comm[1:-1])
+    # (a) gamma_s equation at every (t, interior s), and (b) kernel evolution
+    # in t at every (interior t, s) against the analytic t-derivative
+    # [coeff, K], both over blocks of t rows: no temporary is kernel-sized.
+    res_a, res_b = [0.0], [0.0]
+    for t0 in range(0, nt, _T_ROWS):
+        rows = slice(t0, min(t0 + _T_ROWS, nt))
+        res_a.append(max_frob(_gamma_s_defect(q, kern[rows, mid], p)))
+        lo, hi = max(rows.start, 1), min(rows.stop, nt - 1)
+        if lo < hi:
+            dk = _node_derivative(kern[lo - 1:hi + 1], h)[1:-1]
+            res_b.append(max_frob(dk - _commutator(coeff, kern[lo:hi])))
 
     # (c) product-derivative law at the probe points.  Each product and its
-    # guard are those of mult_integral over the kernel at that t.
+    # guard are those of mult_integral over the kernel at that t; the products
+    # of every probe lambda and t form one stack.
     res_c = 0.0
     t_slices = sorted({0, nt // 2, nt - 1})
-    for lam in probe_lambdas:
-        for i in t_slices:
-            eps_spec = EPS_SPEC_REL * max(max_frob(kern[i]), 1.0)
-            w = _ordered_products(kern[i, :-1], model.c, lam, ds, eps_spec)
-            law = kern[i, :-1] / (lam + model.c[:-1, None, None]) @ w[:-1]
-            res_c = max(res_c, max_frob((w[1:] - w[:-1]) / ds - law))
+    if probe_lambdas:
+        kp = kern[t_slices, :-1]
+        eps_spec = [EPS_SPEC_REL * max(max_frob(kern[i]), 1.0) for i in t_slices]
+        w = _ordered_products(kp, model.c, probe_lambdas, ds, eps_spec)
+        lam_c = np.reshape(probe_lambdas, (-1, 1, 1, 1, 1)) + model.c[:-1, None, None]
+        law = (kp / lam_c).reshape(-1, ns - 1, m, m).swapaxes(0, 1) @ w[:-1]
+        res_c = max_frob((w[1:] - w[:-1]) / ds - law)
 
     # Mixed partials at the kernel level: the s-difference of the analytic
     # t-derivative against the product-rule expansion with s-differenced
@@ -528,14 +586,15 @@ def continuous_model_evolve(
         dcoeff = _node_derivative(coeff, ds)[mid]
         cm = coeff[mid]
         for i in t_slices:
+            comm = coeff @ kern[i] - kern[i] @ coeff
             dk = _node_derivative(kern[i], ds)[mid]
             ki = kern[i, mid]
             m2 = dcoeff @ ki + cm @ dk - dk @ cm - ki @ dcoeff
-            res_mixed = max(res_mixed, max_frob(_node_derivative(comm[i], ds)[mid] - m2))
+            res_mixed = max(res_mixed, max_frob(_node_derivative(comm, ds)[mid] - m2))
 
     residuals = ContinuousModelResiduals(
-        gamma_s_equation=float(res_a),
-        kernel_evolution=float(res_b),
+        gamma_s_equation=float(np.max(res_a)),
+        kernel_evolution=float(np.max(res_b)),
         product_derivative=float(res_c),
         mixed_partials=float(res_mixed),
     )

@@ -44,6 +44,10 @@ from .errors import (
 )
 from .matrix_kernel import (
     _check_hermitian,
+    _check_lambda,
+    _fold,
+    _shifted_solve,
+    _spectral_guard,
     frob,
     hermitian_part,
     max_frob,
@@ -138,14 +142,25 @@ class DifferentialVessel:
         nn = self.grid.n_nodes
         return np.empty((nn, self.state_dim), dtype=complex), np.zeros(nn, dtype=bool)
 
+    @functools.cached_property
+    def _transfer_operands(self) -> tuple[np.ndarray, ...]:
+        """The lam-independent operands of :func:`transfer_sweep` at every node,
+        computed on first use: A1, B^H, B sigma1, the SpectrumClash threshold
+        of each A1 and ||B sigma1||_F.  Like the spectra, they derive from
+        read-only data and never go stale."""
+        a1, b = self.A1.data, self.B.data
+        bs1 = b @ self.sigma1.data
+        return a1, b.conj().transpose(0, 2, 1), bs1, _spectral_guard(a1), frob(bs1)
+
     def _spectra(self, nodes: np.ndarray) -> np.ndarray:
         """Eigenvalues of A1 at the node indices `nodes`, each node computed on
         its first request only.  The families are read-only, so a stored value
         never goes stale; a value is written before its node is marked known,
         and concurrent fills write the same values."""
         values, known = self._spectra_store
-        todo = np.unique(nodes[~known[nodes]])
-        if todo.size:
+        unknown = ~known[nodes]
+        if unknown.any():
+            todo = np.unique(nodes[unknown])
             values[todo] = np.linalg.eigvals(self.A1.data[todo])
             known[todo] = True
         return values[nodes]
@@ -235,30 +250,42 @@ def transfer_sweep(v: DifferentialVessel, lams, nodes=None) -> np.ndarray:
     """S(lam, node) = I - B^H (lam I - A1)^(-1) B sigma1, shape (L, N, m, m),
     for the L values `lams` at the N grid indices `nodes` (default: all).
 
-    The spectra of A1 are kept on the vessel, per node, from first use; each
-    lam then costs one guarded shifted solve against B sigma1 over the nodes.
-    Raises GridMismatch for a node outside [0, n_steps]; SpectrumClash names
-    the first node a lam hits.
+    The spectra of A1 are kept on the vessel, per node, from first use, and so
+    are the operands that do not depend on lam (A1, B^H, B sigma1 and the
+    scales of the solve's guards); each lam then costs one guarded shifted
+    solve against B sigma1 over the nodes.  Raises GridMismatch for a node
+    outside [0, n_steps]; SpectrumClash names the first node a lam hits.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    nodes = np.arange(v.grid.n_nodes) if nodes is None else v.grid.node_indices(nodes).reshape(-1)
-    a1, b = v.A1.data[nodes], v.B.data[nodes]
-    bh, bs1 = b.conj().transpose(0, 2, 1), b @ v.sigma1.data[nodes]
+    operands = v._transfer_operands
+    if nodes is None:
+        nodes = np.arange(v.grid.n_nodes)
+    else:
+        nodes = v.grid.node_indices(nodes).reshape(-1)
+        operands = tuple(x[nodes] for x in operands)
+    a1, bh, bs1, eps_spec, bs1_norm = operands
     spectra = v._spectra(nodes)
+    eye = np.eye(v.signal_dim, dtype=complex)
     out = np.empty((lams.size, nodes.size) + v.sigma1.shape, dtype=complex)
     for k, lam in enumerate(lams):
-        out[k] = np.eye(v.signal_dim, dtype=complex) - bh @ shifted_solve(
-            a1, lam, bs1, spectra, nodes=nodes)
+        out[k] = eye - bh @ _shifted_solve(a1, lam, bs1, spectra, eps_spec, bs1_norm, nodes)
     return out
 
 
 def eval_transfer(v: DifferentialVessel, lam: complex, node: int) -> np.ndarray:
-    """S(lam, node) at one grid node."""
+    """S(lam, node) at one grid node, for one lam and one node: ShapeMismatch
+    for several (:func:`transfer_sweep` sweeps them)."""
+    if np.size(lam) != 1 or np.size(node) != 1:
+        raise ShapeMismatch("eval_transfer takes one lambda and one node; "
+                            "transfer_sweep takes several")
     return transfer_sweep(v, lam, node)[0, 0]
 
 
 def transfer_at_nodes(v: DifferentialVessel, lam: complex) -> np.ndarray:
-    """S(lam, node) at every grid node, shape (n_nodes, m, m)."""
+    """S(lam, node) at every grid node, shape (n_nodes, m, m), for one lam:
+    ShapeMismatch for several (:func:`transfer_sweep` sweeps them)."""
+    if np.size(lam) != 1:
+        raise ShapeMismatch("transfer_at_nodes takes one lambda; transfer_sweep takes several")
     return transfer_sweep(v, lam)[0]
 
 
@@ -406,6 +433,7 @@ def transfer_pde_residual_values(
     || dS/dt - sigma1^(-1)(sigma2 lam + gamma_star) S + S sigma1^(-1)(sigma2 lam + gamma) ||_F.
     `s_values` holds one sample per node, as a sequence or an (N, m, m) stack.
     """
+    _check_lambda(lam)
     if len(s_values) != grid.n_nodes:
         raise GridMismatch("need one transfer sample per node")
     _on_grid(grid, sigma1=sigma1, sigma2=sigma2, gamma=gamma, gamma_star=gamma_star)
@@ -445,7 +473,7 @@ def intertwining_residual(
     if not phi.grid.compatible(phi_star.grid) or phi.base_index != phi_star.base_index:
         raise GridMismatch("fundamental matrices are incompatible")
     s = GridOperatorFamily(phi.grid, s_values).data
-    return max_frob(s @ phi.family.data - phi_star.family.data @ s[phi.base_index])
+    return max_frob(s @ phi.family.data - _fold(phi_star.family.data, s[phi.base_index]))
 
 
 def simulate(v: DifferentialVessel, lam: complex, u0) -> Trajectory:

@@ -235,6 +235,25 @@ class TestCommands:
         err = json.loads(out)["error"]
         assert err["kind"] == "input" and f"--node {node}" in err["message"]
 
+    @pytest.mark.parametrize("lam", ["inf,0", "nan,0", "0,-inf"])
+    def test_non_finite_lambda_is_named(self, vessel_file, tmp_path, capsys, lam):
+        """fundamental and simulate refuse a non-finite --lambda before any
+        arithmetic: exit 2, NonFinite naming lambda, no numpy warning."""
+        doc = {"grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 10},
+               "sigma1": [[[1.0, 0.0]]], "sigma2": [[[1.0, 0.0]]], "gamma": [[[0.0, 0.0]]]}
+        path = tmp_path / "coeff.json"
+        path.write_text(cli.dump_json(doc))
+        z = complex(*(float(x) for x in lam.split(",")))
+        for argv in (["fundamental", str(path), f"--lambda={lam}"],
+                     ["simulate", vessel_file, "--u0", "[[1.0,0.0],[0.3,-0.7]]",
+                      f"--lambda={lam}"]):
+            code, out = run_cli(argv)
+            assert code == 2
+            err = json.loads(out)["error"]
+            assert err["kind"] == "NonFinite"
+            assert err["message"] == f"spectral parameter lambda={z} is not finite"
+            assert "Warning" not in capsys.readouterr().err
+
     def test_multint_constant_kernel(self, tmp_path):
         n_steps = 200
         doc = {"s_grid": {"t_start": 0.0, "t_end": 2.0, "n_steps": n_steps},

@@ -5,6 +5,9 @@ stage form it replaced to round-off, and an in-test propagator loop bit for
 bit; a time-invariant fundamental matrix, taken as powers of one propagator,
 matches the sequential march to round-off."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -399,17 +402,42 @@ class TestContinuousModelSteps:
         assert str(got.value) == str(ref.value)
 
     def test_probe_products_only_at_the_probe_slices(self, monkeypatch):
-        """One exponential for the t step, then one ordered product per probe
-        lambda at each of the three probe slices t = 0, nt // 2, nt - 1."""
+        """One exponential call for the t step, then the exponentials of one
+        ordered product per probe lambda at each of the three probe slices
+        t = 0, nt // 2, nt - 1: one per s step."""
         model, s1, s2 = self.model()
-        calls = []
+        sizes = []
         matrix_exp = synth.matrix_exp
-        monkeypatch.setattr(synth, "matrix_exp", lambda m: calls.append(1) or matrix_exp(m))
+        monkeypatch.setattr(synth, "matrix_exp", lambda m: sizes.append(len(m)) or matrix_exp(m))
         lams = (2.0 + 0.7j, 1.1 - 0.4j)
         _, res = vk.continuous_model_evolve(model, s1, s2, vk.TimeGrid(0.0, 1.0, 17),
                                             probe_lambdas=lams, consistency_tol=1e3)
-        assert len(calls) == 1 + 3 * len(lams)
+        assert sizes[0] == model.s_grid.n_nodes  # the t step
+        assert sum(sizes[1:]) == 3 * len(lams) * model.s_grid.n_steps
         assert np.isfinite(res.product_derivative)
+
+    @pytest.mark.parametrize("rows", [1, 5, 16])
+    @pytest.mark.parametrize("n_t", [1, 2, 16, 17, 40])
+    def test_blocked_residuals_match_kernel_sized_products(self, monkeypatch, rows, n_t):
+        """The gamma_s and kernel-evolution residuals, taken over blocks of t
+        rows with one GEMM per product, against kernel-sized per-matrix
+        products: equal to round-off (the left products round apart)."""
+        monkeypatch.setattr(synth, "_T_ROWS", rows)
+        model, s1, s2 = self.model()
+        t_grid = vk.TimeGrid(0.0, 1.0, n_t)
+        evolved, res = vk.continuous_model_evolve(model, s1, s2, t_grid, consistency_tol=1e3)
+        kern = np.einsum("tsij,tskj->tsik", evolved.beta, evolved.beta.conj()) @ s1
+        coeff = np.linalg.solve(s1, -model.c[:, None, None] * s2 + model.gamma_s)
+        p = np.linalg.solve(s1, s2)
+        dgam = vk.family_derivative(vk.GridOperatorFamily(model.s_grid, model.gamma_s)).data
+        k = kern[:, 1:-1]
+        gamma_s = max_frob(np.linalg.solve(s1, dgam[1:-1]) + p @ k - k @ p)
+        d_kern = (kern[2:] - kern[:-2]) / (2.0 * t_grid.h)
+        evolution = max_frob(d_kern - (coeff @ kern - kern @ coeff)[1:-1])
+        scale = SLACK * EPS * max_frob(kern)
+        assert abs(res.gamma_s_equation - gamma_s) <= scale * frob(p)
+        assert abs(res.kernel_evolution - evolution) <= scale * max_frob(coeff)
+        assert (res.kernel_evolution == 0.0) == (n_t == 1)
 
     @pytest.mark.parametrize("name, length", [("beta0", 30), ("beta0", 33), ("c", 30),
                                               ("c", 32)])
@@ -426,6 +454,182 @@ class TestContinuousModelSteps:
         model, s1, s2 = self.model()
         with pytest.raises(ShapeMismatch, match=r"^c needs .* got shape \(\)$"):
             vk.consistent_gamma_s(model.beta, 0.5, s1, s2, model.gamma_s[0], model.s_grid)
+
+
+def probe_reference(kern, c, lam, ds, eps_spec):
+    """One probe's ordered product W_0 = I, W_(j+1) = exp(K_j ds / (lam + c_j)) W_j
+    over `kern` (S, m, m), as the loop over probes took it: the exponentials of
+    the steps before a clash first, then the clash, then the running product."""
+    scales, clash = [], None
+    for j in range(len(kern)):
+        denom = lam + c[j]
+        if abs(denom) <= eps_spec:
+            clash = SpectrumClash(f"lambda + c(s_{j}) = {denom} too close to zero")
+            break
+        scales.append(ds / denom)
+    exps = vk.matrix_exp(kern[:len(scales)] * np.array(scales, dtype=complex)[:, None, None])
+    if clash is not None:
+        raise clash
+    w = [np.eye(kern.shape[1], dtype=complex)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, step in enumerate(exps):
+            w.append(step @ w[-1])
+            if not np.isfinite(w[-1]).all():
+                raise NonFinite(f"multiplicative integral blew up between s nodes {j} and {j + 1}")
+    return np.stack(w)
+
+
+def first_probe_error(kern, c, lams, ds, eps_spec):
+    """The error of the first probe, lam-major over the slices of `kern`, that fails."""
+    for lam in lams:
+        for k, eps in zip(kern, eps_spec):
+            try:
+                probe_reference(k, c, lam, ds, eps)
+            except (SpectrumClash, NonFinite) as exc:
+                return exc
+    return None
+
+
+class TestStackedProbes:
+    """The probe products of continuous_model_evolve are one matrix_exp and one
+    running product over every (lambda, t slice); each keeps the bits of its
+    own product, and errors come as from the loop over probes."""
+
+    lams = (2.0 + 0.7j, 1.1 - 0.4j, -0.2 + 1.5j, 3.0)
+
+    def kernels(self, m, n_t=3, n_s=40, seed=8):
+        rng = np.random.default_rng(seed)
+        s = np.linspace(0.0, 1.0, n_s)[:, None, None]
+        kern = np.stack([rand_complex(rng, (m, m), 0.8) + np.sin(3.0 * s) * rand_complex(rng, (m, m))
+                         for _ in range(n_t)])
+        c = 0.3 + 0.7 * np.sin(2.0 * np.linspace(0.0, 1.0, n_s + 1))
+        return kern, c, [EPS_SPEC_REL * max(max_frob(k), 1.0) for k in kern]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_stack_matches_each_probe(self, m):
+        kern, c, eps = self.kernels(m)
+        w = synth._ordered_products(kern, c, self.lams, 0.025, eps)
+        assert w.shape == (41, len(self.lams) * 3, m, m)
+        for p, (lam, t) in enumerate((lam, t) for lam in self.lams for t in range(3)):
+            assert same_bits(w[:, p], probe_reference(kern[t], c, lam, 0.025, eps[t]))
+
+    def test_product_derivative_matches_the_loop_over_probes(self):
+        model, s1, s2 = TestContinuousModelSteps().model()
+        evolved, res = vk.continuous_model_evolve(model, s1, s2, vk.TimeGrid(0.0, 1.0, 17),
+                                                  probe_lambdas=self.lams, consistency_tol=1e3)
+        ds, c, want = model.s_grid.h, model.c, 0.0
+        for lam in self.lams:
+            for i in (0, 9, 17):
+                k = evolved.kernel_at(i, s1)
+                w = probe_reference(k[:-1], c, lam, ds, EPS_SPEC_REL * max(max_frob(k), 1.0))
+                law = k[:-1] / (lam + c[:-1, None, None]) @ w[:-1]
+                want = max(want, max_frob((w[1:] - w[:-1]) / ds - law))
+        assert res.product_derivative == want
+
+    def test_one_exponential_call_for_every_probe(self, monkeypatch):
+        model, s1, s2 = TestContinuousModelSteps().model()
+        sizes = []
+        matrix_exp = synth.matrix_exp
+        monkeypatch.setattr(synth, "matrix_exp", lambda m: sizes.append(len(m)) or matrix_exp(m))
+        vk.continuous_model_evolve(model, s1, s2, vk.TimeGrid(0.0, 1.0, 17),
+                                   probe_lambdas=self.lams, consistency_tol=1e3)
+        assert sizes == [model.s_grid.n_nodes, 3 * len(self.lams) * model.s_grid.n_steps]
+
+    # K = 10 on 10 steps of ds = 0.1, c = 0 but for c_3 = -3 and c_5 = -2: lam = 2
+    # clashes at s_5, lam = 3 + 1e-5 overflows the exponential of s_3 (e^(1e5)),
+    # lam = 0.01 overflows the product (e^100 per step) and lam = 1 passes.
+    probes = {"passes": 1.0, "clash": 2.0, "exponential overflow": 3.0 + 1e-5,
+              "product overflow": 0.01}
+
+    def failing_kernel(self):
+        c = np.zeros(11)
+        c[3], c[5] = -3.0, -2.0
+        return np.full((1, 10, 1, 1), 10.0, dtype=complex), c, [EPS_SPEC_REL * 10.0]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(probes)))
+    def test_the_first_failing_probe_raises(self, order):
+        kern, c, eps = self.failing_kernel()
+        lams = [self.probes[name] for name in order]
+        want = first_probe_error(kern, c, lams, 0.1, eps)
+        with pytest.raises(type(want)) as got:
+            synth._ordered_products(kern, c, lams, 0.1, eps)
+        assert str(got.value) == str(want)
+
+    def test_a_clash_is_not_masked_by_a_later_overflow(self):
+        kern, c, eps = self.failing_kernel()
+        p = self.probes
+        with pytest.raises(SpectrumClash, match=r"^lambda \+ c\(s_5\) = 0.0 too close to zero$"):
+            synth._ordered_products(kern, c, [p["passes"], p["clash"],
+                                              p["exponential overflow"]], 0.1, eps)
+        with pytest.raises(NonFinite, match="^matrix_exp overflowed at node 3$"):
+            synth._ordered_products(kern, c, [p["passes"], p["exponential overflow"],
+                                              p["clash"]], 0.1, eps)
+        with pytest.raises(NonFinite, match="between s nodes 9 and 10$"):
+            synth._ordered_products(kern, c, [p["product overflow"], p["clash"]], 0.1, eps)
+
+
+def test_model_evolution_peak_memory():
+    """One continuous_model_evolve call at 200 s steps and 200 t steps peaks at
+    no more traced memory than the 11,780,920 bytes measured with the
+    kernel-sized commutator and gamma_s defect it replaced (numpy 2.4)."""
+    sg = vk.TimeGrid(0.0, 1.0, 200)
+    s = sg.nodes()
+    beta0 = np.stack([np.array([[np.cos(0.9 * x + 0.2)], [0.4 + 0.3j * x]]) for x in s])
+    s2 = np.array([[0.2, 0.05 - 0.1j], [0.05 + 0.1j, -0.15]])
+    g0 = np.array([[0.1j, 0.2 + 0.05j], [-0.2 + 0.05j, -0.3j]]) + 0.4 * s2
+    c = np.full(201, 0.4)
+    gamma_s = vk.consistent_gamma_s(beta0, c, np.eye(2), s2, g0, sg)
+    model = vk.ContinuousSpectrumModel(s_grid=sg, c=c, beta=beta0, gamma_s=gamma_s)
+    lams = tuple(complex(1.0 + 0.3 * k, 0.5 - 0.2 * k) for k in range(8))
+    t_grid = vk.TimeGrid(0.0, 1.0, 200)
+    vk.continuous_model_evolve(model, np.eye(2), s2, t_grid, probe_lambdas=lams,
+                               consistency_tol=1e-4)
+    tracemalloc.start()
+    try:
+        vk.continuous_model_evolve(model, np.eye(2), s2, t_grid, probe_lambdas=lams,
+                                   consistency_tol=1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11_780_920
+
+
+class TestConstantCoefficient:
+    """sigma1^(-1) (lam sigma2 + gamma) of families that each hold the same bits
+    at every node is solved at one node, bit for bit the N-node solve."""
+
+    lam = 0.7 - 1.3j
+
+    def solve_sizes(self, monkeypatch, *args):
+        sizes = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: sizes.append(len(a)) or solve(a, b))
+        got = oe._coefficient(*args)
+        monkeypatch.undo()
+        return got, sizes
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_one_node_solve_is_the_node_stack_solve(self, monkeypatch, m):
+        s1, s2, g = (f.data for f in constant_coefficients(vk.TimeGrid(0.0, 1.0, 50), m))
+        got, sizes = self.solve_sizes(monkeypatch, s1, s2, g, self.lam)
+        assert sizes == [1]
+        assert same_bits(got, np.linalg.solve(s1, self.lam * s2 + g))
+
+    def test_one_bit_off_at_the_last_node_solves_every_node(self, monkeypatch):
+        s1, s2, g = (f.data.copy() for f in constant_coefficients(vk.TimeGrid(0.0, 1.0, 50), 2))
+        g[-1, 0, 0] = np.nextafter(g[-1, 0, 0].real, np.inf) + 1j * g[-1, 0, 0].imag
+        got, sizes = self.solve_sizes(monkeypatch, s1, s2, g, self.lam)
+        assert sizes == [51]
+        assert same_bits(got, np.linalg.solve(s1, self.lam * s2 + g))
+
+    def test_fundamental_matrix_keeps_its_bits(self):
+        grid = vk.TimeGrid(0.0, 1.0, 64)
+        s1, s2, g = constant_coefficients(grid, 3)
+        coeff = np.linalg.solve(s1.data, self.lam * s2.data + g.data)
+        for base in (0, 21, 64):
+            phi = vk.fundamental_matrix(self.lam, s1, s2, g, grid, base_index=base)
+            assert same_bits(phi.family.data,
+                             oe._power_march(coeff, np.eye(3, dtype=complex), grid, base))
 
 
 def interp4_reference(data, pos):

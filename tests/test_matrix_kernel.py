@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -46,9 +48,44 @@ class TestResolvent:
             resolvent(a, 1.0)
 
     def test_non_finite_input(self):
-        for lam in (complex(np.nan, 0.0), complex(0.0, np.inf)):
-            with pytest.raises(NonFinite, match="^shifted solve spectral parameter is not finite$"):
+        for lam, text in ((complex(np.nan, 0.0), r"\(nan\+0j\)"), (complex(0.0, np.inf), "infj")):
+            with pytest.raises(NonFinite, match=f"^spectral parameter lambda={text} is not finite$"):
                 resolvent(np.eye(2), lam)
+
+
+class TestNonFiniteLambda:
+    """Every per-lambda entry runs the one lambda check before any arithmetic:
+    NonFinite naming lambda, and no numpy warning (warnings are errors here)."""
+
+    bad = (complex(np.inf, 0.0), complex(np.nan, 0.0), complex(0.0, -np.inf), np.nan)
+
+    def message(self, lam):
+        return "^" + re.escape(f"spectral parameter lambda={complex(lam)} is not finite") + "$"
+
+    def test_fundamentals_simulate_and_transfer_pde(self):
+        v, _ = skew_chain_vessel(vk.TimeGrid(0.0, 1.0, 20), seed=5, n_points=2)
+        for lam in self.bad:
+            for call in (lambda: vk.input_fundamental(v, lam), lambda: vk.output_fundamental(v, lam),
+                         lambda: vk.simulate(v, lam, [1.0, 0.0]),
+                         lambda: vk.transfer_pde_residual(v, lam),
+                         lambda: vk.transfer_pde_residual_values(
+                             vk.transfer_at_nodes(v, 2.0), v.sigma1, v.sigma2, v.gamma,
+                             v.gamma_star, lam, v.grid)):
+                with pytest.raises(NonFinite, match=self.message(lam)):
+                    call()
+
+    def test_mult_integral_and_model_probes(self):
+        grid = vk.TimeGrid(0.0, 1.0, 10)
+        kernel = vk.GridOperatorFamily(grid, np.broadcast_to(np.eye(2), (11, 2, 2)))
+        beta0 = np.ones((11, 2, 1), dtype=complex)
+        model = vk.ContinuousSpectrumModel(s_grid=grid, c=np.ones(11), beta=beta0,
+                                           gamma_s=np.zeros((11, 2, 2)))
+        for lam in self.bad:
+            with pytest.raises(NonFinite, match=self.message(lam)):
+                vk.mult_integral(kernel, np.zeros(11), lam, 10)
+            with pytest.raises(NonFinite, match=self.message(lam)):
+                vk.continuous_model_evolve(model, np.eye(2), np.zeros((2, 2)), grid,
+                                           probe_lambdas=(2.0, lam), consistency_tol=1e3)
 
 
 class TestHermitianSqrt:

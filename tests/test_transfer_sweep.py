@@ -10,10 +10,13 @@ import pytest
 
 import vesselkit as vk
 from vesselkit import cli
-from vesselkit.errors import GridMismatch, NonFinite, NotHermitian, SingularSigma1, SpectrumClash
+import vesselkit.vessel_core as core
+from vesselkit.errors import (GridMismatch, NonFinite, NotHermitian, ShapeMismatch, SingularSigma1,
+                               SpectrumClash)
 from vesselkit.matrix_kernel import frob, max_frob, shifted_solve
 
-from helpers import SIGMA1_INDEFINITE, const, rand_complex, rand_skew, skew_chain_vessel
+from helpers import (SIGMA1_INDEFINITE, const, rand_complex, rand_hermitian, rand_skew,
+                     skew_chain_vessel)
 
 
 def run_cli(args):
@@ -500,3 +503,116 @@ class TestCliNodesAndClashes:
         code, out = run_cli(["realize", str(path), f"--lambda={z.real},{z.imag}"])
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "SpectrumClash"
+
+
+def varying_vessel(n, m=2, n_steps=20, seed=0):
+    """Vessel of state dimension n whose A1, B and sigma1 all change along the
+    grid (no condition enforced)."""
+    grid = vk.TimeGrid(0.0, 1.0, n_steps)
+    rng = np.random.default_rng(seed)
+    t = grid.nodes()[:, None, None]
+    a1 = rand_complex(rng, (1, n, n)) - 2.0 * np.eye(n) + t * rand_complex(rng, (1, n, n))
+    b = rand_complex(rng, (1, n, m)) + t * rand_complex(rng, (1, n, m))
+    s1 = SIGMA1_INDEFINITE + t * rand_hermitian(rng, m, 0.2)
+    zero = const(np.zeros((m, m)), grid)
+    return vk.DifferentialVessel(
+        A1=_family(grid, a1), A2=const(np.zeros((n, n)), grid), B=_family(grid, b),
+        sigma1=_family(grid, s1), sigma2=zero, gamma=zero, gamma_star=zero,
+    )
+
+
+def lu_reference(v, lams, nodes):
+    """S(lam, node) from the operands of each node, formed anew for each
+    (lam, node): one LU per pair."""
+    return np.array([[_reference(v, lam, node) for node in nodes] for lam in lams])
+
+
+class TestTransferOperands:
+    """A1, B^H, B sigma1 and the scales of the solve's guards are kept on the
+    vessel; every transfer is bit for bit the one from per-call operands."""
+
+    lams = (1.5 + 0.5j, -0.3 + 2.0j, 4.0, 0.2 - 3.1j)
+
+    @pytest.mark.parametrize("n", [1, 2, 12])
+    def test_matches_per_call_lu(self, n):
+        v = varying_vessel(n)
+        every = range(v.grid.n_nodes)
+        for nodes in (None, [5, 0, 17, 5], [9]):
+            want = lu_reference(v, self.lams, every if nodes is None else nodes)
+            assert same_bits(vk.transfer_sweep(v, self.lams, nodes), want)
+        for k, lam in enumerate(self.lams):
+            assert same_bits(vk.transfer_at_nodes(v, lam), lu_reference(v, [lam], every)[0])
+            assert same_bits(vk.eval_transfer(v, lam, 13), lu_reference(v, [lam], [13])[0, 0])
+
+    def test_vessel_decoded_from_a_shorthand_document(self):
+        """A document writes its constant families as one matrix; the decoded
+        vessel's transfer is still the per-call one, bit for bit."""
+        v, _ = skew_chain_vessel(vk.TimeGrid(0.0, 1.0, 24), seed=3, n_points=3)
+        doc = json.loads(cli.dump_json(cli.vessel_to_document(v)))
+        assert np.ndim(doc["sigma1"]) == 3 and np.ndim(doc["gamma"]) == 3  # one matrix each
+        w = cli.vessel_from_document(doc)
+        assert same_bits(vk.transfer_sweep(w, self.lams),
+                         lu_reference(w, self.lams, range(w.grid.n_nodes)))
+        assert same_bits(vk.transfer_sweep(w, self.lams, [24, 3]),
+                         lu_reference(w, self.lams, [24, 3]))
+
+    def test_operands_are_made_once_per_vessel(self, monkeypatch):
+        calls = []
+        guard = core._spectral_guard
+        monkeypatch.setattr(core, "_spectral_guard", lambda a: calls.append(len(a)) or guard(a))
+        v = varying_vessel(3)
+        for lam in self.lams:
+            vk.transfer_at_nodes(v, lam)
+            vk.eval_transfer(v, lam, 4)
+        vk.transfer_sweep(v, self.lams, [1, 2])
+        assert calls == [v.grid.n_nodes]
+
+    def test_full_sweep_solves_against_a1_itself(self, monkeypatch):
+        """No copy of A1 is made when every node is swept; a node subset is indexed."""
+        seen = []
+        solve = core._shifted_solve
+        monkeypatch.setattr(core, "_shifted_solve", lambda a, *rest: seen.append(a) or solve(a, *rest))
+        v = varying_vessel(3)
+        vk.transfer_at_nodes(v, 1.0 + 1.0j)
+        vk.eval_transfer(v, 1.0 + 1.0j, 6)
+        assert seen[0] is v.A1.data
+        assert same_bits(seen[1], v.A1.data[[6]])
+
+    def test_two_vessels_never_share_operands(self):
+        v = varying_vessel(3, seed=1)
+        w = dataclasses.replace(v, A1=_family(v.grid, v.A1.data[::-1]),
+                                B=_family(v.grid, 2.0 * v.B.data))
+        lam = 0.8 + 1.7j
+        for first, second in ((v, w), (w, v)):
+            for u in (first, second, dataclasses.replace(first)):
+                assert same_bits(vk.transfer_at_nodes(u, lam),
+                                 lu_reference(u, [lam], range(u.grid.n_nodes))[0])
+        assert v._transfer_operands is not dataclasses.replace(v)._transfer_operands
+
+    def test_kept_guard_scale_is_the_per_call_one(self):
+        """A lam just inside the clash threshold of node 8 clashes there, with the
+        message of a shifted solve whose operands are made in the call."""
+        v = varying_vessel(3)
+        a = v.A1.data[[8]]
+        eps = 1e-9 * max(frob(a[0]), 1.0)
+        lam = complex(np.linalg.eigvals(a[0])[1]) + 0.5 * eps
+        with pytest.raises(SpectrumClash) as want:
+            shifted_solve(a, lam, v.B.data[[8]] @ v.sigma1.data[[8]], np.linalg.eigvals(a), [8])
+        for call in (lambda: vk.transfer_sweep(v, [lam], [8]), lambda: vk.eval_transfer(v, lam, 8),
+                     lambda: vk.transfer_at_nodes(v, lam)):
+            with pytest.raises(SpectrumClash) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("lam, node", [([1.0 + 1.0j, 2.0], 0), (1.0 + 1.0j, [2, 3]),
+                                           ([], 0), (1.0, [])])
+    def test_eval_transfer_takes_one_lambda_and_one_node(self, lam, node):
+        v = varying_vessel(2)
+        with pytest.raises(ShapeMismatch, match="^eval_transfer takes one lambda and one node"):
+            vk.eval_transfer(v, lam, node)
+
+    @pytest.mark.parametrize("lam", [[1.0 + 1.0j, 2.0], []])
+    def test_transfer_at_nodes_takes_one_lambda(self, lam):
+        v = varying_vessel(2)
+        with pytest.raises(ShapeMismatch, match="^transfer_at_nodes takes one lambda"):
+            vk.transfer_at_nodes(v, lam)
