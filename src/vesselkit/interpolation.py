@@ -22,9 +22,9 @@ coefficient recovered from the linkage formula.
 
 Convention note (pinned by the round-trip test): a conservative vessel maps
 to a triple as A_pi = A1(node_ref), C = -B^H, A_xi = -A1(node_ref)^H,
-Bn = B; its coupling family is then the per-node Sylvester solution: the
-identity up to the vessel's colligation residual, amplified by the inverse
-norm of the Sylvester operator (near 1e15 on strongly non-normal chains).
+Bn = B; its coupling family is the identity.  When sigma2 and A2 vanish,
+A1 is constant and X' = Bn sigma2 C = 0, so one Sylvester solve at node_ref
+serves every node; otherwise each node is solved.
 """
 
 from __future__ import annotations
@@ -324,47 +324,37 @@ def zero_pole_realize(
     )
 
 
-def _monomial_rank(a1: np.ndarray, b: np.ndarray) -> int:
-    """Numerical rank of [B, A1 B, ..., A1^(n-1) B] at 1e-10 relative to its
-    largest singular value: below krylov_rank on minimal pairs with a strongly
-    non-normal A1, where extract_null_pole's coupling Sylvester problem can be
-    numerically singular, so extract_null_pole still refuses those."""
-    blocks = [b]
-    for _ in range(len(a1) - 1):
-        blocks.append(a1 @ blocks[-1])
-    sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-    return int(np.sum(sv > 1e-10 * sv[0]))
-
-
 def extract_null_pole(v: DifferentialVessel, node_ref: int = 0) -> NullPoleTriple:
     """Null-pole triple of a vessel's transfer function.
 
     Right pole pair (C, A_pi) = (-B^H, A1(node_ref)).  The inverse transfer is
     I + B^H (lam I - A1 - B sigma1 B^H)^(-1) B sigma1, so the left null pair
     is (A_xi, Bn) = (A1 + B sigma1 B^H at node_ref, B); under the first
-    colligation A_xi equals -A1(node_ref)^H.  The coupling family solves the
-    Sylvester equation at every node, all nodes sharing one factorization
-    (the identity, at node_ref exactly).  NotMinimal when krylov_rank or,
-    stricter, _monomial_rank is below n at node_ref; GridMismatch for a
-    node_ref off the grid.
+    colligation A_xi equals -A1(node_ref)^H and the identity solves the
+    coupling family's Sylvester equation.  When sigma2 and A2 vanish at every
+    node, the Lax equation keeps A1 constant and the coupling ODE reads
+    X' = Bn sigma2 C = 0, so the one solve at node_ref is X at every node;
+    otherwise every node is solved, all sharing one factorization.  NotMinimal
+    when krylov_rank is below n at node_ref; GridMismatch for a node_ref off
+    the grid.
     """
     node_ref = int(v.grid.node_indices(node_ref))
     n = v.state_dim
     a_pi = v.A1[node_ref]
     b_ref = v.B[node_ref]
-    for rule, rank_of in (("", krylov_rank), ("monomial ", _monomial_rank)):
-        rank = rank_of(a_pi, b_ref)
-        if rank < n:
-            raise NotMinimal(f"{rule}Krylov rank {rank} < {n} at node {node_ref}", rank=rank)
+    rank = krylov_rank(a_pi, b_ref)
+    if rank < n:
+        raise NotMinimal(f"Krylov rank {rank} < {n} at node {node_ref}", rank=rank)
     a_xi = a_pi + b_ref @ v.sigma1[node_ref] @ b_ref.conj().T
     c_data = -v.B.data.conj().transpose(0, 2, 1)
+    at = slice(None) if np.any(v.sigma2.data) or np.any(v.A2.data) else [node_ref]
+    x = solve_sylvester(a_pi, a_xi, v.B.data[at] @ v.sigma1.data[at] @ c_data[at])
     return NullPoleTriple(
         C=GridOperatorFamily(v.grid, c_data),
         A_pi=a_pi,
         A_xi=a_xi,
         Bn=v.B,
-        X=GridOperatorFamily(
-            v.grid, solve_sylvester(a_pi, a_xi, v.B.data @ v.sigma1.data @ c_data)),
+        X=GridOperatorFamily(v.grid, np.broadcast_to(x, (len(c_data), n, n))),
     )
 
 

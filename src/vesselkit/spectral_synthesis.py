@@ -35,12 +35,14 @@ from .ode_engine import (
     TimeGrid,
     _check_sigma1,
     _coefficient,
+    _interp4,
+    _is_constant,
+    _leg_blew_up,
     _march,
     _node_derivative,
     _on_grid,
     _running_product,
     family_derivative,
-    integrate_linear_ode,
 )
 from .vessel_core import DifferentialVessel, _coupling, eval_transfer
 
@@ -118,8 +120,10 @@ def build_elementary(
 ) -> DifferentialVessel:
     """One-dimensional vessel at spectrum point z, :func:`build_discrete` of one datum.
 
-    b evolves by sigma1 b' = (z sigma2 + gamma) b from b0; the vessel is
-    A1 = z, B = b^H (row), A2 = -(b^H sigma2 b)/(2 b^H sigma1 b) + i theta',
+    b evolves by sigma1 b' = (z sigma2 + gamma) b from b0, in 4th-order Magnus
+    steps (one exponential for a constant coefficient), which keep b^H sigma1 b
+    when sigma2 = 0 and gamma is skew; the vessel is A1 = z, B = b^H (row),
+    A2 = -(b^H sigma2 b)/(2 b^H sigma1 b) + i theta',
     gamma_star = gamma + sigma2 b b^H sigma1 - sigma1 b b^H sigma2.
 
     With `normalize`, b0 is rescaled so b^H sigma1 b = 1 at t_start, the only
@@ -143,8 +147,15 @@ def _elementary(datum: SpectralDatum, gamma, sigma1, sigma2, grid, normalize: bo
         b0 = b0 / np.sqrt(p0)
 
     s1, s2 = sigma1.data, sigma2.data
-    coeff = GridOperatorFamily(grid, _coefficient(s1, s2, gamma.data, complex(datum.z)))
-    col = integrate_linear_ode(coeff, b0.reshape(-1, 1), grid).data  # b per node
+    c = _coefficient(s1, s2, gamma.data, complex(datum.z))
+    if _is_constant(c):  # one exponential serves every step, bit for bit
+        omega = grid.h * c[:1]
+    else:  # 4th-order Magnus step from the coefficient at each step's two Gauss points
+        gauss = np.arange(grid.n_steps) + 0.5
+        c1, c2 = _interp4(c, gauss - 3 ** 0.5 / 6), _interp4(c, gauss + 3 ** 0.5 / 6)
+        omega = (0.5 * grid.h) * (c1 + c2) + (3 ** 0.5 / 12 * grid.h ** 2) * (c2 @ c1 - c1 @ c2)
+    steps = np.broadcast_to(matrix_exp(omega), (grid.n_steps, m, m))
+    col = _running_product(steps, b0.reshape(-1, 1), _leg_blew_up(0, 1))  # b per node
     theta_prime = np.zeros(grid.n_nodes)
     if datum.theta is not None:
         if datum.theta.shape != (1, 1) or not datum.theta.grid.compatible(grid):

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+import os
+
 import numpy as np
 
 import vesselkit as vk
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SIGMA1_INDEFINITE = np.diag([1.0, -1.0]).astype(complex)
 
@@ -143,3 +148,10 @@ def observable_stable_pair(rng, n, m):
 def probe_lambdas(rng, count, scale=1.0, re_min=0.8, re_max=2.5):
     return [complex(rng.uniform(re_min, re_max) * scale, rng.uniform(-2.0, 2.0) * scale)
             for _ in range(count)]
+
+
+def perfbench_modules(monkeypatch):
+    """The benchmark's input generators and workloads (perfbench/inputs.py and
+    perfbench/workloads.py), imported as the benchmark imports them."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    return importlib.import_module("inputs"), importlib.import_module("workloads")

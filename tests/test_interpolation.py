@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import vesselkit as vk
+import vesselkit.interpolation as interp
 from vesselkit.errors import (
     CouplingSingular,
     InconsistentInitialData,
@@ -15,10 +17,35 @@ from helpers import (
     SIGMA1_INDEFINITE,
     const,
     consistent_triple_data,
+    constant_sigma2_vessel,
     observable_stable_pair,
+    perfbench_modules,
     rand_complex,
     skew_chain_vessel,
 )
+
+
+def spy_sylvester(monkeypatch):
+    """Record (right-hand side, result) of every solve_sylvester call of the
+    interpolation module."""
+    calls = []
+    solve = interp.solve_sylvester
+
+    def spy(a, b, q):
+        calls.append((np.asarray(q), solve(a, b, q)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(interp, "solve_sylvester", spy)
+    return calls
+
+
+def gauged_chain_vessel(grid):
+    """skew_chain_vessel in the moving frame U(t) = exp(t K), K skew: sigma2 = 0
+    but A2 = U' U^H != 0, and A1 = U A1 U^H moves along the grid."""
+    v, _ = skew_chain_vessel(grid, seed=5, n_points=2)
+    k = np.array([[0.0, 0.7 + 0.2j], [-0.7 + 0.2j, 0.3j]])
+    u = np.stack([scipy.linalg.expm(t * k) for t in grid.nodes()])
+    return vk.gauge_transform(v, vk.GaugeMap.from_family(vk.GridOperatorFamily(grid, u)))
 
 
 class TestEvolveCoupling:
@@ -226,6 +253,58 @@ class TestExtractNullPole:
         assert rep.residuals["input_vessel"] < allowance
         assert rep.residuals["output_vessel"] < allowance
         assert rep.residuals["linkage"] < 1e-10
+
+    @pytest.mark.parametrize("node_ref", [0, 7, 30])
+    def test_one_sylvester_solve_at_node_ref(self, node_ref, monkeypatch):
+        """sigma2 = A2 = 0: one solve, of the right-hand side at node_ref, and
+        every node of X holds that solve's bits."""
+        grid = vk.TimeGrid(0.0, 1.0, 30)
+        v, _ = skew_chain_vessel(grid, seed=5, n_points=2)
+        calls = spy_sylvester(monkeypatch)
+        triple = vk.extract_null_pole(v, node_ref=node_ref)
+        [(rhs, x0)] = calls
+        assert rhs.shape == (1, 2, 2)
+        assert np.allclose(rhs[0], v.B[node_ref] @ v.sigma1[node_ref] @ triple.C[node_ref],
+                           rtol=0, atol=1e-15)
+        assert all(x.tobytes() == x0[0].tobytes() for x in triple.X.data)
+
+    @pytest.mark.parametrize("make", [constant_sigma2_vessel, gauged_chain_vessel])
+    def test_every_node_solved_unless_sigma2_and_a2_vanish(self, make, monkeypatch):
+        """sigma2 != 0 (the constant vessel) or A2 != 0 (a chain in a moving
+        frame, whose A1 moves): one solve of every node's right-hand side, so
+        the Sylvester equation holds at every node."""
+        grid = vk.TimeGrid(0.0, 1.0, 30)
+        v = make(grid)
+        calls = spy_sylvester(monkeypatch)
+        triple = vk.extract_null_pole(v, node_ref=7)
+        assert [rhs.shape[0] for rhs, _ in calls] == [grid.n_nodes]
+        assert vk.sylvester_residuals(triple, v.sigma1).max() < 1e-12
+
+    def test_constant_sigma2_vessel_round_trip(self):
+        """sigma2 != 0 with A2 != 0: X is the identity at every node, and the
+        realized transfer is the vessel's at the last node."""
+        grid = vk.TimeGrid(0.0, 1.0, 50)
+        v = constant_sigma2_vessel(grid)
+        triple = vk.extract_null_pole(v, node_ref=0)
+        assert np.max(np.abs(triple.X.data - 1.0)) < 1e-14
+        assert vk.sylvester_residuals(triple, v.sigma1).max() < 1e-14
+        real = vk.zero_pole_realize(triple, v.gamma_star, v.sigma1, v.sigma2)
+        for lam in (1.5 + 0.4j, -2.2 - 0.9j):
+            want = vk.eval_transfer(v, lam, grid.n_steps)
+            assert frob(real.transfer(lam, grid.n_steps) - want) < 1e-12
+
+    def test_node_batch_draw_matches_its_source(self, monkeypatch, tmp_path):
+        """The node_batch draw of inputs.rng_for(4242, 10): with a coupling
+        solved at every node, the realized transfer missed the source vessel's
+        by 1.151e-8 on this draw."""
+        inputs, workloads = perfbench_modules(monkeypatch)
+        inp = workloads.NodeBatch().make(inputs.rng_for(4242, 10), "full", str(tmp_path))
+        v = vk.build_discrete(inp["data"], inp["gamma0"], inp["sigma1"], inp["sigma2"],
+                              inp["grid"])
+        real = vk.zero_pole_realize(vk.extract_null_pole(v), v.gamma_star, v.sigma1, v.sigma2)
+        worst = max(frob(real.transfer(lam, i) - inputs.transfer(v.A1[i], v.B[i], inp["s1m"], lam))
+                    for i in (0, 400, 800) for lam in inp["check_lams"])
+        assert worst <= 1e-8
 
     def test_extract_realize_extract_similar_spectra(self):
         grid = vk.TimeGrid(0.0, 1.0, 40)

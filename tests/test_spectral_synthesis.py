@@ -11,6 +11,7 @@ from helpers import (
     colligation_datum,
     const,
     fold_couple,
+    perfbench_modules,
     rand_hermitian,
     rand_skew,
     skew_chain_vessel,
@@ -44,14 +45,19 @@ def factor_reference(grid, z, row, a2, gamma, sigma1, sigma2):
 
 def elementary_reference(datum, gamma, sigma1, sigma2, grid, normalize=False):
     """The per-factor elementary vessel: b from sigma1 b' = (z sigma2 + gamma) b,
-    A2 = -(b^H sigma2 b)/(2 b^H sigma1 b) + i theta'."""
+    whose coefficient C is constant in these setups, one exponential exp(h C) per
+    step; A2 = -(b^H sigma2 b)/(2 b^H sigma1 b) + i theta'."""
     b0 = datum.b0
     if normalize:
         b0 = b0 / np.sqrt(float(np.real(b0.conj() @ sigma1[0] @ b0)))
     z = complex(datum.z)
     coeff = np.linalg.solve(sigma1.data, z * sigma2.data + gamma.data)
-    col = vk.integrate_linear_ode(vk.GridOperatorFamily(grid, coeff), b0.reshape(-1, 1),
-                                  grid).data
+    assert np.array_equal(coeff, np.broadcast_to(coeff[0], coeff.shape))
+    step = vk.matrix_exp(grid.h * coeff[0])
+    col = [b0.reshape(-1, 1).astype(complex)]
+    for _ in range(grid.n_steps):
+        col.append(step @ col[-1])
+    col = np.stack(col)
     theta_prime = np.zeros(grid.n_nodes)
     if datum.theta is not None:
         theta_prime = np.real(vk.family_derivative(datum.theta).data[:, 0, 0])
@@ -153,6 +159,29 @@ class TestBuildDiscrete:
                 ref = elementary_reference(d, gam, s1, s2, grid, normalize)
                 assert_same_vessel(vk.build_elementary(d, gam, s1, s2, grid, normalize), ref)
                 assert_same_vessel(vk.build_discrete([d], gam, s1, s2, grid, normalize), ref)
+
+    def test_chain_columns_fourth_order(self):
+        """sigma2 != 0: the second datum's coefficient moves with the first
+        datum's column, and its 4th-order Magnus steps cut the error of B about
+        16-fold per halving of h (exponential midpoint steps cut it 4-fold)."""
+        def chain_b(n_steps):
+            grid, s1, s2, gam, first, second = sigma2_setup(n_steps)
+            return vk.build_discrete([first[0], second], gam, s1, s2, grid).B.data
+
+        ref = chain_b(640)
+        err = [np.max(np.abs(chain_b(n) - ref[::640 // n])) for n in (20, 40)]
+        assert err[1] < 1e-8 and err[0] / err[1] > 12.0
+
+    @pytest.mark.parametrize("seed", [0, 5, 14])
+    def test_probe_vessels_keep_colligation1(self, seed, monkeypatch, tmp_path):
+        """node_batch's 10-step probe chains (n = 16 and 20, sigma2 = 0, skew
+        gamma): the exponential steps keep every b^H sigma1 b, and with them
+        the first colligation, at round-off on this coarse grid."""
+        inputs, workloads = perfbench_modules(monkeypatch)
+        probes = workloads.NodeBatch().make(inputs.rng_for(seed, 0), "full", str(tmp_path))
+        for _, v, _ in probes["probes"]:
+            res = vk.verify_vessel(v).residuals["colligation1"]
+            assert res <= 1e-12 * max(v.A1.max_norm(), 1.0)
 
     def test_extracted_factor_matches_per_factor_assembly(self, monkeypatch):
         """extract_elementary's factor is the per-factor assembly of (z, g^H B,
