@@ -20,11 +20,10 @@ the integrator order.  The realized transfer function
 is the unique intertwining solution with identity at infinity, with the input
 coefficient recovered from the linkage formula.
 
-Convention note (pinned by the round-trip test): a conservative vessel maps
-to a triple as A_pi = A1(node_ref), C = -B^H, A_xi = -A1(node_ref)^H,
-Bn = B; its coupling family is the identity.  When sigma2 and A2 vanish,
-A1 is constant and X' = Bn sigma2 C = 0, so one Sylvester solve at node_ref
-serves every node; otherwise each node is solved.
+Convention note (pinned by the round-trip tests): a vessel maps to a triple in
+the frame U' = A2 U, U(node_ref) = I, as A_pi = A1(node_ref), C = -B^H U,
+A_xi = (A1 + B sigma1 B^H)(node_ref), Bn = U^H B and X = U^H U, with nothing
+solved.  With sigma2 = 0, A2 is skew and X = I; with A2 = 0 too, U = I.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .config import DEFAULTS, EPS_COUPLING_REL
 from .errors import (
     CouplingSingular,
     InconsistentInitialData,
-    NonFinite,
     NotMinimal,
     ShapeMismatch,
 )
@@ -51,8 +49,8 @@ from .matrix_kernel import (
     shifted_solve,
     solve_sylvester,
 )
-from .ode_engine import (GridOperatorFamily, TimeGrid, _check_sigma1, _interp4, _on_grid,
-                         _rk4_path, family_derivative)
+from .ode_engine import (GridOperatorFamily, TimeGrid, _check_path, _check_sigma1, _interp4,
+                         _leg_blew_up, _magnus_march, _on_grid, _rk4_path, family_derivative)
 from .vessel_core import DifferentialVessel, krylov_rank
 
 __all__ = [
@@ -210,10 +208,11 @@ def evolve_coupling(
     """Integrate X' = Bn sigma2 C from a Sylvester-consistent X(t_start).
 
     Checks that X0 satisfies the algebraic equation at t_start and that the
-    pole/null pairs satisfy their matrix-parameter ODEs (both within `tol`
-    plus an O(h^2) finite-difference allowance); the Sylvester residual is
-    then conserved along the evolution up to the integrator order.  A residual
-    or bound that overflows fails its check; tol = inf switches both off.
+    pole and null pairs each satisfy their ODE in their own units, within
+    (tol + h^2 k^3) max ||C|| (max ||Bn||), k the rate of the pairs' ODEs;
+    the Sylvester residual is then conserved along the evolution up to the
+    integrator order.  A residual or bound that overflows fails its check;
+    tol = inf switches both off.
     """
     if tol is None:
         tol = DEFAULTS.tol
@@ -230,13 +229,13 @@ def evolve_coupling(
     s1, s2, gs, cc, bb = (f.data for f in (sigma1, sigma2, gamma_star, c, bn))
     rc = s1 @ family_derivative(c).data - s2 @ cc @ a_pi - gs @ cc
     rb = family_derivative(bn).data @ s1 + a_xi @ bb @ s2 + bb @ gs
-    ode_res = max(max_frob(rc), max_frob(rb))
-    norms = max(c.max_norm(), bn.max_norm(), sigma2.max_norm(), gamma_star.max_norm(), 1.0)
-    allowance = (grid.h ** 2) * norms ** 3
-    if tol < np.inf and not ode_res <= tol * norms + allowance < np.inf:
-        raise InconsistentInitialData(
-            f"pole/null pair ODE residual {ode_res:.3e} exceeds tolerance"
-        )
+    k = max(sigma2.max_norm() * (frob(a_pi) + frob(a_xi)) + gamma_star.max_norm(), 1.0)
+    unit = tol + grid.h ** 2 * k ** 3
+    for r, fam in ((rc, c), (rb, bn)):
+        ode_res = max_frob(r)
+        if tol < np.inf and not ode_res <= unit * fam.max_norm() < np.inf:
+            raise InconsistentInitialData(f"pole/null pair ODE residual {ode_res:.3e} "
+                                          "exceeds tolerance")
 
     # The right-hand side never reads X, so the RK4 march is a quadrature:
     # Simpson increments from the nodes and the cubic midpoints (both midpoint
@@ -248,11 +247,7 @@ def evolve_coupling(
         f_m = _interp4(bb, mids) @ _interp4(s2, mids) @ _interp4(cc, mids)
         steps = (h / 6.0) * (f[:-1] + 2.0 * f_m + 2.0 * f_m + f[1:])
         x = np.add.accumulate(np.concatenate([x0[None], steps]), axis=0)
-    bad = np.flatnonzero(~np.all(np.isfinite(x.real) & np.isfinite(x.imag), axis=(1, 2)))
-    if bad.size:
-        i = bad[0]
-        raise NonFinite(f"integration blew up between nodes {i - 1} and {i}")
-    return GridOperatorFamily(grid, x)
+    return GridOperatorFamily(grid, _check_path(x, _leg_blew_up(0, 1)))
 
 
 def zero_pole_realize(
@@ -325,18 +320,16 @@ def zero_pole_realize(
 
 
 def extract_null_pole(v: DifferentialVessel, node_ref: int = 0) -> NullPoleTriple:
-    """Null-pole triple of a vessel's transfer function.
+    """Null-pole triple of a vessel's transfer function, read in one frame.
 
-    Right pole pair (C, A_pi) = (-B^H, A1(node_ref)).  The inverse transfer is
-    I + B^H (lam I - A1 - B sigma1 B^H)^(-1) B sigma1, so the left null pair
-    is (A_xi, Bn) = (A1 + B sigma1 B^H at node_ref, B); under the first
-    colligation A_xi equals -A1(node_ref)^H and the identity solves the
-    coupling family's Sylvester equation.  When sigma2 and A2 vanish at every
-    node, the Lax equation keeps A1 constant and the coupling ODE reads
-    X' = Bn sigma2 C = 0, so the one solve at node_ref is X at every node;
-    otherwise every node is solved, all sharing one factorization.  NotMinimal
-    when krylov_rank is below n at node_ref; GridMismatch for a node_ref off
-    the grid.
+    The frame is U' = A2 U, U(node_ref) = I.  The Lax equation gives A1 = U
+    A1(node_ref) U^(-1), and the second colligation makes U^(-H) the frame of
+    the inverse vessel (its A2 is A2 + B sigma2 B^H = -A2^H).  So A_pi =
+    A1(node_ref), C = -B^H U, A_xi = (A1 + B sigma1 B^H)(node_ref), Bn = U^H B
+    and X = U^H U realize the transfer at every node, with X' = Bn sigma2 C
+    and nothing solved; sylvester_residuals is the vessel's own defect.  Where
+    A2 vanishes, U = I is not marched.  NotMinimal when krylov_rank is below
+    n at node_ref; GridMismatch for a node_ref off the grid.
     """
     node_ref = int(v.grid.node_indices(node_ref))
     n = v.state_dim
@@ -346,16 +339,14 @@ def extract_null_pole(v: DifferentialVessel, node_ref: int = 0) -> NullPoleTripl
     if rank < n:
         raise NotMinimal(f"Krylov rank {rank} < {n} at node {node_ref}", rank=rank)
     a_xi = a_pi + b_ref @ v.sigma1[node_ref] @ b_ref.conj().T
-    c_data = -v.B.data.conj().transpose(0, 2, 1)
-    at = slice(None) if np.any(v.sigma2.data) or np.any(v.A2.data) else [node_ref]
-    x = solve_sylvester(a_pi, a_xi, v.B.data[at] @ v.sigma1.data[at] @ c_data[at])
-    return NullPoleTriple(
-        C=GridOperatorFamily(v.grid, c_data),
-        A_pi=a_pi,
-        A_xi=a_xi,
-        Bn=v.B,
-        X=GridOperatorFamily(v.grid, np.broadcast_to(x, (len(c_data), n, n))),
-    )
+    b = v.B.data
+    c, bn, x = -b.conj().transpose(0, 2, 1), b, np.broadcast_to(np.eye(n), (len(b), n, n))
+    if np.any(v.A2.data):
+        u = _magnus_march(v.A2.data, np.eye(n, dtype=complex), v.grid, node_ref)
+        uh = u.conj().transpose(0, 2, 1)
+        c, bn, x = c @ u, uh @ b, uh @ u
+    return NullPoleTriple(C=GridOperatorFamily(v.grid, c), A_pi=a_pi, A_xi=a_xi,
+                          Bn=GridOperatorFamily(v.grid, bn), X=GridOperatorFamily(v.grid, x))
 
 
 def hermitian_realize(

@@ -1,23 +1,21 @@
 """Fixed-grid integration of matrix-valued linear ODEs in the slow variable.
 
-The integrator is the classical 4th-order one-step scheme on a uniform grid.
-Coefficient values between nodes come from linear interpolation of the node
-samples, which is the simplest model compatible with merely absolutely
-continuous coefficients.  The ODE is linear, so each step is a matrix: the
-march builds the RK4 step propagators over the whole node stack at once, then
-takes their running product.  A fundamental matrix whose coefficient holds the
-same bits at every node (a time-invariant vessel) has one step propagator P,
-so its samples are the powers P^j, filled by repeated squaring in about
-log2 N products; they equal the running product to round-off, not bit for
-bit, and every other march keeps the running product.  Grid nodes are read
-by one rule (TimeGrid.node_indices: integers in [0, n_steps], not floats or
+Two 4th-order one-step schemes march M' = C M on a uniform grid, both ways
+from a base node, as running products of step matrices built over the node
+stack at once.  RK4 (fundamental matrices, integrate_linear_ode) reads
+coefficients between nodes by linear interpolation, the simplest model for
+merely absolutely continuous coefficients: O(h^4) at constant coefficients,
+O(h^2) at genuinely time-varying ones.  The Magnus march (the extractions'
+transported frames, the synthesis columns) takes exponential steps from cubic
+interpolation: O(h^4) on both, and a skew-Hermitian coefficient's flow stays
+unitary to round-off.  A time-invariant fundamental matrix has one step
+propagator P; its samples P^j are filled by repeated squaring in about log2 N
+products, equal to the running product to round-off.  Grid nodes are read by
+one rule (TimeGrid.node_indices: integers in [0, n_steps], not floats or
 bools) and grid-bound families are checked by one rule (_on_grid), each
-raising GridMismatch.  Consequence for the observed orders: endpoint
-error is O(h^4) on constant-coefficient problems, while genuinely time-varying
-coefficient families are limited to O(h^2) by the midpoint interpolation.
-All checks are evaluated at grid nodes; there is no dense output, no
-adaptivity and no stiffness handling.  Identical inputs produce bit-identical
-sample families.
+raising GridMismatch.  All checks are evaluated at grid nodes; there is no
+dense output, no adaptivity and no stiffness handling.  Identical inputs
+produce bit-identical sample families.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import numpy as np
 
 from .config import EPS_SPEC_REL
 from .errors import GridMismatch, NonFinite, ShapeMismatch, SingularSigma1
-from .matrix_kernel import _check_lambda, as_matrix, max_frob
+from .matrix_kernel import _check_lambda, as_matrix, matrix_exp, max_frob
 
 __all__ = [
     "TimeGrid",
@@ -266,23 +264,45 @@ def _leg_blew_up(b: int, step: int) -> Callable[[int], str]:
     return lambda j: f"integration blew up between nodes {b + step * j} and {b + step * (j + 1)}"
 
 
-def _march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid, base_index: int) -> np.ndarray:
-    """Samples of M' = cdata M at every node, from M = m0 at `base_index` both ways.
-
-    RK4 step propagators from the node and midpoint coefficients (the mean of
-    two nodes), then one running product forward and one backward with -h.
-    NonFinite names the step into the first non-finite sample, forward first.
-    """
-    b, h = base_index, grid.h
-    mid = 0.5 * cdata[:-1] + 0.5 * cdata[1:]
-    legs = ((1, cdata[b:-1], mid[b:], cdata[b + 1:]),
-            (-1, cdata[1:b + 1][::-1], mid[:b][::-1], cdata[:b][::-1]))
-    out = np.empty((grid.n_nodes,) + m0.shape, dtype=complex)
-    for step, c0, cm, c1 in legs:
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps = _rk4_steps(c0, cm, c1, step * h)
+def _legs(forward: np.ndarray, backward: np.ndarray, m0: np.ndarray, b: int) -> np.ndarray:
+    """Samples at every node from m0 at node b: the running products of the
+    `forward` steps (from b up) and the `backward` ones (from b down), forward
+    first; NonFinite names the step into the first non-finite sample."""
+    out = np.empty((len(forward) + len(backward) + 1,) + m0.shape, dtype=complex)
+    for step, steps in ((1, forward), (-1, backward)):
         out[b::step] = _running_product(steps, m0, _leg_blew_up(b, step))
     return out
+
+
+def _march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid, base_index: int) -> np.ndarray:
+    """Samples of M' = cdata M at every node, from M = m0 at `base_index` both
+    ways: RK4 step propagators from the node and midpoint coefficients (the
+    mean of two nodes), with h forward and -h backward, then _legs."""
+    b, h = base_index, grid.h
+    mid = 0.5 * cdata[:-1] + 0.5 * cdata[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        forward = _rk4_steps(cdata[b:-1], mid[b:], cdata[b + 1:], h)
+        backward = _rk4_steps(cdata[1:b + 1][::-1], mid[:b][::-1], cdata[:b][::-1], -h)
+    return _legs(forward, backward, m0, b)
+
+
+def _magnus_march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid,
+                  base_index: int) -> np.ndarray:
+    """_march in 4th-order Magnus steps exp(Omega), Omega from the coefficient at
+    the step's two Gauss points (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+    2009); a backward step is exp(-Omega) of the same step.  A coefficient that
+    holds the same bits at every node takes one exponential per direction."""
+    b, h = base_index, grid.h
+    constant = _is_constant(cdata)
+    if constant:
+        omega = np.broadcast_to(h * cdata[:1], (grid.n_steps,) + cdata.shape[1:])
+    else:
+        gauss = np.arange(grid.n_steps) + 0.5
+        c1, c2 = _interp4(cdata, gauss - 3 ** 0.5 / 6), _interp4(cdata, gauss + 3 ** 0.5 / 6)
+        omega = (0.5 * h) * (c1 + c2) + (3 ** 0.5 / 12 * h ** 2) * (c2 @ c1 - c1 @ c2)
+    forward, backward = (np.broadcast_to(matrix_exp(leg[:1] if constant else leg), leg.shape)
+                         for leg in (omega[b:], -omega[:b][::-1]))
+    return _legs(forward, backward, m0, b)
 
 
 def _power_march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid, base_index: int) -> np.ndarray:

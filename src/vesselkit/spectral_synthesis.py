@@ -35,10 +35,7 @@ from .ode_engine import (
     TimeGrid,
     _check_sigma1,
     _coefficient,
-    _interp4,
-    _is_constant,
-    _leg_blew_up,
-    _march,
+    _magnus_march,
     _node_derivative,
     _on_grid,
     _running_product,
@@ -147,15 +144,7 @@ def _elementary(datum: SpectralDatum, gamma, sigma1, sigma2, grid, normalize: bo
         b0 = b0 / np.sqrt(p0)
 
     s1, s2 = sigma1.data, sigma2.data
-    c = _coefficient(s1, s2, gamma.data, complex(datum.z))
-    if _is_constant(c):  # one exponential serves every step, bit for bit
-        omega = grid.h * c[:1]
-    else:  # 4th-order Magnus step from the coefficient at each step's two Gauss points
-        gauss = np.arange(grid.n_steps) + 0.5
-        c1, c2 = _interp4(c, gauss - 3 ** 0.5 / 6), _interp4(c, gauss + 3 ** 0.5 / 6)
-        omega = (0.5 * grid.h) * (c1 + c2) + (3 ** 0.5 / 12 * grid.h ** 2) * (c2 @ c1 - c1 @ c2)
-    steps = np.broadcast_to(matrix_exp(omega), (grid.n_steps, m, m))
-    col = _running_product(steps, b0.reshape(-1, 1), _leg_blew_up(0, 1))  # b per node
+    col = _magnus_march(_coefficient(s1, s2, gamma.data, complex(datum.z)), b0[:, None], grid, 0)
     theta_prime = np.zeros(grid.n_nodes)
     if datum.theta is not None:
         if datum.theta.shape != (1, 1) or not datum.theta.grid.compatible(grid):
@@ -278,7 +267,7 @@ def extract_elementary(
             )
     g0 = vl[:, idx]
     g0 = g0 / np.linalg.norm(g0)
-    raw = _march(-v.A2.data.conj().transpose(0, 2, 1), g0[:, None], v.grid, node_ref)
+    raw = _magnus_march(-v.A2.data.conj().transpose(0, 2, 1), g0[:, None], v.grid, node_ref)
     norm = frob(raw)
     bad = np.flatnonzero(norm < 1e-8)
     if bad.size:

@@ -6,8 +6,9 @@ scaled by the norms that carry the error of S: the condition number of
 lam I - A1 and the size of B^H (lam I - A1)^(-1) B sigma1.  The null-pole
 triple of a vessel realizes its transfer function again.  Last, the Krylov
 rank rule and the fundamental matrix are scale invariant, the guarded
-shifted solve is scale covariant in its right-hand side, and the exponential
-of a skew-Hermitian matrix is unitary at every scale.
+shifted solve is scale covariant in its right-hand side, the exponential of a
+skew-Hermitian matrix is unitary at every scale, and evolve_coupling's guards
+fire alike on a null-pole triple scaled in C and X0.
 """
 
 import numpy as np
@@ -18,10 +19,10 @@ from hypothesis import strategies as st
 
 import vesselkit as vk
 import vesselkit.vessel_core as core
-from vesselkit.errors import SingularSystem
+from vesselkit.errors import InconsistentInitialData, SingularSystem
 from vesselkit.matrix_kernel import frob, shifted_solve
 
-from helpers import SIGMA1_INDEFINITE, const, rand_complex, rand_skew
+from helpers import SIGMA1_INDEFINITE, const, consistent_triple_data, rand_complex, rand_skew
 
 EPS = np.finfo(float).eps
 SLACK = 64.0  # round-off units allowed per unit of the norm-scaled bound
@@ -265,3 +266,27 @@ def test_exp_of_skew_hermitian_is_unitary(seed, n, k):
     u = vk.matrix_exp(a)
     bound = SLACK * EPS * max(1.0, float(np.abs(a).sum(axis=0).max()))
     assert frob(u @ u.conj().T - np.eye(n)) <= bound
+
+
+def _coupling_guard(data, c, factor, node, shift):
+    """Which evolve_coupling guard fires (None if none does) on C times `factor`
+    from `node` on and X0 + shift I, with C and X0 both scaled by c."""
+    grid, s1, s2, gs, a_pi, a_xi, cf, bn, x0 = data
+    bad_c = np.concatenate([cf.data[:node], factor * cf.data[node:]])
+    try:
+        vk.evolve_coupling(vk.GridOperatorFamily(grid, c * bad_c), a_pi, a_xi, bn,
+                           c * (x0 + shift * np.eye(len(x0))), s1, s2, gs, grid)
+    except InconsistentInitialData as exc:
+        return str(exc).split(" residual")[0].split(":")[0]
+    return None
+
+
+@SETTINGS
+@given(c=st.floats(1e-4, 1e4), factor=st.sampled_from([1.0, 1.01, 10.0, 1000.0]),
+       node=st.integers(1, 40), shift=st.sampled_from([0.0, 0.5]))
+def test_coupling_guards_scale_covariant(c, factor, node, shift):
+    """Scaling C and X0 by c > 0 scales the Sylvester residual and the pole
+    pair's ODE residual with their units, so the same guard fires (or none)."""
+    data = consistent_triple_data(40)
+    assert _coupling_guard(data, c, factor, node, shift) == \
+        _coupling_guard(data, 1.0, factor, node, shift)

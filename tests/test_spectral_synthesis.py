@@ -188,8 +188,9 @@ class TestBuildDiscrete:
         g^H A2 g) on the transported unit vector g, bit for bit."""
         grid, s1, s2, gam, first, second = sigma2_setup()
         marched = []
-        march = synth._march
-        monkeypatch.setattr(synth, "_march", lambda *a: marched.append(march(*a)) or marched[-1])
+        march = synth._magnus_march
+        monkeypatch.setattr(synth, "_magnus_march",
+                            lambda *a: marched.append(march(*a)) or marched[-1])
         for d in first:
             for normalize in (False, True):
                 v = vk.build_discrete([d, second], gam, s1, s2, grid, normalize)
