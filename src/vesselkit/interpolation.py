@@ -207,9 +207,10 @@ def evolve_coupling(
 ) -> GridOperatorFamily:
     """Integrate X' = Bn sigma2 C from a Sylvester-consistent X(t_start).
 
-    Checks that X0 satisfies the algebraic equation at t_start and that the
-    pole and null pairs each satisfy their ODE in their own units, within
-    (tol + h^2 k^3) max ||C|| (max ||Bn||), k the rate of the pairs' ODEs;
+    Checks that X0 satisfies the algebraic equation at t_start within
+    tol (||A_pi|| + ||A_xi||) ||X0||, a bound that scales with C and X0, and
+    that the pole and null pairs each satisfy their ODE in their own units,
+    within (tol + h^2 k^3) max ||C|| (max ||Bn||), k the rate of the pairs' ODEs;
     the Sylvester residual is then conserved along the evolution up to the
     integrator order.  A residual or bound that overflows fails its check;
     tol = inf switches both off.
@@ -221,7 +222,7 @@ def evolve_coupling(
     x0 = as_matrix(x0, "X0")
     _on_grid(grid, c=c, bn=bn, sigma1=sigma1, sigma2=sigma2, gamma_star=gamma_star)
     res0 = frob(x0 @ a_pi - a_xi @ x0 - bn[0] @ sigma1[0] @ c[0])
-    scale = max(frob(a_pi) + frob(a_xi), 1.0) * max(frob(x0), 1.0)
+    scale = (frob(a_pi) + frob(a_xi)) * frob(x0)
     if tol < np.inf and not res0 <= tol * scale < np.inf:
         raise InconsistentInitialData(
             f"X0 violates the Sylvester equation: residual {res0:.3e}"

@@ -8,14 +8,15 @@ merely absolutely continuous coefficients: O(h^4) at constant coefficients,
 O(h^2) at genuinely time-varying ones.  The Magnus march (the extractions'
 transported frames, the synthesis columns) takes exponential steps from cubic
 interpolation: O(h^4) on both, and a skew-Hermitian coefficient's flow stays
-unitary to round-off.  A time-invariant fundamental matrix has one step
-propagator P; its samples P^j are filled by repeated squaring in about log2 N
-products, equal to the running product to round-off.  Grid nodes are read by
-one rule (TimeGrid.node_indices: integers in [0, n_steps], not floats or
-bools) and grid-bound families are checked by one rule (_on_grid), each
-raising GridMismatch.  All checks are evaluated at grid nodes; there is no
-dense output, no adaptivity and no stiffness handling.  Identical inputs
-produce bit-identical sample families.
+unitary to round-off.  Every march, and every ordered product, is one running
+product of its steps; steps that hold the same bits (a time-invariant
+coefficient) are the powers P^j of one step, filled by repeated squaring in
+about log2 N products, equal to the sequential product to round-off.  Grid
+nodes are read by one rule (TimeGrid.node_indices: integers in [0, n_steps],
+not floats or bools) and grid-bound families are checked by one rule
+(_on_grid), each raising GridMismatch.  All checks are evaluated at grid
+nodes; there is no dense output, no adaptivity and no stiffness handling.
+Identical inputs produce bit-identical sample families.
 """
 
 from __future__ import annotations
@@ -247,15 +248,30 @@ def _check_path(w: np.ndarray, blew_up: Callable[[int], str]) -> np.ndarray:
 def _running_product(steps: np.ndarray, m0: np.ndarray,
                      blew_up: Callable[[int], str]) -> np.ndarray:
     """W_0 = m0, W_(j+1) = steps[j] @ W_j: the ordered product of a transition
-    stack; NonFinite(blew_up(j)) for the first j whose W_(j+1) is not finite."""
+    stack; NonFinite(blew_up(j)) for the first j whose W_(j+1) is not finite.
+
+    Steps that all hold the same bits are the powers of one P: the samples are
+    filled by doubling, W[k:2k] = P^k W[0:k] with P^k squared between rounds,
+    in ceil(log2 N) batched products in place of N and about log2 j products
+    (not j) in sample j, equal to the sequential product to round-off
+    (Higham, Functions of Matrices, 2008, sec. 4.1).
+    """
     w = np.empty((len(steps) + 1,) + m0.shape, dtype=complex)
     w[0] = m0
-    # np.dot is a cheaper call than np.matmul on 2-D operands, with the same bits.
-    product = np.dot if m0.ndim == 2 else np.matmul
     # Overflow is reported as NonFinite, not as a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, prev, nxt in zip(steps, w[:-1], w[1:]):
-            product(step, prev, out=nxt)
+        if _is_constant(steps):
+            k = 1
+            while k < len(w):
+                p = steps[0] if k == 1 else p @ p
+                n = min(k, len(w) - k)
+                np.matmul(p, w[:n], out=w[k:k + n])
+                k *= 2
+        else:
+            # np.dot is a cheaper call than np.matmul on 2-D operands, with the same bits.
+            product = np.dot if m0.ndim == 2 else np.matmul
+            for step, prev, nxt in zip(steps, w[:-1], w[1:]):
+                product(step, prev, out=nxt)
     return _check_path(w, blew_up)
 
 
@@ -270,19 +286,27 @@ def _legs(forward: np.ndarray, backward: np.ndarray, m0: np.ndarray, b: int) -> 
     first; NonFinite names the step into the first non-finite sample."""
     out = np.empty((len(forward) + len(backward) + 1,) + m0.shape, dtype=complex)
     for step, steps in ((1, forward), (-1, backward)):
-        out[b::step] = _running_product(steps, m0, _leg_blew_up(b, step))
+        if len(steps):  # an empty leg leaves m0 at b to the other
+            out[b::step] = _running_product(steps, m0, _leg_blew_up(b, step))
     return out
 
 
 def _march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid, base_index: int) -> np.ndarray:
     """Samples of M' = cdata M at every node, from M = m0 at `base_index` both
     ways: RK4 step propagators from the node and midpoint coefficients (the
-    mean of two nodes), with h forward and -h backward, then _legs."""
+    mean of two nodes), with h forward and -h backward, then _legs.  A
+    coefficient that holds the same bits at every node takes one propagator
+    per direction."""
     b, h = base_index, grid.h
-    mid = 0.5 * cdata[:-1] + 0.5 * cdata[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        forward = _rk4_steps(cdata[b:-1], mid[b:], cdata[b + 1:], h)
-        backward = _rk4_steps(cdata[1:b + 1][::-1], mid[:b][::-1], cdata[:b][::-1], -h)
+        if _is_constant(cdata):
+            c = cdata[:1]
+            forward, backward = (np.broadcast_to(_rk4_steps(c, c, c, step), (n,) + c.shape[1:])
+                                 if n else c[:0] for step, n in ((h, grid.n_steps - b), (-h, b)))
+        else:
+            mid = 0.5 * cdata[:-1] + 0.5 * cdata[1:]
+            forward = _rk4_steps(cdata[b:-1], mid[b:], cdata[b + 1:], h)
+            backward = _rk4_steps(cdata[1:b + 1][::-1], mid[:b][::-1], cdata[:b][::-1], -h)
     return _legs(forward, backward, m0, b)
 
 
@@ -301,36 +325,8 @@ def _magnus_march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid,
         c1, c2 = _interp4(cdata, gauss - 3 ** 0.5 / 6), _interp4(cdata, gauss + 3 ** 0.5 / 6)
         omega = (0.5 * h) * (c1 + c2) + (3 ** 0.5 / 12 * h ** 2) * (c2 @ c1 - c1 @ c2)
     forward, backward = (np.broadcast_to(matrix_exp(leg[:1] if constant else leg), leg.shape)
-                         for leg in (omega[b:], -omega[:b][::-1]))
+                         if len(leg) else leg for leg in (omega[b:], -omega[:b][::-1]))
     return _legs(forward, backward, m0, b)
-
-
-def _power_march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid, base_index: int) -> np.ndarray:
-    """_march for a coefficient that holds the same bits at every node.
-
-    Every RK4 step of a leg is then one propagator P, and the leg's samples
-    are P^j m0.  They are filled by doubling, W[k:2k] = P^k W[0:k] with P^k
-    squared between rounds: ceil(log2 N) batched products per leg in place of
-    N, and about log2 j products (not j) in sample j (Higham, Functions of
-    Matrices, 2008, sec. 4.1).  NonFinite as in _march.
-    """
-    b, c = base_index, cdata[:1]
-    out = np.empty((grid.n_nodes,) + m0.shape, dtype=complex)
-    for step, count in ((1, grid.n_steps - b), (-1, b)):
-        if not count:  # the other leg writes m0 at b
-            continue
-        w = np.empty((count + 1,) + m0.shape, dtype=complex)
-        w[0] = m0
-        with np.errstate(over="ignore", invalid="ignore"):
-            p, k = _rk4_steps(c, c, c, step * grid.h)[0], 1
-            while k <= count:
-                n = min(k, count + 1 - k)
-                np.matmul(p, w[:n], out=w[k:k + n])
-                k *= 2
-                if k <= count:
-                    p = p @ p
-        out[b::step] = _check_path(w, _leg_blew_up(b, step))
-    return out
 
 
 def _coefficient(sigma1: np.ndarray, sigma2: np.ndarray, gamma: np.ndarray, lam) -> np.ndarray:
@@ -354,11 +350,13 @@ def integrate_linear_ode(
     grid: TimeGrid,
     direction: str = "forward",
 ) -> GridOperatorFamily:
-    """Integrate M' = coeff(t) @ M over the grid.
+    """Integrate M' = coeff(t) @ M over the grid by RK4.
 
     `coeff` is a GridOperatorFamily of p-by-p matrices; `m0` is the value at
     t_start (forward) or at t_end (backward).  Backward evolution integrates
-    the reversed ODE rather than inverting forward samples.
+    the reversed ODE rather than inverting forward samples.  A coefficient
+    that holds the same bits at every node has one step propagator, whose
+    powers are taken by repeated squaring (see _running_product).
     """
     m = as_matrix(m0, "initial value")
     _on_grid(grid, coeff=coeff)
@@ -396,7 +394,9 @@ class FundamentalMatrix:
 
 def _is_constant(stack: np.ndarray) -> bool:
     """Every slice along the first axis holds the same bits as the first (so
-    -0.0 is not 0.0)."""
+    -0.0 is not 0.0); at once for a broadcast along it."""
+    if stack.strides[0] == 0:
+        return True
     bits = np.ascontiguousarray(stack).view(np.int64)
     return bool((bits == bits[:1]).all())
 
@@ -428,12 +428,10 @@ def fundamental_matrix(
     Integrates u' = sigma1^(-1) (lam*sigma2 + gamma) u by RK4 with the
     identity at `base_index` (a grid node: an integer, not a float or a bool);
     pass gamma_star (side="output") for the output equation.  A coefficient
-    that holds the same bits at every node (a time-invariant vessel) has one
-    step propagator P, and the samples are its powers P^j, taken by repeated
-    squaring: the same RK4 solution to round-off, in about log2 N products;
-    when sigma1, sigma2 and gamma each hold the same bits at every node, it
-    is solved at one node only (see _coefficient).  NonFinite for a lam that
-    is not finite.
+    that holds the same bits at every node (a time-invariant vessel) is
+    marched as integrate_linear_ode marches one, and is solved at one node
+    only when sigma1, sigma2 and gamma each hold the same bits at every node
+    (see _coefficient).  NonFinite for a lam that is not finite.
     """
     _check_lambda(lam)
     _on_grid(grid, sigma1=sigma1, sigma2=sigma2, gamma=gamma)
@@ -443,9 +441,8 @@ def fundamental_matrix(
     _check_sigma1(sigma1.data)
     base_index = int(grid.node_indices(base_index))
 
-    coeff = _coefficient(sigma1.data, sigma2.data, gamma.data, lam)
-    march = _power_march if _is_constant(coeff) else _march
-    data = march(coeff, np.eye(m, dtype=complex), grid, base_index)
+    data = _march(_coefficient(sigma1.data, sigma2.data, gamma.data, lam),
+                  np.eye(m, dtype=complex), grid, base_index)
     return FundamentalMatrix(
         lam=complex(lam), base_index=base_index, side=side, family=GridOperatorFamily(grid, data)
     )

@@ -2,9 +2,13 @@
 quadrature: each shared helper against the loop it replaced, kept here as the
 reference, bit for bit.  The march is the one exception: it matches the RK4
 stage form it replaced to round-off, and an in-test propagator loop bit for
-bit; a time-invariant fundamental matrix, taken as powers of one propagator,
-matches the sequential march to round-off."""
+bit.  Every march whose steps hold the same bits (a fundamental matrix,
+integrate_linear_ode, a synthesis column, an extraction transport, the
+continuous model's beta, an s-constant ordered product) fills its samples as
+powers of one step by doubling: bit for bit the in-test doubling loop, and
+the sequential product to round-off."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -57,21 +61,26 @@ def splice_reference(cdata, m0, grid, base):
     return out
 
 
+def rk4_propagator(c0, cm, c1, h):
+    """P = I + h/6 (C_0 + 2 K_2 + 2 K_3 + K_4) from the node, midpoint and
+    next-node coefficients: one RK4 step of M' = C M is M_next = P M."""
+    eye = np.eye(c0.shape[-1])
+    k2 = cm @ (eye + (0.5 * h) * c0)
+    k3 = cm @ (eye + (0.5 * h) * k2)
+    k4 = c1 @ (eye + h * k3)
+    return eye + (h / 6.0) * (c0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def propagator_reference(cdata, m0, grid, base):
-    """The propagator form one step at a time: P = I + h/6 (C_0 + 2 K_2 + 2 K_3
-    + K_4) from the node, midpoint and next-node coefficients, then M_next = P M;
-    forward from `base`, then backward with -h."""
-    eye = np.eye(cdata.shape[-1])
+    """The propagator form one step at a time: M_next = P M with the RK4
+    propagator of each step; forward from `base`, then backward with -h."""
 
     def leg(stop, step):
         h = step * grid.h
         path = [m0]
         for i in range(base, stop, step):
-            c0, cm, c1 = cdata[i], _interp(cdata, i + 0.5 * step), cdata[i + step]
-            k2 = cm @ (eye + (0.5 * h) * c0)
-            k3 = cm @ (eye + (0.5 * h) * k2)
-            k4 = c1 @ (eye + h * k3)
-            path.append((eye + (h / 6.0) * (c0 + 2.0 * k2 + 2.0 * k3 + k4)) @ path[-1])
+            p = rk4_propagator(cdata[i], _interp(cdata, i + 0.5 * step), cdata[i + step], h)
+            path.append(p @ path[-1])
         return path
 
     out = np.empty((grid.n_nodes,) + m0.shape, dtype=complex)
@@ -79,6 +88,56 @@ def propagator_reference(cdata, m0, grid, base):
     if base > 0:
         out[: base + 1] = np.stack(leg(0, -1)[::-1])
     return out
+
+
+def sequential_reference(p, m0, count):
+    """P^j m0 for j = 0..count, one product per step."""
+    w = [m0]
+    for _ in range(count):
+        w.append(p @ w[-1])
+    return np.stack(w)
+
+
+def doubling_reference(p, m0, count):
+    """P^j m0 for j = 0..count by doubling: W[k:2k] = P^k W[0:k], with P^k
+    squared between rounds."""
+    w = np.empty((count + 1,) + np.shape(m0), dtype=complex)
+    w[0] = m0
+    k = 1
+    while k <= count:
+        n = min(k, count + 1 - k)
+        np.matmul(p, w[:n], out=w[k:k + n])
+        k *= 2
+        if k <= count:
+            p = p @ p
+    return w
+
+
+def two_way(reference, p_forward, p_backward, m0, n_steps, base):
+    """`reference` of the forward powers from node `base` up and of the
+    backward ones from it down, as one sample family over the grid."""
+    out = np.empty((n_steps + 1,) + np.shape(m0), dtype=complex)
+    out[base:] = reference(p_forward, m0, n_steps - base)
+    out[base::-1] = reference(p_backward, m0, base)
+    return out
+
+
+def rk4_powers(c, m0, grid, base):
+    """The doubling march of a constant coefficient `c`: the powers of its
+    forward and backward RK4 propagators from `base`."""
+    return two_way(doubling_reference, rk4_propagator(c, c, c, grid.h),
+                   rk4_propagator(c, c, c, -grid.h), m0, grid.n_steps, base)
+
+
+def first_blow_up(samples, base):
+    """The march's NonFinite message for the first non-finite sample in march
+    order, forward leg first: the step into it from its neighbour nearer `base`."""
+    finite = np.isfinite(samples).all(axis=(1, 2))
+    for step, leg in ((1, range(base + 1, len(samples))), (-1, range(base - 1, -1, -1))):
+        for j in leg:
+            if not finite[j]:
+                return f"integration blew up between nodes {j - step} and {j}"
+    return None
 
 
 def assert_march_round_off(got, ref, n_steps):
@@ -173,9 +232,9 @@ def constant_coefficients(grid, m, seed=23):
 
 
 class TestPowerMarch:
-    """A coefficient with the same bits at every node takes its fundamental
-    matrix as powers of one RK4 propagator; every other march keeps the
-    sequential product, bit for bit."""
+    """A march whose steps hold the same bits takes its samples as powers of
+    one step, by doubling; every other march keeps the sequential product,
+    bit for bit."""
 
     lam = 0.7 - 1.3j
 
@@ -189,12 +248,14 @@ class TestPowerMarch:
         s1, s2, g = constant_coefficients(grid, m)
         coeff = node_coefficients(s1, s2, g, self.lam)
         phi = vk.fundamental_matrix(self.lam, s1, s2, g, grid, base_index=base)
-        ref = oe._march(coeff, np.eye(m, dtype=complex), grid, base)
+        ref = propagator_reference(coeff, np.eye(m, dtype=complex), grid, base)
         assert_march_round_off(phi.family.data, ref, n_steps)
         assert same_bits(phi[base], np.eye(m, dtype=complex))
 
     @pytest.mark.parametrize("varying", ["every node", "last node only"])
     def test_varying_coefficient_keeps_the_sequential_bits(self, varying):
+        """Each leg decides on its own steps: from node 300, a coefficient one
+        bit off at the last node only leaves the backward leg's steps equal."""
         grid = vk.TimeGrid(0.0, 1.0, 800)
         s1, s2, g = constant_coefficients(grid, 3)
         gdata = g.data.copy()
@@ -204,19 +265,14 @@ class TestPowerMarch:
             gdata[-1] = np.nextafter(gdata[-1].real, np.inf) + 1j * gdata[-1].imag
         g = vk.GridOperatorFamily(grid, gdata)
         coeff = node_coefficients(s1, s2, g, self.lam)
+        eye = np.eye(3, dtype=complex)
         for base in (0, 300, 800):
             phi = vk.fundamental_matrix(self.lam, s1, s2, g, grid, base_index=base)
-            assert same_bits(phi.family.data, oe._march(coeff, np.eye(3, dtype=complex),
-                                                        grid, base))
-
-    def test_constant_coefficient_takes_the_doubling_path(self, monkeypatch):
-        grid = vk.TimeGrid(0.0, 1.0, 800)
-        s1, s2, g = constant_coefficients(grid, 2)
-        monkeypatch.setattr(oe, "_march", None)
-        vk.fundamental_matrix(self.lam, s1, s2, g, grid, base_index=300)
-        ramp = vk.GridOperatorFamily(grid, g.data * (1.0 + grid.nodes()[:, None, None]))
-        with pytest.raises(TypeError):
-            vk.fundamental_matrix(self.lam, s1, s2, ramp, grid, base_index=300)
+            want = propagator_reference(coeff, eye, grid, base)
+            if varying == "last node only" and base == 300:  # the backward leg's steps repeat
+                c = coeff[0]
+                want[300::-1] = doubling_reference(rk4_propagator(c, c, c, -grid.h), eye, 300)
+            assert same_bits(phi.family.data, want)
 
     @pytest.mark.parametrize("base, step", [
         (0, "between nodes 56 and 57$"),      # forward
@@ -226,31 +282,99 @@ class TestPowerMarch:
     def test_blow_up_names_the_reference_step(self, base, step):
         """C = 5000 (I + a small skew part) on h = 1/100: about e^12.5 of growth
         per RK4 step either way, so the last finite and the first overflowing
-        sample each sit a factor e^3 or more from the overflow threshold, far
-        beyond round-off."""
+        sample of the sequential propagator product each sit a factor e^3 or
+        more from the overflow threshold, far beyond round-off.  (The stage
+        form overflows in its stages one step early on the backward leg.)
+        integrate_linear_ode names the same step."""
         grid = vk.TimeGrid(0.0, 1.2, 120)
         rng = np.random.default_rng(4)
         eye = np.eye(2)
         s1, s2 = const(eye, grid), const(np.zeros((2, 2)), grid)
         g = const(5000.0 * (eye + rand_skew(rng, 2, 1e-3)), grid)
         coeff = node_coefficients(s1, s2, g, 1.0)
-        with pytest.raises(NonFinite) as ref:
-            oe._march(coeff, np.eye(2, dtype=complex), grid, base)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = first_blow_up(propagator_reference(coeff, np.eye(2, dtype=complex), grid, base),
+                                base)
         with pytest.raises(NonFinite, match=step) as got:
             vk.fundamental_matrix(1.0, s1, s2, g, grid, base_index=base)
-        assert str(got.value) == str(ref.value)
+        assert str(got.value) == ref
+        if base in (0, 120):
+            with pytest.raises(NonFinite) as got:
+                vk.integrate_linear_ode(vk.GridOperatorFamily(grid, coeff), eye, grid,
+                                        "forward" if base == 0 else "backward")
+            assert str(got.value) == ref
 
-    @pytest.mark.parametrize("direction", ["forward", "backward"])
-    def test_integrate_linear_ode_keeps_the_sequential_product(self, direction):
-        """The synthesis columns march through integrate_linear_ode: a constant
-        coefficient still takes the one-step-at-a-time product there."""
+    @pytest.mark.parametrize("direction", ["forward", "backward", "interior"])
+    def test_rk4_march_doubles(self, direction):
+        """integrate_linear_ode both ways, and fundamental_matrix from an
+        interior node, at N = 800: the doubling loop bit for bit, the
+        sequential product to round-off."""
         grid = vk.TimeGrid(0.0, 1.0, 800)
         s1, s2, g = constant_coefficients(grid, 3)
         coeff = node_coefficients(s1, s2, g, self.lam)
-        m0 = rand_complex(np.random.default_rng(6), (3, 1))
-        base = 0 if direction == "forward" else 800
-        fam = vk.integrate_linear_ode(vk.GridOperatorFamily(grid, coeff), m0, grid, direction)
-        assert same_bits(fam.data, propagator_reference(coeff, m0, grid, base))
+        if direction == "interior":
+            base, m0 = 300, np.eye(3, dtype=complex)
+            got = vk.fundamental_matrix(self.lam, s1, s2, g, grid, base_index=base).family.data
+        else:
+            base = 0 if direction == "forward" else 800
+            m0 = rand_complex(np.random.default_rng(6), (3, 1))
+            got = vk.integrate_linear_ode(vk.GridOperatorFamily(grid, coeff), m0, grid,
+                                          direction).data
+        assert same_bits(got, rk4_powers(coeff[0], m0, grid, base))
+        assert_march_round_off(got, propagator_reference(coeff, m0, grid, base), 800)
+
+    def test_synthesis_column_doubles(self):
+        """A synthesis column on a constant coefficient at N = 800: powers of
+        exp(h C) from b0."""
+        grid = vk.TimeGrid(0.0, 1.0, 800)
+        s1, s2, g = constant_coefficients(grid, 2)
+        datum = vk.SpectralDatum(z=-0.4 + 0.6j, b0=np.array([1.0, 0.3j]))
+        col = vk.build_elementary(datum, g, s1, s2, grid).B.data.conj().transpose(0, 2, 1)
+        step = vk.matrix_exp(grid.h * node_coefficients(s1, s2, g, datum.z)[0])
+        b0 = datum.b0[:, None]
+        assert same_bits(col, doubling_reference(step, b0, 800))
+        assert_march_round_off(col, sequential_reference(step, b0, 800), 800)
+
+    def test_extraction_transport_doubles(self, monkeypatch):
+        """extract_elementary's transport g' = -A2^H g of a constant A2 from an
+        interior node at N = 800: powers of exp(+-h C) both ways."""
+        grid = vk.TimeGrid(0.0, 1.0, 800)
+        v, _ = skew_chain_vessel(grid)
+        v = dataclasses.replace(v, A2=const(0.4 * v.A1[0], grid))
+        marched = []
+        march = synth._magnus_march
+        monkeypatch.setattr(synth, "_magnus_march",
+                            lambda *a: marched.append(march(*a)) or marched[-1])
+        vk.extract_elementary(v, 1, node_ref=300)
+        c = -v.A2[0].conj().T
+        g0 = marched[0][300]
+        steps = vk.matrix_exp(grid.h * c), vk.matrix_exp(-(grid.h * c))
+        assert same_bits(marched[0], two_way(doubling_reference, *steps, g0, 800, 300))
+        assert_march_round_off(marched[0], two_way(sequential_reference, *steps, g0, 800, 300),
+                               800)
+
+    def test_model_beta_doubles(self):
+        """continuous_model_evolve's beta on 800 t steps: at every s node, the
+        powers of its one exponential step."""
+        model, s1, s2 = TestContinuousModelSteps().model()
+        t_grid = vk.TimeGrid(0.0, 1.0, 800)
+        evolved, _ = vk.continuous_model_evolve(model, s1, s2, t_grid, consistency_tol=1e3)
+        coeff = np.linalg.solve(s1, -model.c[:, None, None] * s2 + model.gamma_s)
+        step = vk.matrix_exp(coeff * t_grid.h)
+        assert same_bits(evolved.beta, doubling_reference(step, model.beta, 800))
+        assert_march_round_off(evolved.beta, sequential_reference(step, model.beta, 800), 800)
+
+    def test_s_constant_ordered_product_doubles(self):
+        """mult_integral of a kernel and c that hold the same bits at every s
+        node, over 800 steps: the 800th power of its one factor."""
+        grid = vk.TimeGrid(0.0, 1.0, 800)
+        kernel = const(rand_complex(np.random.default_rng(7), (2, 2), 0.8), grid)
+        c, lam = np.full(801, 0.3), 1.2 + 0.4j
+        got = vk.mult_integral(kernel, c, lam, 800)
+        step = vk.matrix_exp(kernel[0] * (grid.h / (lam + 0.3)))
+        eye = np.eye(2, dtype=complex)
+        assert same_bits(got, doubling_reference(step, eye, 800)[-1])
+        assert_march_round_off(got, mult_integral_reference(kernel, c, lam, 800)[0], 800)
 
 
 def mult_integral_reference(kernel, c, lam, s_upper, expm=vk.matrix_exp):
@@ -368,8 +492,9 @@ class TestContinuousModelSteps:
                     # i + 1 equal factors carry the initial column
                     assert_near_oracle(evolved.beta[i + 1, j], ref[i + 1, j], i + 1,
                                        frob(step) ** (i + 1) * frob(model.beta[j]))
-            if expm is vk.matrix_exp:
-                assert same_bits(evolved.beta, ref)
+        coeff = np.linalg.solve(s1, -model.c[:, None, None] * s2 + model.gamma_s)
+        step = vk.matrix_exp(coeff * t_grid.h)
+        assert same_bits(evolved.beta, doubling_reference(step, model.beta, t_grid.n_steps))
 
     def test_overflowing_evolution_names_its_step(self):
         """beta' = 100 beta with t steps of 1: exp(100) per step, and the
@@ -629,7 +754,20 @@ class TestConstantCoefficient:
         for base in (0, 21, 64):
             phi = vk.fundamental_matrix(self.lam, s1, s2, g, grid, base_index=base)
             assert same_bits(phi.family.data,
-                             oe._power_march(coeff, np.eye(3, dtype=complex), grid, base))
+                             rk4_powers(coeff[0], np.eye(3, dtype=complex), grid, base))
+
+    def test_a_broadcast_is_constant_without_reading_it(self, monkeypatch):
+        """A stack broadcast along its first axis is constant at once; a copy
+        of it is read, and one bit off at its last node is not constant."""
+        stack = np.broadcast_to(rand_complex(np.random.default_rng(2), (1, 3, 3)), (50, 3, 3))
+        reads = []
+        contiguous = np.ascontiguousarray
+        monkeypatch.setattr(np, "ascontiguousarray", lambda a: reads.append(a) or contiguous(a))
+        assert oe._is_constant(stack) and not reads
+        copy = stack.copy()
+        assert oe._is_constant(copy) and len(reads) == 1
+        copy[-1, 0, 0] = np.nextafter(copy[-1, 0, 0].real, np.inf) + 1j * copy[-1, 0, 0].imag
+        assert not oe._is_constant(copy)
 
 
 def interp4_reference(data, pos):

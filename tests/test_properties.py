@@ -14,7 +14,7 @@ fire alike on a null-pole triple scaled in C and X0.
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import vesselkit as vk
@@ -282,11 +282,22 @@ def _coupling_guard(data, c, factor, node, shift):
 
 
 @SETTINGS
-@given(c=st.floats(1e-4, 1e4), factor=st.sampled_from([1.0, 1.01, 10.0, 1000.0]),
+@given(c=st.floats(1e-12, 1e4), factor=st.sampled_from([1.0, 1.01, 10.0, 1000.0]),
        node=st.integers(1, 40), shift=st.sampled_from([0.0, 0.5]))
+@example(c=1e-9, factor=1.0, node=40, shift=0.5)
 def test_coupling_guards_scale_covariant(c, factor, node, shift):
     """Scaling C and X0 by c > 0 scales the Sylvester residual and the pole
     pair's ODE residual with their units, so the same guard fires (or none)."""
     data = consistent_triple_data(40)
     assert _coupling_guard(data, c, factor, node, shift) == \
         _coupling_guard(data, 1.0, factor, node, shift)
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-12])
+def test_small_inconsistent_x0_fails_the_sylvester_guard(c):
+    """X0 + 0.5 I with C and X0 scaled by a small c: the Sylvester residual
+    shrinks with c, and so does its bound, which has no floor at ||X0|| = 1;
+    the consistent X0 still passes at that scale."""
+    data = consistent_triple_data(40)
+    assert _coupling_guard(data, c, 1.0, 40, 0.5) == "X0 violates the Sylvester equation"
+    assert _coupling_guard(data, c, 1.0, 40, 0.0) is None
