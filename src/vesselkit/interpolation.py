@@ -13,7 +13,16 @@ When C and Bn obey their matrix-parameter ODEs
 
 the coupling family also obeys X' = Bn sigma2 C, and conversely integrating
 that ODE from consistent initial data conserves the algebraic equation up to
-the integrator order.  The realized transfer function
+the integrator order.  Both pairs take one RK4 march, the null pair as the
+pole pair's on the transposes,
+
+    sigma1^T Bn^T' = -sigma2^T Bn^T A_xi^T - gamma_star^T Bn^T,
+
+with sigma1^(-1) sigma2 and sigma1^(-1) gamma_star solved once per stage
+sample, at the nodes and the cubic midpoints, which hold the 4th order on
+time-varying data.  The coupling evolution reads the same cubic midpoints, as
+a Simpson quadrature (its right-hand side never reads X).  The realized
+transfer function
 
     S(lam, t) = I + C (lam I - A_pi)^(-1) X^(-1) Bn sigma1
 
@@ -50,7 +59,7 @@ from .matrix_kernel import (
     solve_sylvester,
 )
 from .ode_engine import (GridOperatorFamily, TimeGrid, _check_path, _check_sigma1, _interp4,
-                         _leg_blew_up, _magnus_march, _on_grid, _rk4_path, family_derivative)
+                         _leg_blew_up, _magnus_march, _on_grid, family_derivative)
 from .vessel_core import DifferentialVessel, krylov_rank
 
 __all__ = [
@@ -65,6 +74,14 @@ __all__ = [
     "extract_null_pole",
     "hermitian_realize",
 ]
+
+
+def _shapes(**named) -> None:
+    """ShapeMismatch naming the first of `named`, each a matrix or family with
+    its wanted (rows, columns), whose shape is not the one wanted."""
+    for name, (x, (r, c)) in named.items():
+        if tuple(x.shape) != (r, c):
+            raise ShapeMismatch(f"{name} must be {r} x {c}, got {x.shape[0]} x {x.shape[1]}")
 
 
 @dataclass(frozen=True)
@@ -82,17 +99,9 @@ class NullPoleTriple:
         a_xi = as_matrix(self.A_xi, "A_xi")
         object.__setattr__(self, "A_pi", a_pi)
         object.__setattr__(self, "A_xi", a_xi)
-        n = a_pi.shape[0]
-        k = a_xi.shape[0]
-        if a_pi.shape != (n, n) or a_xi.shape != (k, k):
-            raise ShapeMismatch("A_pi and A_xi must be square")
-        m = self.C.shape[0]
-        if self.C.shape != (m, n):
-            raise ShapeMismatch(f"C must be m x {n}")
-        if self.Bn.shape != (k, m):
-            raise ShapeMismatch(f"Bn must be {k} x {m}")
-        if self.X.shape != (k, n):
-            raise ShapeMismatch(f"X must be {k} x {n}")
+        n, k, m = a_pi.shape[0], a_xi.shape[0], self.C.shape[0]
+        _shapes(A_pi=(a_pi, (n, n)), A_xi=(a_xi, (k, k)), C=(self.C, (m, n)),
+                Bn=(self.Bn, (k, m)), X=(self.X, (k, n)))
         _on_grid(self.C.grid, Bn=self.Bn, X=self.X)
 
     @property
@@ -126,19 +135,33 @@ class HermitianRealization:
     max_step_jump: float = 0.0
 
 
-def _rhs_family(fams: dict[str, GridOperatorFamily]):
-    # Cubic node interpolation: the evolutions below must hold their 4th
-    # order, and midpoint coefficients sampled linearly would cap them at 2.
-    # A march asks for nodes and step midpoints only; the midpoints are
-    # interpolated once, up front.
-    data = {k: f.data for k, f in fams.items()}
-    mids = {k: _interp4(d, np.arange(len(d) - 1) + 0.5) for k, d in data.items()}
+def _pair_march(s1, s2, gs, a, m0, grid: TimeGrid) -> np.ndarray:
+    """Samples at every node of s1 M' = s2 M a + gs M from M = m0 at t_start, by RK4.
 
-    def at(name: str, pos: float) -> np.ndarray:
-        i = int(pos)
-        return data[name][i] if pos == i else mids[name][i]
-
-    return at
+    s1^(-1) s2 and s1^(-1) gs are solved once per stage sample, at positions
+    0, 0.5, ..., N (nodes as they are, midpoints cubic), so the steps
+    M' = P M a + G M solve nothing.  M is multiplied from both sides, so a
+    step is no left factor and this march is no running product.
+    """
+    pos = 0.5 * np.arange(2 * grid.n_steps + 1)
+    s1 = _interp4(s1, pos)
+    p, g = (np.linalg.solve(s1, _interp4(x, pos)) for x in (s2, gs))
+    h = grid.h
+    out = np.empty((grid.n_nodes,) + m0.shape, dtype=complex)
+    out[0] = m = m0
+    # Overflow is reported as NonFinite, not as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.n_steps):
+            j = 2 * i
+            k1 = p[j] @ m @ a + g[j] @ m
+            y = m + (0.5 * h) * k1
+            k2 = p[j + 1] @ y @ a + g[j + 1] @ y
+            y = m + (0.5 * h) * k2
+            k3 = p[j + 1] @ y @ a + g[j + 1] @ y
+            y = m + h * k3
+            k4 = p[j + 2] @ y @ a + g[j + 2] @ y
+            out[i + 1] = m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _check_path(out, _leg_blew_up(0, 1))
 
 
 def evolve_pole_pair(
@@ -150,17 +173,13 @@ def evolve_pole_pair(
     grid: TimeGrid,
 ) -> GridOperatorFamily:
     """Integrate sigma1 C' = sigma2 C A_pi + gamma_star C from C(t_start)."""
-    c0 = as_matrix(c0, "C0")
-    a_pi = as_matrix(a_pi, "A_pi")
+    c0, a_pi = as_matrix(c0, "C0"), as_matrix(a_pi, "A_pi")
     _on_grid(grid, gamma_star=gamma_star, sigma1=sigma1, sigma2=sigma2)
+    n = c0.shape[1]
+    _shapes(C0=(c0, (sigma1.shape[0], n)), A_pi=(a_pi, (n, n)))
     _check_sigma1(sigma1.data)
-    at = _rhs_family({"s1": sigma1, "s2": sigma2, "gs": gamma_star})
-
-    def rhs(pos, c):
-        return np.linalg.solve(at("s1", pos), at("s2", pos) @ c @ a_pi + at("gs", pos) @ c)
-
-    samples = _rk4_path(rhs, c0, grid, 0, grid.n_steps)
-    return GridOperatorFamily(grid, np.stack(samples))
+    return GridOperatorFamily(grid, _pair_march(sigma1.data, sigma2.data, gamma_star.data,
+                                                a_pi, c0, grid))
 
 
 def evolve_null_pair(
@@ -171,19 +190,16 @@ def evolve_null_pair(
     sigma2: GridOperatorFamily,
     grid: TimeGrid,
 ) -> GridOperatorFamily:
-    """Integrate Bn' sigma1 = -A_xi Bn sigma2 - Bn gamma_star from Bn(t_start)."""
-    bn0 = as_matrix(bn0, "Bn0")
-    a_xi = as_matrix(a_xi, "A_xi")
+    """Integrate Bn' sigma1 = -A_xi Bn sigma2 - Bn gamma_star from Bn(t_start),
+    as the pole pair's march of the transposes."""
+    bn0, a_xi = as_matrix(bn0, "Bn0"), as_matrix(a_xi, "A_xi")
     _on_grid(grid, gamma_star=gamma_star, sigma1=sigma1, sigma2=sigma2)
+    k = bn0.shape[0]
+    _shapes(Bn0=(bn0, (k, sigma1.shape[0])), A_xi=(a_xi, (k, k)))
     _check_sigma1(sigma1.data)
-    at = _rhs_family({"s1": sigma1, "s2": sigma2, "gs": gamma_star})
-
-    def rhs(pos, bn):
-        s1 = at("s1", pos)
-        return np.linalg.solve(s1.T, (-a_xi @ bn @ at("s2", pos) - bn @ at("gs", pos)).T).T
-
-    samples = _rk4_path(rhs, bn0, grid, 0, grid.n_steps)
-    return GridOperatorFamily(grid, np.stack(samples))
+    s1, s2, gs = (f.data.transpose(0, 2, 1) for f in (sigma1, sigma2, gamma_star))
+    return GridOperatorFamily(grid, _pair_march(s1, -s2, -gs, a_xi.T, bn0.T, grid)
+                              .transpose(0, 2, 1))
 
 
 def sylvester_residuals(triple: NullPoleTriple, sigma1: GridOperatorFamily) -> np.ndarray:
@@ -221,6 +237,8 @@ def evolve_coupling(
     a_xi = as_matrix(a_xi, "A_xi")
     x0 = as_matrix(x0, "X0")
     _on_grid(grid, c=c, bn=bn, sigma1=sigma1, sigma2=sigma2, gamma_star=gamma_star)
+    (m, n), k = c.shape, bn.shape[0]
+    _shapes(A_pi=(a_pi, (n, n)), A_xi=(a_xi, (k, k)), Bn=(bn, (k, m)), X0=(x0, (k, n)))
     res0 = frob(x0 @ a_pi - a_xi @ x0 - bn[0] @ sigma1[0] @ c[0])
     scale = (frob(a_pi) + frob(a_xi)) * frob(x0)
     if tol < np.inf and not res0 <= tol * scale < np.inf:
@@ -373,10 +391,8 @@ def hermitian_realize(
     NotPositiveDefinite.
     """
     a1 = as_matrix(a1, "A1")
-    n = a1.shape[0]
-    m = c.shape[0]
-    if c.shape != (m, n):
-        raise ShapeMismatch(f"C must be m x {n}")
+    n, m = a1.shape[0], c.shape[0]
+    _shapes(C=(c, (m, n)))
     _on_grid(c.grid, sigma1=sigma1)
     rank = krylov_rank(a1.conj().T, c[0].conj().T)
     if rank < n:

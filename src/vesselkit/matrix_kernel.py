@@ -45,7 +45,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ShapeMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeMismatch(f"{name} must have positive dimensions, got {m.shape}")
-    if not np.all(np.isfinite(m.real) & np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise NonFinite(f"{name} contains NaN or Inf")
     return m
 
@@ -81,7 +81,7 @@ def _as_stack(a, name: str):
         return as_matrix(m, name)[None], None
     if min(m.shape[1:]) < 1:
         raise ShapeMismatch(f"{name} must have positive dimensions, got {m.shape}")
-    if not np.all(np.isfinite(m.real) & np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise NonFinite(f"{name} contains NaN or Inf")
     return m, range(len(m))
 
@@ -341,8 +341,7 @@ def matrix_exp(m) -> np.ndarray:
             for _ in range(s):
                 r = r @ r
             out[group] = r
-    bad = np.flatnonzero(~(finite & np.all(np.isfinite(out.real) & np.isfinite(out.imag),
-                                           axis=(1, 2))))
+    bad = np.flatnonzero(~(finite & np.isfinite(out).all(axis=(1, 2))))
     if bad.size:
         raise NonFinite(f"matrix_exp overflowed{_at(nodes, bad[0])}")
     return out[0] if nodes is None else out

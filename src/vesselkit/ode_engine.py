@@ -119,7 +119,7 @@ class GridOperatorFamily:
             raise ShapeMismatch(
                 f"family needs {grid.n_nodes} samples, got {arr.shape[0]}"
             )
-        if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise NonFinite("family contains NaN or Inf")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -180,7 +180,8 @@ def _interp4(data: np.ndarray, pos: np.ndarray) -> np.ndarray:
     position returns its node sample as it is.
 
     Node-accurate to O(h^4); used where a one-step method must not lose its
-    order to coefficient sampling (coupling-matrix quadrature).
+    order to coefficient sampling (the Magnus steps, the pole/null pair march,
+    the coupling-matrix quadrature).
     """
     n = data.shape[0]
     whole = np.trunc(pos).astype(np.intp)
@@ -200,30 +201,6 @@ def _interp4(data: np.ndarray, pos: np.ndarray) -> np.ndarray:
                     w *= (x - k) / (j - k)
             out = out + np.reshape(w, shape) * data[start + j]
     return np.where(np.reshape(pos == whole, shape), data[whole], out)
-
-
-def _rk4_path(rhs, m0: np.ndarray, grid: TimeGrid, start: int, stop: int) -> list[np.ndarray]:
-    """March m' = rhs(pos, m) from node `start` to node `stop` (either order).
-
-    Returns the samples at the visited nodes, starting with m0 at `start`.
-    `pos` is the fractional node index at which coefficients are wanted.
-    """
-    step = 1 if stop >= start else -1
-    h = grid.h * step
-    out = [m0]
-    m = m0
-    # Overflow is reported as NonFinite, not as a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(start, stop, step):
-            k1 = rhs(float(i), m)
-            k2 = rhs(i + 0.5 * step, m + 0.5 * h * k1)
-            k3 = rhs(i + 0.5 * step, m + 0.5 * h * k2)
-            k4 = rhs(float(i + step), m + h * k3)
-            m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(m.real) & np.isfinite(m.imag)):
-                raise NonFinite(f"integration blew up between nodes {i} and {i + step}")
-            out.append(m)
-    return out
 
 
 def _rk4_steps(c0: np.ndarray, cm: np.ndarray, c1: np.ndarray, h: float) -> np.ndarray:

@@ -318,6 +318,19 @@ class TestCommands:
         assert np.allclose(vk.eval_transfer(realized, lam, 13),
                            vk.eval_transfer(v, lam, 13), atol=1e-8)
 
+    def test_realize_names_a_misshapen_x0(self, vessel_and_doc, tmp_path):
+        """A 3 x 3 X0 for a triple of state dimension 2 is a ShapeMismatch
+        naming X0, not numpy's matmul text."""
+        v, _, _ = vessel_and_doc
+        doc = triple_document(v)
+        doc["X0"] = cli._enc_array(np.eye(3))
+        path = tmp_path / "triple.json"
+        path.write_text(cli.dump_json(doc))
+        code, out = run_cli(["realize", str(path)])
+        assert code == 1
+        assert json.loads(out)["error"] == {"kind": "ShapeMismatch",
+                                            "message": "X0 must be 2 x 2, got 3 x 3"}
+
     def test_gauge_equivalent_and_not(self, vessel_and_doc, vessel_file, tmp_path):
         v, _, _ = vessel_and_doc
         rng = np.random.default_rng(1)

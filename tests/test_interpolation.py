@@ -9,6 +9,7 @@ from vesselkit.errors import (
     InconsistentInitialData,
     NotMinimal,
     NotPositiveDefinite,
+    ShapeMismatch,
     SpectrumClash,
 )
 from vesselkit.matrix_kernel import frob
@@ -134,6 +135,37 @@ class TestEvolveCoupling:
         grid, s1, s2, gs, a_pi, a_xi, c, bn, x0 = consistent_triple_data(40)
         with pytest.raises(InconsistentInitialData, match="residual inf"):
             vk.evolve_coupling(c, a_pi, a_xi, bn, 1e160 * x0, s1, s2, gs, grid)
+
+
+class TestShapes:
+    """A matrix of the wrong shape is a ShapeMismatch naming it, not numpy's
+    matmul error (n = k = 3, m = 2 here)."""
+
+    cases = {
+        "pole C0 rows": (vk.evolve_pole_pair, "c0", np.ones((3, 3)), "C0 must be 2 x 3, got 3 x 3"),
+        "pole A_pi": (vk.evolve_pole_pair, "a_pi", np.eye(2), "A_pi must be 3 x 3, got 2 x 2"),
+        "null Bn0 columns": (vk.evolve_null_pair, "bn0", np.ones((3, 3)),
+                             "Bn0 must be 3 x 2, got 3 x 3"),
+        "null A_xi": (vk.evolve_null_pair, "a_xi", np.ones((3, 2)),
+                      "A_xi must be 3 x 3, got 3 x 2"),
+        "coupling A_pi": (vk.evolve_coupling, "a_pi", np.eye(2), "A_pi must be 3 x 3, got 2 x 2"),
+        "coupling A_xi": (vk.evolve_coupling, "a_xi", np.ones((3, 2)),
+                          "A_xi must be 3 x 3, got 3 x 2"),
+        "coupling Bn": (vk.evolve_coupling, "bn", np.ones((3, 3)), "Bn must be 3 x 2, got 3 x 3"),
+        "coupling X0": (vk.evolve_coupling, "x0", np.ones((2, 3)), "X0 must be 3 x 3, got 2 x 3"),
+    }
+
+    @pytest.mark.parametrize("case", cases)
+    def test_wrong_shape_is_named(self, case):
+        evolve, name, value, message = self.cases[case]
+        grid, s1, s2, gs, a_pi, a_xi, c, bn, x0 = consistent_triple_data(10)
+        args = {"c": c, "a_pi": a_pi, "a_xi": a_xi, "bn": bn, "x0": x0}
+        if evolve is not vk.evolve_coupling:
+            args = {"c0": c[0], "a_pi": a_pi} if evolve is vk.evolve_pole_pair else \
+                {"bn0": bn[0], "a_xi": a_xi}
+        args[name] = const(value, grid) if name == "bn" else value
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            evolve(**args, sigma1=s1, sigma2=s2, gamma_star=gs, grid=grid)
 
 
 class TestZeroPoleRealize:

@@ -6,7 +6,10 @@ bit.  Every march whose steps hold the same bits (a fundamental matrix,
 integrate_linear_ode, a synthesis column, an extraction transport, the
 continuous model's beta, an s-constant ordered product) fills its samples as
 powers of one step by doubling: bit for bit the in-test doubling loop, and
-the sequential product to round-off."""
+the sequential product to round-off.  The pole/null pair march matches an
+in-test loop of its arithmetic (sigma1 solved once per sample) bit for bit,
+and the RK4 stage form `rk4_path` (sigma1 solved in every stage) to
+round-off."""
 
 import dataclasses
 import itertools
@@ -24,7 +27,7 @@ import vesselkit.vessel_core as core
 from vesselkit.config import EPS_SPEC_REL
 from vesselkit.errors import NonFinite, ShapeMismatch, SpectrumClash
 from vesselkit.matrix_kernel import frob, max_frob
-from vesselkit.ode_engine import _interp4, _rk4_path
+from vesselkit.ode_engine import _interp4
 
 from helpers import const, rand_complex, rand_hermitian, rand_skew, skew_chain_vessel
 
@@ -48,6 +51,28 @@ def _interp(data, pos):
     return (1.0 - w) * data[left] + w * data[left + 1]
 
 
+def rk4_path(rhs, m0, grid, start, stop):
+    """The RK4 stage form: march m' = rhs(pos, m) from node `start` to node
+    `stop` (either order), `pos` the fractional node index whose coefficients
+    are wanted.  The samples at the visited nodes, m0 first; NonFinite names
+    the first step into a sample that is not finite."""
+    step = 1 if stop >= start else -1
+    h = grid.h * step
+    out = [m0]
+    m = m0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(start, stop, step):
+            k1 = rhs(float(i), m)
+            k2 = rhs(i + 0.5 * step, m + 0.5 * h * k1)
+            k3 = rhs(i + 0.5 * step, m + 0.5 * h * k2)
+            k4 = rhs(float(i + step), m + h * k3)
+            m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(m).all():
+                raise NonFinite(f"integration blew up between nodes {i} and {i + step}")
+            out.append(m)
+    return out
+
+
 def splice_reference(cdata, m0, grid, base):
     """The stage-form march: forward from `base`, then backward, reversed."""
 
@@ -55,9 +80,9 @@ def splice_reference(cdata, m0, grid, base):
         return _interp(cdata, pos) @ mat
 
     out = np.empty((grid.n_nodes,) + m0.shape, dtype=complex)
-    out[base:] = np.stack(_rk4_path(rhs, m0, grid, base, grid.n_steps))
+    out[base:] = np.stack(rk4_path(rhs, m0, grid, base, grid.n_steps))
     if base > 0:
-        out[: base + 1] = np.stack(_rk4_path(rhs, m0, grid, base, 0)[::-1])
+        out[: base + 1] = np.stack(rk4_path(rhs, m0, grid, base, 0)[::-1])
     return out
 
 
@@ -796,7 +821,7 @@ def coupling_reference(c, bn, s2, x0, grid):
         return (interp4_reference(bn.data, pos) @ interp4_reference(s2.data, pos)
                 @ interp4_reference(c.data, pos))
 
-    return np.stack(_rk4_path(rhs, x0, grid, 0, grid.n_steps))
+    return np.stack(rk4_path(rhs, x0, grid, 0, grid.n_steps))
 
 
 def coupling_data(n_steps, n=3, m=2, seed=31):
@@ -853,27 +878,118 @@ class TestCouplingQuadrature:
         stacked = _interp4(data, pos)  # linear below 4 nodes
         assert same_bits(stacked, np.stack([interp4_reference(data, float(p)) for p in pos]))
 
+
+def pair_stage_forms(s1, s2, gs, a):
+    """The pole and null pairs' right-hand sides in stage form, sigma1 solved
+    in every stage at the cubic samples."""
+
+    def at(fam, pos):
+        return interp4_reference(fam.data, pos)
+
+    def pole(pos, m):
+        return np.linalg.solve(at(s1, pos), at(s2, pos) @ m @ a + at(gs, pos) @ m)
+
+    def null(pos, m):
+        return np.linalg.solve(at(s1, pos).T, (-a @ m @ at(s2, pos) - m @ at(gs, pos)).T).T
+
+    return pole, null
+
+
+def hoisted_reference(s1, s2, gs, a, m0, grid):
+    """RK4 on s1 M' = s2 M a + gs M, one step at a time, with P = s1^(-1) s2
+    and G = s1^(-1) gs solved once per sample at positions 0, 0.5, ..., N."""
+    pos = [0.5 * j for j in range(2 * grid.n_steps + 1)]
+    p, g = ([np.linalg.solve(interp4_reference(s1, x), interp4_reference(d, x)) for x in pos]
+            for d in (s2, gs))
+    h = grid.h
+    path = [m0]
+    m = m0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, 2 * grid.n_steps, 2):
+            k1 = p[j] @ m @ a + g[j] @ m
+            y = m + (0.5 * h) * k1
+            k2 = p[j + 1] @ y @ a + g[j + 1] @ y
+            y = m + (0.5 * h) * k2
+            k3 = p[j + 1] @ y @ a + g[j + 1] @ y
+            y = m + h * k3
+            k4 = p[j + 2] @ y @ a + g[j + 2] @ y
+            m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            path.append(m)
+    return np.stack(path)
+
+
+def pair_data(n_steps):
+    """sigma1, sigma2 and gamma_star that all vary along the grid, a state
+    matrix and the two pairs' initial values."""
+    grid, c, bn, s2 = coupling_data(n_steps)
+    s1 = vk.GridOperatorFamily(grid, np.diag([2.0, -1.0]) + 0.1 * s2.data)
+    gs = vk.GridOperatorFamily(grid, 0.3j * s2.data)
+    a = rand_complex(np.random.default_rng(8), (3, 3))
+    return grid, s1, s2, gs, a, c[0], bn[0]
+
+
+class TestPairMarch:
+    """Both pairs take one two-sided RK4 march, the null pair on the
+    transposes; sigma1 is solved once per sample, not in every stage."""
+
     @pytest.mark.parametrize("n_steps", [2, 3, 40])
-    def test_pole_and_null_pairs_match_scalar_midpoints(self, n_steps):
-        """The pair marches read their midpoints from one stacked evaluation."""
-        grid, c, bn, s2 = coupling_data(n_steps)
-        s1 = vk.GridOperatorFamily(grid, np.diag([2.0, -1.0]) + 0.1 * s2.data)
-        gs = vk.GridOperatorFamily(grid, 0.3j * s2.data)
-        rng = np.random.default_rng(8)
-        a, c0, bn0 = rand_complex(rng, (3, 3)), c[0], bn[0]
+    def test_pairs_match_the_hoisted_reference(self, n_steps):
+        """Bit for bit the hoisted arithmetic; within round-off of the stage
+        form: moving the solve from the stages to the samples rounds each
+        stage by a few ulps times the condition of sigma1, so allow
+        cond(sigma1) eps per step, relative to the largest sample."""
+        grid, s1, s2, gs, a, c0, bn0 = pair_data(n_steps)
+        pole, null = pair_stage_forms(s1, s2, gs, a)
+        tr = [f.data.transpose(0, 2, 1) for f in (s1, s2, gs)]
+        cond = max(np.linalg.cond(s1.data))
+        for got, ref, rhs, m0 in (
+                (vk.evolve_pole_pair(c0, a, gs, s1, s2, grid),
+                 hoisted_reference(s1.data, s2.data, gs.data, a, c0, grid), pole, c0),
+                (vk.evolve_null_pair(bn0, a, gs, s1, s2, grid),
+                 hoisted_reference(tr[0], -tr[1], -tr[2], a.T, bn0.T, grid)
+                 .transpose(0, 2, 1), null, bn0)):
+            assert same_bits(got.data, ref)
+            stage = np.stack(rk4_path(rhs, m0, grid, 0, n_steps))
+            assert max_frob(got.data - stage) <= n_steps * cond * EPS * max_frob(stage)
 
-        def at(fam, pos):
-            return interp4_reference(fam.data, pos)
+    def test_fourth_order_on_time_varying_data(self):
+        """Scalar closed form: sigma1 = 1 + t^2/2, gamma_star = 0.4i sin 3t and
+        a sigma2 = (sigma1 phi' - gamma_star) / a give C = c0 exp(phi) and, with
+        A_xi = a, Bn = bn0 exp(-phi).  Both errors fall at least 12-fold per
+        halving of h (16 at 4th order)."""
+        a, c0, bn0 = 0.3 + 0.2j, 1.2 - 0.4j, 0.8 + 0.1j
 
-        def pole(pos, m):
-            return np.linalg.solve(at(s1, pos), at(s2, pos) @ m @ a + at(gs, pos) @ m)
+        def phi(t):
+            return 0.5 * np.sin(2.0 * t) + 0.3j * t ** 2
 
-        def null(pos, m):
-            return np.linalg.solve(at(s1, pos).T, (-a @ m @ at(s2, pos) - m @ at(gs, pos)).T).T
+        errors = []
+        for n_steps in (20, 40, 80):
+            grid = vk.TimeGrid(0.0, 1.0, n_steps)
+            t = grid.nodes()
+            s1 = 1.0 + 0.5 * t ** 2
+            gs = 0.4j * np.sin(3.0 * t)
+            s2 = (s1 * (np.cos(2.0 * t) + 0.6j * t) - gs) / a
+            fams = [vk.GridOperatorFamily(grid, x[:, None, None]) for x in (gs, s1, s2)]
+            c = vk.evolve_pole_pair([[c0]], [[a]], *fams, grid).data[:, 0, 0]
+            bn = vk.evolve_null_pair([[bn0]], [[a]], *fams, grid).data[:, 0, 0]
+            errors.append([np.max(np.abs(c - c0 * np.exp(phi(t)))),
+                           np.max(np.abs(bn - bn0 * np.exp(-phi(t))))])
+        errors = np.array(errors)
+        assert (errors[:-1] >= 12.0 * errors[1:]).all(), errors
 
-        for got, rhs, m0 in ((vk.evolve_pole_pair(c0, a, gs, s1, s2, grid), pole, c0),
-                             (vk.evolve_null_pair(bn0, a, gs, s1, s2, grid), null, bn0)):
-            assert same_bits(got.data, np.stack(_rk4_path(rhs, m0, grid, 0, n_steps)))
+    def test_blow_up_names_the_stage_form_step(self):
+        """sigma2 grows by 1e200 from node 23 on, and the cubic midpoint 21.5
+        reads node 23: both pairs overflow on the step into node 22, as the stage
+        form does."""
+        grid, s1, s2, gs, a, c0, bn0 = pair_data(40)
+        s2 = vk.GridOperatorFamily(grid, np.concatenate([s2.data[:23], 1e200 * s2.data[23:]]))
+        pole, null = pair_stage_forms(s1, s2, gs, a)
+        for evolve, rhs, m0 in ((vk.evolve_pole_pair, pole, c0), (vk.evolve_null_pair, null, bn0)):
+            with pytest.raises(NonFinite) as ref:
+                rk4_path(rhs, m0, grid, 0, grid.n_steps)
+            with pytest.raises(NonFinite, match="between nodes 21 and 22$") as got:
+                evolve(m0, a, gs, s1, s2, grid)
+            assert str(got.value) == str(ref.value)
 
 
 def assert_near_expm(out, stack):
@@ -920,9 +1036,12 @@ class TestMatrixExpStack:
         out = vk.matrix_exp(np.zeros((0, 2, 2)))
         assert out.shape == (0, 2, 2) and out.dtype == complex
 
-    def test_overflowing_slice_is_named(self):
-        stack = np.zeros((4, 2, 2), dtype=complex)
-        stack[2] = 800.0 * np.eye(2)
+    @pytest.mark.parametrize("z, dim", [(800.0, 2), (710.0 + 0.5j * np.pi, 1)])
+    def test_overflowing_slice_is_named(self, z, dim):
+        """Also when the slice overflows in its imaginary part alone: the
+        exponential of the 1 x 1 slice 710 + i pi/2 has a finite real part."""
+        stack = np.zeros((4, dim, dim), dtype=complex)
+        stack[2] = z * np.eye(dim)
         with pytest.raises(NonFinite, match="at node 2$"):
             vk.matrix_exp(stack)
         with pytest.raises(NonFinite):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import vesselkit as vk
+import vesselkit.matrix_kernel as mk
 from vesselkit.errors import (
     NonFinite,
     NotHermitian,
@@ -179,9 +180,18 @@ class TestMatrixExp:
         n = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert np.allclose(vk.matrix_exp(n), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-    def test_non_finite(self):
-        with pytest.raises(NonFinite):
-            vk.matrix_exp(np.array([[np.inf]]))
+    @pytest.mark.parametrize("bad", [np.inf, complex(0.0, np.inf), complex(0.0, np.nan)])
+    def test_non_finite(self, bad):
+        """A complex entry is finite only if both its parts are: inf or NaN in
+        the imaginary part alone is NonFinite, for a matrix and for a stack."""
+        with pytest.raises(NonFinite, match="^matrix_exp operand contains NaN or Inf$"):
+            vk.matrix_exp(np.array([[bad]]))
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = bad
+        with pytest.raises(NonFinite, match="^matrix_exp operand contains NaN or Inf$"):
+            vk.matrix_exp(stack)
+        with pytest.raises(NonFinite, match="^A contains NaN or Inf$"):
+            mk.as_matrix(stack[1], "A")
 
     def test_relative_accuracy_moderate_norm(self):
         rng = np.random.default_rng(5)

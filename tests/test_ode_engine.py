@@ -273,6 +273,15 @@ class TestGridTypes:
         with pytest.raises(ShapeMismatch):
             vk.GridOperatorFamily(grid, np.zeros((2, 2, 2)))  # needs 3 samples
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf), complex(0.0, -np.inf)])
+    def test_family_rejects_non_finite_samples(self, bad):
+        """inf or NaN in either part of one entry, the imaginary part alone included."""
+        grid = vk.TimeGrid(0.0, 1.0, 2)
+        data = np.zeros((3, 2, 2), dtype=complex)
+        data[2, 1, 0] = bad
+        with pytest.raises(NonFinite, match="^family contains NaN or Inf$"):
+            vk.GridOperatorFamily(grid, data)
+
     def test_family_data_readonly(self):
         grid = vk.TimeGrid(0.0, 1.0, 2)
         fam = const(np.eye(2), grid)
