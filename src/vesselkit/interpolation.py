@@ -50,6 +50,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .matrix_kernel import (
+    _shapes,
     _sqrt_eigh,
     as_matrix,
     frob,
@@ -58,7 +59,7 @@ from .matrix_kernel import (
     shifted_solve,
     solve_sylvester,
 )
-from .ode_engine import (GridOperatorFamily, TimeGrid, _check_path, _check_sigma1, _interp4,
+from .ode_engine import (GridOperatorFamily, TimeGrid, _channel, _check_path, _interp4,
                          _leg_blew_up, _magnus_march, _on_grid, family_derivative)
 from .vessel_core import DifferentialVessel, krylov_rank
 
@@ -74,14 +75,6 @@ __all__ = [
     "extract_null_pole",
     "hermitian_realize",
 ]
-
-
-def _shapes(**named) -> None:
-    """ShapeMismatch naming the first of `named`, each a matrix or family with
-    its wanted (rows, columns), whose shape is not the one wanted."""
-    for name, (x, (r, c)) in named.items():
-        if tuple(x.shape) != (r, c):
-            raise ShapeMismatch(f"{name} must be {r} x {c}, got {x.shape[0]} x {x.shape[1]}")
 
 
 @dataclass(frozen=True)
@@ -174,10 +167,9 @@ def evolve_pole_pair(
 ) -> GridOperatorFamily:
     """Integrate sigma1 C' = sigma2 C A_pi + gamma_star C from C(t_start)."""
     c0, a_pi = as_matrix(c0, "C0"), as_matrix(a_pi, "A_pi")
-    _on_grid(grid, gamma_star=gamma_star, sigma1=sigma1, sigma2=sigma2)
-    n = c0.shape[1]
-    _shapes(C0=(c0, (sigma1.shape[0], n)), A_pi=(a_pi, (n, n)))
-    _check_sigma1(sigma1.data)
+    m, n = sigma1.shape[0], c0.shape[1]
+    _channel(grid, m, gamma_star=gamma_star, sigma1=sigma1, sigma2=sigma2)
+    _shapes(C0=(c0, (m, n)), A_pi=(a_pi, (n, n)))
     return GridOperatorFamily(grid, _pair_march(sigma1.data, sigma2.data, gamma_star.data,
                                                 a_pi, c0, grid))
 
@@ -193,10 +185,9 @@ def evolve_null_pair(
     """Integrate Bn' sigma1 = -A_xi Bn sigma2 - Bn gamma_star from Bn(t_start),
     as the pole pair's march of the transposes."""
     bn0, a_xi = as_matrix(bn0, "Bn0"), as_matrix(a_xi, "A_xi")
-    _on_grid(grid, gamma_star=gamma_star, sigma1=sigma1, sigma2=sigma2)
-    k = bn0.shape[0]
-    _shapes(Bn0=(bn0, (k, sigma1.shape[0])), A_xi=(a_xi, (k, k)))
-    _check_sigma1(sigma1.data)
+    k, m = bn0.shape[0], sigma1.shape[0]
+    _channel(grid, m, gamma_star=gamma_star, sigma1=sigma1, sigma2=sigma2)
+    _shapes(Bn0=(bn0, (k, m)), A_xi=(a_xi, (k, k)))
     s1, s2, gs = (f.data.transpose(0, 2, 1) for f in (sigma1, sigma2, gamma_star))
     return GridOperatorFamily(grid, _pair_march(s1, -s2, -gs, a_xi.T, bn0.T, grid)
                               .transpose(0, 2, 1))
@@ -204,7 +195,7 @@ def evolve_null_pair(
 
 def sylvester_residuals(triple: NullPoleTriple, sigma1: GridOperatorFamily) -> np.ndarray:
     """Per-node Frobenius residual of X A_pi - A_xi X = Bn sigma1 C."""
-    _on_grid(triple.grid, sigma1=sigma1)
+    _channel(triple.grid, triple.C.shape[0], sigma1=sigma1)
     x = triple.X.data
     return frob(x @ triple.A_pi - triple.A_xi @ x - triple.Bn.data @ sigma1.data @ triple.C.data)
 
@@ -236,8 +227,9 @@ def evolve_coupling(
     a_pi = as_matrix(a_pi, "A_pi")
     a_xi = as_matrix(a_xi, "A_xi")
     x0 = as_matrix(x0, "X0")
-    _on_grid(grid, c=c, bn=bn, sigma1=sigma1, sigma2=sigma2, gamma_star=gamma_star)
+    _on_grid(grid, c=c, bn=bn)
     (m, n), k = c.shape, bn.shape[0]
+    _channel(grid, m, sigma1=sigma1, sigma2=sigma2, gamma_star=gamma_star)
     _shapes(A_pi=(a_pi, (n, n)), A_xi=(a_xi, (k, k)), Bn=(bn, (k, m)), X0=(x0, (k, n)))
     res0 = frob(x0 @ a_pi - a_xi @ x0 - bn[0] @ sigma1[0] @ c[0])
     scale = (frob(a_pi) + frob(a_xi)) * frob(x0)
@@ -297,8 +289,8 @@ def zero_pole_realize(
     if n != k:
         raise ShapeMismatch("realization needs square coupling (n == k)")
     grid = triple.grid
-    _on_grid(grid, gamma_star=gamma_star, sigma1=sigma1, sigma2=sigma2)
     m = triple.C.shape[0]
+    _channel(grid, m, gamma_star=gamma_star, sigma1=sigma1, sigma2=sigma2)
     sv = np.linalg.svd(triple.X.data, compute_uv=False)
     regular = sv[:, -1] > rtol * sv[:, 0]
     singular = np.flatnonzero(~regular).tolist()
@@ -388,12 +380,13 @@ def hermitian_realize(
     smoothness cross-check.  One eigendecomposition of X per node gives Y and
     ``min_eig_X``; the first node whose smallest eigenvalue is at most ``eps_pd
     = EPS_PD_REL * max(||X||_F, 1)`` (an indefinite X included) raises
-    NotPositiveDefinite.
+    NotPositiveDefinite.  `transfer(lam, node)` takes one grid index or an array
+    of them (a stack), solving X^(-1) C^H sigma1 at those nodes only.
     """
     a1 = as_matrix(a1, "A1")
     n, m = a1.shape[0], c.shape[0]
-    _shapes(C=(c, (m, n)))
-    _on_grid(c.grid, sigma1=sigma1)
+    _shapes(A1=(a1, (n, n)), C=(c, (m, n)))
+    _channel(c.grid, m, sigma1=sigma1)
     rank = krylov_rank(a1.conj().T, c[0].conj().T)
     if rank < n:
         raise NotMinimal(f"(A1, C) not observable: Krylov rank {rank} < {n}", rank=rank)
@@ -409,10 +402,11 @@ def hermitian_realize(
     at = GridOperatorFamily(grid, y.data @ a1 @ yinv)
     minus_a1, spectrum = -a1[None], np.linalg.eigvals(-a1)[None]
 
-    def transfer(lam: complex, node: int) -> np.ndarray:
-        i = int(grid.node_indices(node))
-        rhs = np.linalg.solve(x[i], c[i].conj().T @ sigma1[i])[None]  # X^(-1) C^H sigma1
-        return np.eye(m, dtype=complex) + c[i] @ shifted_solve(minus_a1, lam, rhs, spectrum)[0]
+    def transfer(lam: complex, node) -> np.ndarray:
+        idx = grid.node_indices(node)
+        rhs = np.linalg.solve(x.data[idx], cd[idx].conj().swapaxes(-1, -2) @ s1[idx])
+        z = shifted_solve(minus_a1, lam, rhs.reshape(-1, n, m), spectrum)
+        return np.eye(m, dtype=complex) + cd[idx] @ z.reshape(idx.shape + (n, m))
 
     return HermitianRealization(
         C=c,

@@ -50,6 +50,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _shapes(**named) -> None:
+    """The one shape message: ShapeMismatch naming the first of `named`, each a
+    matrix, family or (N, r, c) stack with its wanted (rows, columns), whose
+    matrices are not of the wanted shape."""
+    for name, (x, (r, c)) in named.items():
+        if tuple(x.shape[-2:]) != (r, c):
+            raise ShapeMismatch(f"{name} must be {r} x {c}, got {x.shape[-2]} x {x.shape[-1]}")
+
+
 def frob(a):
     """Frobenius norm of a matrix, or the (N,) norms of an (N, r, c) stack.
 
@@ -113,8 +122,7 @@ def as_hermitian(a, name: str = "matrix") -> np.ndarray:
     matrix checked on its own scale; the first failing one is named by node.
     """
     m, nodes = _as_stack(a, name)
-    if m.shape[1] != m.shape[2]:
-        raise ShapeMismatch(f"{name} must be square, got {m.shape[1:]}")
+    _shapes(**{name: (m, m.shape[1:2] * 2)})
     _check_hermitian(m, name, nodes, 1e-12)
     out = hermitian_part(m)
     return out[0] if nodes is None else out
@@ -249,11 +257,8 @@ def solve_sylvester(a_pi, a_xi, q) -> np.ndarray:
     ap = as_matrix(a_pi, "a_pi")
     ax = as_matrix(a_xi, "a_xi")
     qs, nodes = _as_stack(q, "q")
-    if ap.shape[0] != ap.shape[1] or ax.shape[0] != ax.shape[1]:
-        raise ShapeMismatch("a_pi and a_xi must be square")
     n, k = ap.shape[0], ax.shape[0]
-    if qs.shape[1:] != (k, n):
-        raise ShapeMismatch(f"q must be {k}x{n}, got {qs.shape[1:]}")
+    _shapes(a_pi=(ap, (n, n)), a_xi=(ax, (k, k)), q=(qs, (k, n)))
     scale = frob(ap) + frob(ax)
     eps_spec = EPS_SPEC_REL * scale
     ev_pi = np.linalg.eigvals(ap)
@@ -327,8 +332,7 @@ def matrix_exp(m) -> np.ndarray:
     whose 1-norm does, is named by its node.
     """
     mm, nodes = _as_stack(m, "matrix_exp operand")
-    if mm.shape[1] != mm.shape[2]:
-        raise ShapeMismatch(f"matrix_exp needs a square matrix, got {mm.shape[1:]}")
+    _shapes(**{"matrix_exp operand": (mm, mm.shape[1:2] * 2)})
     out = np.empty_like(mm)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.abs(mm).sum(axis=1).max(axis=1)

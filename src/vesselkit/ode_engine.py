@@ -14,9 +14,11 @@ coefficient) are the powers P^j of one step, filled by repeated squaring in
 about log2 N products, equal to the sequential product to round-off.  Grid
 nodes are read by one rule (TimeGrid.node_indices: integers in [0, n_steps],
 not floats or bools) and grid-bound families are checked by one rule
-(_on_grid), each raising GridMismatch.  All checks are evaluated at grid
-nodes; there is no dense output, no adaptivity and no stiffness handling.
-Identical inputs produce bit-identical sample families.
+(_on_grid), each raising GridMismatch; the channel families (sigma1, sigma2,
+gamma, gamma_star) by one rule (_channel): on the grid, m x m, sigma1
+invertible.  All checks are evaluated at grid nodes; there is no dense output,
+no adaptivity and no stiffness handling.  Identical inputs produce
+bit-identical sample families.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .config import EPS_SPEC_REL
 from .errors import GridMismatch, NonFinite, ShapeMismatch, SingularSigma1
-from .matrix_kernel import _check_lambda, as_matrix, matrix_exp, max_frob
+from .matrix_kernel import _check_lambda, _shapes, as_matrix, matrix_exp, max_frob
 
 __all__ = [
     "TimeGrid",
@@ -112,7 +114,10 @@ class GridOperatorFamily:
     __slots__ = ("grid", "data")
 
     def __init__(self, grid: TimeGrid, data):
-        arr = np.asarray(data, dtype=complex)
+        try:
+            arr = np.asarray(data, dtype=complex)
+        except ValueError:  # ragged samples, or entries that are no numbers
+            raise ShapeMismatch("family data must be an (N, r, c) array of numbers") from None
         if arr.ndim != 3:
             raise ShapeMismatch(f"family data must be 3-D, got ndim={arr.ndim}")
         if arr.shape[0] != grid.n_nodes:
@@ -133,7 +138,7 @@ class GridOperatorFamily:
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], np.ndarray], grid: TimeGrid) -> "GridOperatorFamily":
-        return cls(grid, np.stack([as_matrix(fn(t)) for t in grid.nodes()]))
+        return cls(grid, [as_matrix(fn(t)) for t in grid.nodes()])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -335,13 +340,10 @@ def integrate_linear_ode(
     that holds the same bits at every node has one step propagator, whose
     powers are taken by repeated squaring (see _running_product).
     """
-    m = as_matrix(m0, "initial value")
+    m = as_matrix(m0, "m0")
     _on_grid(grid, coeff=coeff)
     p = coeff.shape[0]
-    if coeff.shape[1] != p:
-        raise ShapeMismatch("coefficient matrices must be square")
-    if m.shape[0] != p:
-        raise ShapeMismatch(f"initial value has {m.shape[0]} rows, coefficients are {p}x{p}")
+    _shapes(coeff=(coeff, (p, p)), m0=(m, (p, m.shape[1])))
     if direction not in ("forward", "backward"):
         raise ShapeMismatch(f"direction must be 'forward' or 'backward', got {direction!r}")
     base = 0 if direction == "forward" else grid.n_steps
@@ -379,9 +381,9 @@ def _is_constant(stack: np.ndarray) -> bool:
 
 
 def _check_sigma1(stack: np.ndarray) -> None:
-    """The one sigma1 check of every entry that solves with it: SingularSigma1
-    at the first node of the (N, m, m) stack with sigma_min <= EPS_SPEC_REL *
-    its largest Frobenius norm.  A constant stack takes one SVD, of node 0."""
+    """The one sigma1 invertibility check: SingularSigma1 at the first node of
+    the (N, m, m) stack with sigma_min <= EPS_SPEC_REL * its largest Frobenius
+    norm.  A constant stack takes one SVD, of node 0."""
     if _is_constant(stack):
         stack = stack[:1]
     eps = EPS_SPEC_REL * max_frob(stack)
@@ -389,6 +391,16 @@ def _check_sigma1(stack: np.ndarray) -> None:
     if (smin <= eps).any():
         i = np.flatnonzero(smin <= eps)[0]
         raise SingularSigma1(f"sigma1 not invertible at node {i}: min singular value {smin[i]:.3e}")
+
+
+def _channel(grid: TimeGrid, m: int, **families: GridOperatorFamily) -> None:
+    """The one check of channel families (sigma1, sigma2, gamma, gamma_star), m
+    from the caller's own data: each on `grid` (_on_grid) and m x m (_shapes),
+    and sigma1, when passed, invertible (_check_sigma1)."""
+    _on_grid(grid, **families)
+    _shapes(**{name: (fam, (m, m)) for name, fam in families.items()})
+    if "sigma1" in families:
+        _check_sigma1(families["sigma1"].data)
 
 
 def fundamental_matrix(
@@ -411,11 +423,8 @@ def fundamental_matrix(
     (see _coefficient).  NonFinite for a lam that is not finite.
     """
     _check_lambda(lam)
-    _on_grid(grid, sigma1=sigma1, sigma2=sigma2, gamma=gamma)
     m = sigma1.shape[0]
-    if sigma1.shape != (m, m) or sigma2.shape != (m, m) or gamma.shape != (m, m):
-        raise ShapeMismatch("coefficient families must share a square shape")
-    _check_sigma1(sigma1.data)
+    _channel(grid, m, sigma1=sigma1, sigma2=sigma2, gamma=gamma)
     base_index = int(grid.node_indices(base_index))
 
     data = _march(_coefficient(sigma1.data, sigma2.data, gamma.data, lam),
@@ -425,13 +434,14 @@ def fundamental_matrix(
     )
 
 
-def _check_pair(a: FundamentalMatrix, b: FundamentalMatrix) -> None:
+def _check_pair(a: FundamentalMatrix, b: FundamentalMatrix, name: str) -> None:
     if not a.grid.compatible(b.grid):
         raise GridMismatch("fundamental matrices live on different grids")
     if a.base_index != b.base_index:
         raise GridMismatch("fundamental matrices have different base points")
     if a.side != b.side:
         raise GridMismatch("fundamental matrices belong to different sides")
+    _shapes(**{name: (b.family, a.family.shape)})
 
 
 def phi_symmetry_residual(
@@ -443,10 +453,10 @@ def phi_symmetry_residual(
 
     Max over nodes of || sigma1(t) Phi(lam,t) - Phi(-conj(lam),t)^(-H) sigma1(base) ||_F.
     """
-    _check_pair(phi, phi_conj)
+    _check_pair(phi, phi_conj, "phi_conj")
     if abs(phi_conj.lam + np.conj(phi.lam)) > 1e-12 * max(1.0, abs(phi.lam)):
         raise GridMismatch("phi_conj must be sampled at -conj(lambda)")
-    _on_grid(phi.grid, sigma1=sigma1)
+    _channel(phi.grid, phi.family.shape[0], sigma1=sigma1)
     rhs = np.linalg.inv(phi_conj.family.data).conj().transpose(0, 2, 1) @ sigma1[phi.base_index]
     return max_frob(sigma1.data @ phi.family.data - rhs)
 
@@ -462,8 +472,8 @@ def phi_bilinear_residual(
     The derivative is a central difference over interior nodes, so the
     residual carries an O(h^2) floor even on exact data.
     """
-    _check_pair(phi_mu, phi_lam)
-    _on_grid(phi_mu.grid, sigma1=sigma1, sigma2=sigma2)
+    _check_pair(phi_mu, phi_lam, "phi_lam")
+    _channel(phi_mu.grid, phi_mu.family.shape[0], sigma1=sigma1, sigma2=sigma2)
     h = phi_mu.grid.h
     lam = phi_lam.lam
     mu = phi_mu.lam

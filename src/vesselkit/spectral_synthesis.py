@@ -29,15 +29,16 @@ from .errors import (
     SpectrumClash,
     TransportBreakdown,
 )
-from .matrix_kernel import _check_lambda, _fold, _fold_left, as_matrix, frob, matrix_exp, max_frob
+from .matrix_kernel import (_check_lambda, _fold, _fold_left, _shapes, as_matrix, frob, matrix_exp,
+                            max_frob)
 from .ode_engine import (
     GridOperatorFamily,
     TimeGrid,
+    _channel,
     _check_sigma1,
     _coefficient,
     _magnus_march,
     _node_derivative,
-    _on_grid,
     _running_product,
     family_derivative,
 )
@@ -172,8 +173,7 @@ def _chain(data, gamma0, sigma1, sigma2, grid, normalize: bool):
     """The gammas (gamma0 first) and the coupling blocks (z_h, A2 entry, row
     b_h^H) of the elementary factors of `data`, each built on the gamma_star
     of the one before."""
-    _on_grid(grid, gamma=gamma0, sigma1=sigma1, sigma2=sigma2)
-    _check_sigma1(sigma1.data)
+    _channel(grid, sigma1.shape[0], gamma=gamma0, sigma1=sigma1, sigma2=sigma2)
     gammas, blocks = [gamma0], []
     for datum in data:
         blocks.append(_elementary(datum, gammas[-1], sigma1, sigma2, grid, normalize))
@@ -319,9 +319,7 @@ def mult_integral(
     finite, and naming an overflowing step.
     """
     _check_lambda(lam)
-    m = kernel.shape[0]
-    if kernel.shape != (m, m):
-        raise ShapeMismatch("kernel samples must be square")
+    _shapes(kernel=(kernel, kernel.shape[:1] * 2))
     c_arr = _real_c(c)
     if c_arr.shape[0] != len(kernel):
         raise ShapeMismatch("c must have one value per s node")
@@ -438,10 +436,9 @@ class ContinuousSpectrumModel:
         if self.t_grid is None:
             if beta.ndim != 3 or beta.shape[0] != ns:
                 raise ShapeMismatch("beta must be (n_s_nodes, m, p) before evolution")
-        else:
-            if beta.ndim != 4 or beta.shape[1] != ns or beta.shape[0] != self.t_grid.n_nodes:
-                raise ShapeMismatch("evolved beta must be (n_t_nodes, n_s_nodes, m, p)")
-        if gam.ndim != 3 or gam.shape[0] != ns:
+        elif beta.ndim != 4 or beta.shape[1] != ns or beta.shape[0] != self.t_grid.n_nodes:
+            raise ShapeMismatch("evolved beta must be (n_t_nodes, n_s_nodes, m, p)")
+        if gam.shape != (ns,) + beta.shape[-2:-1] * 2:
             raise ShapeMismatch("gamma_s must be (n_s_nodes, m, m)")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "beta", beta)
@@ -479,19 +476,23 @@ def consistent_gamma_s(
     Trapezoid accumulation, consistent to O(ds^2) with the central-difference
     check used for verification.  `c` does not enter this equation; it is
     only checked, as `beta0` is, to have one entry per s node (ShapeMismatch
-    naming the argument otherwise).
+    naming the argument otherwise); sigma1, sigma2 and gamma_origin are m x m.
     """
     for name, arg in (("beta0", beta0), ("c", c)):
         if np.shape(arg)[:1] != (s_grid.n_nodes,):
             raise ShapeMismatch(f"{name} needs one entry per s node ({s_grid.n_nodes}), "
                                 f"got shape {np.shape(arg)}")
-    s1 = as_matrix(sigma1)
-    s2 = as_matrix(sigma2)
+    if np.ndim(beta0) != 3:
+        raise ShapeMismatch(f"beta0 must be (n_s_nodes, m, p), got shape {np.shape(beta0)}")
+    s1, s2, g0 = (as_matrix(x, name) for x, name in
+                  ((sigma1, "sigma1"), (sigma2, "sigma2"), (gamma_origin, "gamma_origin")))
+    m = np.shape(beta0)[1]
+    _shapes(sigma1=(s1, (m, m)), sigma2=(s2, (m, m)), gamma_origin=(g0, (m, m)))
     _check_sigma1(s1[None])
     k = _kernel(beta0, s1)
     rhs = s1 @ k @ np.linalg.solve(s1, s2) - s2 @ k
     steps = 0.5 * s_grid.h * (rhs[:-1] + rhs[1:])
-    return np.cumsum(np.concatenate([as_matrix(gamma_origin)[None], steps]), axis=0)
+    return np.cumsum(np.concatenate([g0[None], steps]), axis=0)
 
 
 def continuous_model_evolve(
@@ -517,10 +518,10 @@ def continuous_model_evolve(
     probe_lambdas = tuple(probe_lambdas)
     for lam in probe_lambdas:
         _check_lambda(lam)
-    s1 = as_matrix(sigma1)
-    s2 = as_matrix(sigma2)
+    s1, s2 = as_matrix(sigma1, "sigma1"), as_matrix(sigma2, "sigma2")
+    m = model.beta.shape[1]
+    _shapes(sigma1=(s1, (m, m)), sigma2=(s2, (m, m)))
     _check_sigma1(s1[None])
-    m = s1.shape[0]
     ns = model.s_grid.n_nodes
     nt = t_grid.n_nodes
     ds = model.s_grid.h

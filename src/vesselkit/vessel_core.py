@@ -46,6 +46,7 @@ from .matrix_kernel import (
     _check_hermitian,
     _check_lambda,
     _fold,
+    _shapes,
     _shifted_solve,
     _spectral_guard,
     frob,
@@ -57,6 +58,7 @@ from .ode_engine import (
     FundamentalMatrix,
     GridOperatorFamily,
     TimeGrid,
+    _channel,
     _check_sigma1,
     _coefficient,
     _node_derivative,
@@ -105,23 +107,12 @@ class DifferentialVessel:
 
     def __post_init__(self):
         n, m = self.B.shape
-        grid = self.grid
-        expected = {
-            "A1": (n, n),
-            "A2": (n, n),
-            "B": (n, m),
-            "sigma1": (m, m),
-            "sigma2": (m, m),
-            "gamma": (m, m),
-            "gamma_star": (m, m),
-        }
-        fams = {name: getattr(self, name) for name in expected}
-        for name, shape in expected.items():
-            if fams[name].shape != shape:
-                raise ShapeMismatch(f"{name} must be {shape}, got {fams[name].shape}")
-        _on_grid(grid, **fams)
+        fams = {name: getattr(self, name)
+                for name in ("A1", "A2", "sigma1", "sigma2", "gamma", "gamma_star")}
+        _shapes(**{name: (fam, (n, n) if name[0] == "A" else (m, m)) for name, fam in fams.items()})
+        _on_grid(self.grid, **fams)
         for name in ("sigma1", "sigma2"):
-            _check_hermitian(getattr(self, name).data, name, range(grid.n_nodes), 1e-9)
+            _check_hermitian(fams[name].data, name, range(len(self.B)), 1e-9)
         _check_sigma1(self.sigma1.data)
 
     @property
@@ -225,8 +216,7 @@ class GaugeMap:
         """Gauge map of a family unitary to ``||U^H U - I||_F <= 1e-8`` at every node:
         an absolute bound on purpose, as U^H U - I has no scale (``||U||_2 = 1``)."""
         n = u_family.shape[0]
-        if u_family.shape != (n, n):
-            raise ShapeMismatch("gauge family must be square")
+        _shapes(u_family=(u_family, (n, n)))
         u = u_family.data
         bad = np.flatnonzero(frob(u.conj().transpose(0, 2, 1) @ u - np.eye(n)) > 1e-8)
         if bad.size:
@@ -436,9 +426,10 @@ def transfer_pde_residual_values(
     _check_lambda(lam)
     if len(s_values) != grid.n_nodes:
         raise GridMismatch("need one transfer sample per node")
-    _on_grid(grid, sigma1=sigma1, sigma2=sigma2, gamma=gamma, gamma_star=gamma_star)
-    _check_sigma1(sigma1.data)
-    s = GridOperatorFamily(grid, s_values).data
+    s = GridOperatorFamily(grid, s_values)
+    _shapes(s_values=(s, s.shape[:1] * 2))
+    _channel(grid, s.shape[0], sigma1=sigma1, sigma2=sigma2, gamma=gamma, gamma_star=gamma_star)
+    s = s.data
     mid = slice(1, grid.n_nodes - 1)
     s1, s2 = sigma1.data[mid], sigma2.data[mid]
     ds = _node_derivative(s, grid.h)[mid]
@@ -472,8 +463,9 @@ def intertwining_residual(
     """Max over nodes of || S(t) Phi(t, base) - Phi_star(t, base) S(base) ||_F."""
     if not phi.grid.compatible(phi_star.grid) or phi.base_index != phi_star.base_index:
         raise GridMismatch("fundamental matrices are incompatible")
-    s = GridOperatorFamily(phi.grid, s_values).data
-    return max_frob(s @ phi.family.data - _fold(phi_star.family.data, s[phi.base_index]))
+    s = GridOperatorFamily(phi.grid, s_values)
+    _shapes(s_values=(s, phi.family.shape), phi_star=(phi_star.family, phi.family.shape))
+    return max_frob(s.data @ phi.family.data - _fold(phi_star.family.data, s[phi.base_index]))
 
 
 def simulate(v: DifferentialVessel, lam: complex, u0) -> Trajectory:
@@ -520,9 +512,7 @@ def _re_inner(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def gauge_transform(v: DifferentialVessel, gmap: GaugeMap) -> DifferentialVessel:
     """Change of state frame: A1 -> U A1 U^H, B -> U B, A2 -> U A2 U^H + dU U^H."""
-    n = v.state_dim
-    if gmap.U.shape != (n, n):
-        raise ShapeMismatch(f"gauge map must be {n}x{n}, got {gmap.U.shape}")
+    _shapes(gmap=(gmap.U, (v.state_dim,) * 2))
     _on_grid(v.grid, gmap=gmap.U)
     u = gmap.U.data
     uh = u.conj().transpose(0, 2, 1)

@@ -614,6 +614,21 @@ def test_missing_field_is_input_error(vessel_and_doc, tmp_path, command, field):
     assert json.loads(out)["error"] == {"kind": "input", "message": f"missing field {field!r}"}
 
 
+@pytest.mark.parametrize("command, field", [("realize", "sigma1"), ("synthesize", "sigma2")])
+def test_a_misshapen_channel_matrix_is_named(vessel_and_doc, tmp_path, command, field):
+    """A 3 x 3 channel matrix for m = 2 exits 1 as a ShapeMismatch naming it,
+    not as an input error carrying numpy's matmul text."""
+    v, _, _ = vessel_and_doc
+    doc = spec_documents(v)[command]
+    doc[field] = cli._enc_array(np.eye(3))
+    path = tmp_path / "spec.json"
+    path.write_text(cli.dump_json(doc))
+    code, out = run_cli([command, str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "ShapeMismatch",
+                                        "message": f"{field} must be 2 x 2, got 3 x 3"}
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("text, message", [
         ('{"probes": 3, "colour": 1}', "unknown config keys: ['colour']"),

@@ -443,6 +443,22 @@ class TestHermitianRealize:
             got = hr.transfer(lam, 3)[0, 0]
             assert got == pytest.approx((lam + np.conj(z)) / (lam - z), abs=1e-12)
 
+    def test_transfer_takes_an_array_of_nodes(self):
+        """One node or an array of them, as zero_pole_realize's transfer: a stack
+        of the single-node values, in the shape of the nodes."""
+        rng = np.random.default_rng(8)
+        grid = vk.TimeGrid(0.0, 1.0, 6)
+        a1, cmat = observable_stable_pair(rng, 4, 2)
+        c = vk.GridOperatorFamily.from_callable(lambda t: cmat * (1.0 + 0.3 * t), grid)
+        hr = vk.hermitian_realize(c, a1, const(np.diag([1.0, 2.0]), grid))
+        lam = 1.3 - 0.4j
+        nodes = np.array([[0, 3, 6], [6, 3, 1]])
+        got = hr.transfer(lam, nodes)
+        assert got.shape == (2, 3, 2, 2)
+        for k in np.ndindex(nodes.shape):
+            assert frob(got[k] - hr.transfer(lam, int(nodes[k]))) <= 1e-14 * frob(got[k])
+        assert hr.transfer(lam, [2]).shape == (1, 2, 2)
+
     def test_zero_c_rejected(self):
         grid = vk.TimeGrid(0.0, 1.0, 5)
         with pytest.raises(NotMinimal):

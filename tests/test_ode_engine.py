@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import vesselkit as vk
-from vesselkit.errors import GridMismatch, NonFinite, SingularSigma1
+from vesselkit.errors import GridMismatch, NonFinite, ShapeMismatch, SingularSigma1
 from vesselkit.matrix_kernel import frob
 
 from helpers import const, rand_complex, rand_hermitian, rand_skew, skew_chain_vessel
@@ -331,8 +333,33 @@ class TestGridTypes:
 SINGULAR_SIGMA1 = np.array([[1.0, 1j], [-1j, 1.0]])
 
 
+def _checked_entries():
+    """The public entries that check sigma1 only since the one channel rule,
+    as f(sigma1 matrix) -> call."""
+    grid = vk.TimeGrid(0.0, 1.0, 10)
+    n, m = 2, 2
+    zero_m, eye_m = const(np.zeros((m, m)), grid), const(np.eye(m), grid)
+    c, bn = const(np.ones((m, n)), grid), const(np.ones((n, m)), grid)
+    triple = vk.NullPoleTriple(C=c, A_pi=-np.eye(n), A_xi=np.eye(n), Bn=bn,
+                               X=const(np.eye(n), grid))
+    phi, phi_conj = (vk.fundamental_matrix(lam, eye_m, zero_m, zero_m, grid) for lam in (1.0, -1.0))
+    return {
+        "evolve_coupling": lambda s1: vk.evolve_coupling(
+            c, -np.eye(n), np.eye(n), bn, np.eye(n), const(s1, grid), zero_m, zero_m, grid),
+        "zero_pole_realize": lambda s1: vk.zero_pole_realize(
+            triple, zero_m, const(s1, grid), zero_m),
+        "sylvester_residuals": lambda s1: vk.sylvester_residuals(triple, const(s1, grid)),
+        "phi_symmetry_residual": lambda s1: vk.phi_symmetry_residual(
+            phi, phi_conj, const(s1, grid)),
+        "phi_bilinear_residual": lambda s1: vk.phi_bilinear_residual(
+            phi, phi, const(s1, grid), zero_m),
+        "hermitian_realize": lambda s1: vk.hermitian_realize(
+            c, np.diag([-1.0, -2.0]), const(s1, grid)),
+    }
+
+
 def _sigma1_entries():
-    """Every public entry that solves with sigma1, as f(sigma1 matrix) -> call."""
+    """Every public entry that checks sigma1, as f(sigma1 matrix) -> call."""
     grid = vk.TimeGrid(0.0, 1.0, 10)
     n, m = 2, 2
     zero_n, zero_m = const(np.zeros((n, n)), grid), const(np.zeros((m, m)), grid)
@@ -366,6 +393,7 @@ def _sigma1_entries():
             beta0, c, s1, np.zeros((m, m)), np.zeros((m, m)), s_grid),
         "continuous_model_evolve": lambda s1: vk.continuous_model_evolve(
             model, s1, np.zeros((m, m)), grid),
+        **_checked_entries(),
     }
 
 
@@ -377,6 +405,14 @@ class TestOneSigma1Check:
         assert s1.flags.c_contiguous == (layout == "contiguous")
         with pytest.raises(SingularSigma1, match="at node 0:"):
             _sigma1_entries()[entry](s1)
+
+    @pytest.mark.parametrize("entry", sorted(_checked_entries()))
+    def test_sigma1_is_checked_at_entry(self, entry):
+        """A singular sigma1 that is not Hermitian either is a SingularSigma1 at
+        entry: not a failed Sylvester guard, a silent result or, from the
+        vessel zero_pole_realize builds last, NotHermitian."""
+        with pytest.raises(SingularSigma1, match="^sigma1 not invertible at node 0:"):
+            _checked_entries()[entry](np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_constant_sigma1_takes_one_svd_of_one_node(self, monkeypatch):
         grid = vk.TimeGrid(0.0, 1.0, 800)
@@ -401,3 +437,112 @@ class TestOneSigma1Check:
         shapes.clear()
         vk.input_fundamental(moved, lams[0])
         assert (801, 2, 2) in shapes
+
+
+RAGGED = "family data must be an (N, r, c) array of numbers"
+
+
+def _shape_entries():
+    """Every entry that reads channel families, given one of them 3 x 3 where
+    m = 2, and the entries that read shapes beside them, as name -> (call, the
+    whole ShapeMismatch message)."""
+    grid, s_grid = vk.TimeGrid(0.0, 1.0, 10), vk.TimeGrid(0.0, 1.0, 8)
+    n, m = 2, 2
+    zero_n, zero_m = const(np.zeros((n, n)), grid), const(np.zeros((m, m)), grid)
+    eye_m, big = const(np.eye(m), grid), const(np.eye(3), grid)
+    c, bn = const(np.ones((m, n)), grid), const(np.ones((n, m)), grid)
+    triple = vk.NullPoleTriple(C=c, A_pi=-np.eye(n), A_xi=np.eye(n), Bn=bn,
+                               X=const(np.eye(n), grid))
+    phi, phi_conj = (vk.fundamental_matrix(lam, eye_m, zero_m, zero_m, grid) for lam in (1.0, -1.0))
+    zero_3 = const(np.zeros((3, 3)), grid)
+    phi_3, phi_3_conj = (vk.fundamental_matrix(lam, big, zero_3, zero_3, grid)
+                         for lam in (1.0, -1.0))
+    vessel = vk.DifferentialVessel(A1=zero_n, A2=zero_n, B=bn, sigma1=eye_m, sigma2=zero_m,
+                                   gamma=zero_m, gamma_star=zero_m)
+    datum = vk.SpectralDatum(z=-0.5 + 0.3j, b0=np.array([1.0, 0.2j]))
+    beta0, c_s = np.ones((s_grid.n_nodes, m, 1), dtype=complex), np.full(s_grid.n_nodes, 0.4)
+    model = vk.ContinuousSpectrumModel(s_grid=s_grid, c=c_s, beta=beta0,
+                                       gamma_s=np.zeros((s_grid.n_nodes, m, m)))
+
+    def wrong(name):
+        return f"{name} must be 2 x 2, got 3 x 3"
+
+    return {
+        "fundamental_matrix": (
+            lambda: vk.fundamental_matrix(1.0, eye_m, big, zero_m, grid), wrong("sigma2")),
+        "evolve_pole_pair": (lambda: vk.evolve_pole_pair(
+            np.ones((m, n)), -np.eye(n), big, eye_m, zero_m, grid), wrong("gamma_star")),
+        "evolve_null_pair": (lambda: vk.evolve_null_pair(
+            np.ones((n, m)), np.eye(n), zero_m, eye_m, big, grid), wrong("sigma2")),
+        "build_discrete": (
+            lambda: vk.build_discrete([datum], zero_m, eye_m, big, grid), wrong("sigma2")),
+        "discrete_chain": (
+            lambda: vk.discrete_chain([datum], big, eye_m, zero_m, grid), wrong("gamma")),
+        "build_elementary": (
+            lambda: vk.build_elementary(datum, zero_m, eye_m, big, grid), wrong("sigma2")),
+        "evolve_coupling": (lambda: vk.evolve_coupling(
+            c, -np.eye(n), np.eye(n), bn, np.eye(n), big, zero_m, zero_m, grid), wrong("sigma1")),
+        "zero_pole_realize": (
+            lambda: vk.zero_pole_realize(triple, zero_m, eye_m, big), wrong("sigma2")),
+        "sylvester_residuals": (lambda: vk.sylvester_residuals(triple, big), wrong("sigma1")),
+        "hermitian_realize": (
+            lambda: vk.hermitian_realize(c, np.diag([-1.0, -2.0]), big), wrong("sigma1")),
+        "transfer_pde_residual_values": (lambda: vk.transfer_pde_residual_values(
+            np.broadcast_to(np.eye(m), (grid.n_nodes, m, m)), eye_m, zero_m, big, zero_m, 1.0,
+            grid), wrong("gamma")),
+        "phi_symmetry_residual": (
+            lambda: vk.phi_symmetry_residual(phi, phi_conj, big), wrong("sigma1")),
+        "phi_bilinear_residual": (
+            lambda: vk.phi_bilinear_residual(phi, phi, eye_m, big), wrong("sigma2")),
+        "phi_symmetry_residual phi_conj": (
+            lambda: vk.phi_symmetry_residual(phi, phi_3_conj, eye_m), wrong("phi_conj")),
+        "phi_bilinear_residual phi_lam": (
+            lambda: vk.phi_bilinear_residual(phi, phi_3, eye_m, zero_m), wrong("phi_lam")),
+        "hermitian_realize A1": (lambda: vk.hermitian_realize(c, np.ones((2, 3)), eye_m),
+                                 "A1 must be 2 x 2, got 2 x 3"),
+        "solve_sylvester": (lambda: vk.solve_sylvester(-np.eye(2), np.eye(3), np.ones((2, 2))),
+                            "q must be 3 x 2, got 2 x 2"),
+        "hermitian_sqrt": (lambda: vk.hermitian_sqrt(np.ones((2, 3))),
+                           "hermitian_sqrt operand must be 2 x 2, got 2 x 3"),
+        "matrix_exp": (lambda: vk.matrix_exp(np.ones((4, 2, 3))),
+                       "matrix_exp operand must be 2 x 2, got 2 x 3"),
+        "consistent_gamma_s": (lambda: vk.consistent_gamma_s(
+            beta0, c_s, np.eye(m), np.eye(3), np.zeros((m, m)), s_grid), wrong("sigma2")),
+        "consistent_gamma_s gamma_origin": (lambda: vk.consistent_gamma_s(
+            beta0, c_s, np.eye(m), np.eye(m), np.eye(3), s_grid), wrong("gamma_origin")),
+        "continuous_model_evolve": (lambda: vk.continuous_model_evolve(
+            model, np.eye(3), np.zeros((m, m)), grid), wrong("sigma1")),
+        "consistent_gamma_s beta0": (lambda: vk.consistent_gamma_s(
+            np.ones(s_grid.n_nodes), c_s, np.eye(m), np.eye(m), np.eye(m), s_grid),
+            "beta0 must be (n_s_nodes, m, p), got shape (9,)"),
+        "ContinuousSpectrumModel": (lambda: vk.ContinuousSpectrumModel(
+            s_grid=s_grid, c=c_s, beta=beta0, gamma_s=np.zeros((s_grid.n_nodes, 3, 3))),
+            "gamma_s must be (n_s_nodes, m, m)"),
+        "DifferentialVessel": (lambda: vk.DifferentialVessel(
+            A1=zero_n, A2=zero_n, B=bn, sigma1=eye_m, sigma2=zero_m, gamma=big,
+            gamma_star=zero_m), wrong("gamma")),
+        "integrate_linear_ode": (lambda: vk.integrate_linear_ode(zero_m, np.eye(3), grid),
+                                 "m0 must be 2 x 3, got 3 x 3"),
+        "GaugeMap.from_family": (lambda: vk.GaugeMap.from_family(const(np.ones((2, 3)), grid)),
+                                 "u_family must be 2 x 2, got 2 x 3"),
+        "gauge_transform": (lambda: vk.gauge_transform(vessel, vk.GaugeMap.identity(3, grid)),
+                            "gmap must be 2 x 2, got 3 x 3"),
+        "mult_integral": (lambda: vk.mult_integral(const(np.ones((2, 3)), s_grid), c_s, 1.0, 3),
+                          "kernel must be 2 x 2, got 2 x 3"),
+        "intertwining_residual": (lambda: vk.intertwining_residual(
+            np.ones((grid.n_nodes, 3, 3)), phi, phi), "s_values must be 2 x 2, got 3 x 3"),
+        "GridOperatorFamily": (
+            lambda: vk.GridOperatorFamily(grid, [np.eye(2)] * 10 + [np.eye(3)]), RAGGED),
+        "GridOperatorFamily.from_callable": (lambda: vk.GridOperatorFamily.from_callable(
+            lambda t: np.eye(3 if t > 0.5 else 2), grid), RAGGED),
+    }
+
+
+class TestOneChannelRule:
+    @pytest.mark.parametrize("entry", sorted(_shape_entries()))
+    def test_wrong_shape_is_named(self, entry):
+        """A misshapen family is a ShapeMismatch naming it in the one shape
+        message, not numpy's ValueError from the first product that reads it."""
+        call, message = _shape_entries()[entry]
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            call()
