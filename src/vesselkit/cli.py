@@ -302,10 +302,8 @@ def cmd_verify(args, stages: Stages) -> dict:
     lambdas = _probe_lambdas(args, v.A1.max_norm())
     rng = np.random.default_rng(args.seed)
     nodes = sorted(int(x) for x in rng.integers(0, v.grid.n_nodes, size=min(args.probes, 5)))
-    sweep = core.transfer_sweep(v, lambdas)
-    pde_worst = max((core.transfer_pde_residual_values(s, v.sigma1, v.sigma2, v.gamma,
-                                                       v.gamma_star, lam, v.grid)
-                     for s, lam in zip(sweep, lambdas)), default=0.0)
+    pde_worst = core.transfer_pde_residual_values(core.transfer_sweep(v, lambdas), v.sigma1,
+                                                  v.sigma2, v.gamma, v.gamma_star, lambdas, v.grid)
     stencil = args.tol + report.h2_allowance
     checks = report.checks + (
         core.Check("adjoint_symmetry", core.adjoint_symmetry_residual(v, lambdas, nodes), stencil),
@@ -458,9 +456,8 @@ def cmd_realize(args, stages: Stages) -> dict:
     res = sylvester_residuals(triple, sigma1)
     lambdas = _probe_lambdas(args, float(np.max(np.abs(np.linalg.eigvals(a_pi)))))
     every_node = np.arange(grid.n_nodes)
-    pde = max((core.transfer_pde_residual_values(realized.transfer(lam, every_node), sigma1,
-                                                 sigma2, realized.gamma, gamma_star, lam, grid)
-               for lam in lambdas), default=0.0)
+    pde = core.transfer_pde_residual_values(realized.transfer(lambdas, every_node), sigma1, sigma2,
+                                            realized.gamma, gamma_star, lambdas, grid)
     allowance = (grid.h ** 2) * max(1.0, c.max_norm() + bn.max_norm()) ** 3
     checks = (core.Check("sylvester_max", res.max(), args.tol + allowance),
               core.Check("transfer_pde", pde, args.tol + allowance))

@@ -51,17 +51,17 @@ from .errors import (
 )
 from .matrix_kernel import (
     _shapes,
+    _spectral_guard,
     _sqrt_eigh,
     as_matrix,
     frob,
     hermitian_part,
     max_frob,
-    shifted_solve,
     solve_sylvester,
 )
 from .ode_engine import (GridOperatorFamily, TimeGrid, _channel, _check_path, _interp4,
                          _leg_blew_up, _magnus_march, _on_grid, family_derivative)
-from .vessel_core import DifferentialVessel, krylov_rank
+from .vessel_core import DifferentialVessel, _transfer_stack, krylov_rank
 
 __all__ = [
     "NullPoleTriple",
@@ -106,7 +106,7 @@ class NullPoleTriple:
 class RealizedTransfer:
     """Output of zero_pole_realize."""
 
-    transfer: Callable[[complex, int], np.ndarray]
+    transfer: Callable[..., np.ndarray]
     gamma: GridOperatorFamily
     vessel: DifferentialVessel
     singular_nodes: tuple[int, ...]
@@ -122,7 +122,7 @@ class HermitianRealization:
     Y: GridOperatorFamily = field(repr=False)
     C_tilde: GridOperatorFamily = field(repr=False)
     A1_tilde: GridOperatorFamily = field(repr=False)
-    transfer: Callable[[complex, int], np.ndarray] = field(repr=False)
+    transfer: Callable[..., np.ndarray] = field(repr=False)
     colligation_residual: float = 0.0
     min_eig_X: float = 0.0
     max_step_jump: float = 0.0
@@ -275,8 +275,9 @@ def zero_pole_realize(
 
         gamma = sigma2 C Xinv Bn sigma1 - sigma1 C Xinv Bn sigma2 + gamma_star.
 
-    `node` is one grid index or an array of them (then the result is a
-    stack; the spectrum of A_pi is computed once per realization).  Nodes where the
+    `lam` and `node` are each one value or an array, and the result has shape
+    np.shape(lam) + np.shape(node) + (m, m); the spectrum of A_pi and the
+    solve's guard scales are computed once per realization.  Nodes where the
     smallest singular value of X is at most `rtol` times its largest are
     reported in `singular_nodes` and only fail on evaluation there (loss of
     invertibility along the line is genuine behavior of coupling families,
@@ -302,15 +303,18 @@ def zero_pole_realize(
     s1, s2, gs = sigma1.data, sigma2.data, gamma_star.data
     gam = np.where(on, s2 @ cb @ s1 - s1 @ cb @ s2 + gs, gs)
     rhs, a_pi, spectrum = b_tilde @ s1, triple.A_pi[None], np.linalg.eigvals(triple.A_pi)[None]
+    eps_spec, rhs_norm = _spectral_guard(a_pi), frob(rhs)
 
-    def transfer(lam: complex, node) -> np.ndarray:
+    def transfer(lam, node) -> np.ndarray:
         idx = grid.node_indices(node)
-        x = shifted_solve(a_pi, lam, rhs[idx].reshape(-1, n, m), spectrum)
-        hit = np.intersect1d(idx, singular)
-        if hit.size:
+        at = idx.reshape(-1)
+        s = _transfer_stack(lam, a_pi, triple.C.data[at], rhs[at], spectrum, eps_spec,
+                            rhs_norm[at])
+        hit = np.intersect1d(at, singular)
+        if hit.size and s.size:
             raise CouplingSingular(f"coupling matrix singular at node {hit[0]}",
                                    nodes=list(singular))
-        return np.eye(m, dtype=complex) + triple.C.data[idx] @ x.reshape(idx.shape + (n, m))
+        return s.reshape(np.shape(lam) + idx.shape + (m, m))
 
     gamma_fam = GridOperatorFamily(grid, gam)
     vessel = DifferentialVessel(
@@ -380,8 +384,9 @@ def hermitian_realize(
     smoothness cross-check.  One eigendecomposition of X per node gives Y and
     ``min_eig_X``; the first node whose smallest eigenvalue is at most ``eps_pd
     = EPS_PD_REL * max(||X||_F, 1)`` (an indefinite X included) raises
-    NotPositiveDefinite.  `transfer(lam, node)` takes one grid index or an array
-    of them (a stack), solving X^(-1) C^H sigma1 at those nodes only.
+    NotPositiveDefinite.  `transfer(lam, node)` takes one lam or an array, and
+    one grid index or an array of them, as zero_pole_realize's does, solving
+    X^(-1) C^H sigma1 once per call, at those nodes only.
     """
     a1 = as_matrix(a1, "A1")
     n, m = a1.shape[0], c.shape[0]
@@ -401,12 +406,14 @@ def hermitian_realize(
     ct = GridOperatorFamily(grid, cd @ yinv)
     at = GridOperatorFamily(grid, y.data @ a1 @ yinv)
     minus_a1, spectrum = -a1[None], np.linalg.eigvals(-a1)[None]
+    eps_spec = _spectral_guard(minus_a1)
 
-    def transfer(lam: complex, node) -> np.ndarray:
+    def transfer(lam, node) -> np.ndarray:
         idx = grid.node_indices(node)
-        rhs = np.linalg.solve(x.data[idx], cd[idx].conj().swapaxes(-1, -2) @ s1[idx])
-        z = shifted_solve(minus_a1, lam, rhs.reshape(-1, n, m), spectrum)
-        return np.eye(m, dtype=complex) + cd[idx] @ z.reshape(idx.shape + (n, m))
+        at = idx.reshape(-1)
+        rhs = np.linalg.solve(x.data[at], cd[at].conj().swapaxes(-1, -2) @ s1[at])
+        s = _transfer_stack(lam, minus_a1, cd[at], rhs, spectrum, eps_spec, frob(rhs))
+        return s.reshape(np.shape(lam) + idx.shape + (m, m))
 
     return HermitianRealization(
         C=c,

@@ -11,7 +11,7 @@ concurrently.
 
 from __future__ import annotations
 
-from math import factorial, isfinite
+from math import factorial
 
 import numpy as np
 
@@ -143,6 +143,7 @@ def shifted_solve(a, lam: complex, rhs, spectra, nodes=None) -> np.ndarray:
     spectrum, SingularSystem for a residual above
     ``1e-10 * max(||rhs[k]||, ||X[k]|| ||lam*I - a[k]||)``; both name ``nodes[k]``.
     """
+    _check_lambda(lam)
     return _shifted_solve(a, lam, rhs, spectra, _spectral_guard(a), frob(rhs), nodes)
 
 
@@ -152,14 +153,20 @@ def _spectral_guard(a) -> np.ndarray:
     return EPS_SPEC_REL * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
 
 
+def _clash(spectra, lam, eps_spec):
+    """The one SpectrumClash predicate: the distance of `lam` (which may
+    broadcast) to each spectrum, the last axis of `spectra`, and dist <= eps_spec."""
+    dist = np.min(np.abs(spectra - lam), axis=-1)
+    return dist, dist <= eps_spec
+
+
 def _shifted_solve(a, lam, rhs, spectra, eps_spec, rhs_norm, nodes) -> np.ndarray:
-    """:func:`shifted_solve` given the lam-independent scales of its guards:
-    `eps_spec` from :func:`_spectral_guard` and `rhs_norm` = frob(rhs)."""
+    """:func:`shifted_solve` of a checked lam, given the lam-independent scales of
+    its guards: `eps_spec` from :func:`_spectral_guard` and `rhs_norm` = frob(rhs)."""
     lam = complex(lam)
-    _check_lambda(lam)
-    dist = np.min(np.abs(spectra - lam), axis=1)
-    if (dist <= eps_spec).any():
-        k = np.flatnonzero(dist <= eps_spec)[0]
+    dist, clash = _clash(spectra, lam, eps_spec)
+    if clash.any():
+        k = np.flatnonzero(clash)[0]
         raise SpectrumClash(f"lambda={lam} lies within {dist[k]:.3e} of the spectrum"
                             f"{_at(nodes, k)} (threshold {eps_spec[k]:.3e})")
     shifted = lam * np.eye(a.shape[-1]) - a
@@ -177,11 +184,13 @@ def _shifted_solve(a, lam, rhs, spectra, eps_spec, rhs_norm, nodes) -> np.ndarra
 
 
 def _check_lambda(lam) -> None:
-    """The one check of a spectral parameter: NonFinite naming `lam` unless its
-    real and imaginary parts are both finite."""
-    z = complex(lam)
-    if not (isfinite(z.real) and isfinite(z.imag)):
-        raise NonFinite(f"spectral parameter lambda={z} is not finite")
+    """The one check of spectral parameters: NonFinite naming the first value
+    of `lam`, one value or an array, whose real and imaginary parts are not
+    both finite."""
+    z = np.asarray(lam, dtype=complex).reshape(-1)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise NonFinite(f"spectral parameter lambda={complex(z[~finite][0])} is not finite")
 
 
 def _fold(stack, mat) -> np.ndarray:

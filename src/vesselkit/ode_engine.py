@@ -314,15 +314,16 @@ def _magnus_march(cdata: np.ndarray, m0: np.ndarray, grid: TimeGrid,
 def _coefficient(sigma1: np.ndarray, sigma2: np.ndarray, gamma: np.ndarray, lam) -> np.ndarray:
     """sigma1^(-1) (lam sigma2 + gamma) over node stacks; `lam` may broadcast.
 
-    For a scalar lam and (N, m, m) stacks that each hold the same bits at
-    every node (a time-invariant vessel), node 0 is solved once and broadcast
-    to the N nodes as a read-only view: LAPACK gives equal inputs equal bits,
-    so this is the N-node solve bit for bit.
+    For one lam or an (L, 1, 1, 1) stack of them, and (N, m, m) stacks that
+    each hold the same bits at every node (a time-invariant vessel), node 0 is
+    solved once per lam and broadcast to the N nodes as a read-only view: LAPACK
+    gives equal inputs equal bits, so this is the N-node solve bit for bit.
     """
     stacks = (sigma1, sigma2, gamma)
-    if np.ndim(lam) == 0 and all(np.ndim(x) == 3 and _is_constant(x) for x in stacks):
+    if np.shape(lam)[-3:] in ((), (1, 1, 1)) and all(np.ndim(x) == 3 and _is_constant(x)
+                                                      for x in stacks):
         one = np.linalg.solve(sigma1[:1], lam * sigma2[:1] + gamma[:1])
-        return np.broadcast_to(one, np.broadcast_shapes(*(np.shape(x) for x in stacks)))
+        return np.broadcast_to(one, np.broadcast_shapes(one.shape, *(np.shape(x) for x in stacks)))
     return np.linalg.solve(sigma1, lam * sigma2 + gamma)
 
 
@@ -422,7 +423,7 @@ def fundamental_matrix(
     only when sigma1, sigma2 and gamma each hold the same bits at every node
     (see _coefficient).  NonFinite for a lam that is not finite.
     """
-    _check_lambda(lam)
+    _check_lambda(complex(lam))
     m = sigma1.shape[0]
     _channel(grid, m, sigma1=sigma1, sigma2=sigma2, gamma=gamma)
     base_index = int(grid.node_indices(base_index))

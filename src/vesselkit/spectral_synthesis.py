@@ -39,10 +39,11 @@ from .ode_engine import (
     _coefficient,
     _magnus_march,
     _node_derivative,
+    _on_grid,
     _running_product,
     family_derivative,
 )
-from .vessel_core import DifferentialVessel, _coupling, eval_transfer
+from .vessel_core import DifferentialVessel, _coupling, transfer_sweep
 
 # t rows per block of continuous_model_evolve's kernel-wide residuals, so each
 # temporary is a small part of the kernel.
@@ -90,7 +91,7 @@ class ExtractionResult:
     """One extracted elementary factor and the transfer quotient callback."""
 
     factor: DifferentialVessel
-    quotient_transfer: Callable[[complex, int], np.ndarray]
+    quotient_transfer: Callable[..., np.ndarray]
     eigenvalue: complex
     eigvec_residual: float
 
@@ -144,13 +145,13 @@ def _elementary(datum: SpectralDatum, gamma, sigma1, sigma2, grid, normalize: bo
             raise DegenerateB(f"cannot normalize: b0^H sigma1 b0 = {p0:.3e} <= 0")
         b0 = b0 / np.sqrt(p0)
 
-    s1, s2 = sigma1.data, sigma2.data
-    col = _magnus_march(_coefficient(s1, s2, gamma.data, complex(datum.z)), b0[:, None], grid, 0)
     theta_prime = np.zeros(grid.n_nodes)
     if datum.theta is not None:
-        if datum.theta.shape != (1, 1) or not datum.theta.grid.compatible(grid):
-            raise ShapeMismatch("theta must be a scalar family on the same grid")
+        _on_grid(grid, theta=datum.theta)
+        _shapes(theta=(datum.theta, (1, 1)))
         theta_prime = np.real(family_derivative(datum.theta).data[:, 0, 0])
+    s1, s2 = sigma1.data, sigma2.data
+    col = _magnus_march(_coefficient(s1, s2, gamma.data, complex(datum.z)), b0[:, None], grid, 0)
 
     row = col.conj().transpose(0, 2, 1)  # b^H
     p = (row @ s1 @ col)[:, 0, 0]
@@ -247,7 +248,8 @@ def extract_elementary(
 
         quotient_transfer(lam, node) = S(lam, node) @ S_factor(lam, node)^(-1)
 
-    drops the extracted point from the pole set.  GridMismatch for a
+    drops the extracted point from the pole set (shape np.shape(lam) +
+    np.shape(node) + (m, m), each one value or an array).  GridMismatch for a
     node_ref off the grid.
     """
     node_ref = int(v.grid.node_indices(node_ref))
@@ -285,10 +287,11 @@ def extract_elementary(
     factor = _coupling(v.grid, [(z, gh @ v.A2.data @ g, bf)], v.sigma1, v.sigma2, v.gamma,
                        _gamma_star(v.gamma, v.sigma1, v.sigma2, bf))
 
-    def quotient(lam: complex, node: int) -> np.ndarray:
-        s_full = eval_transfer(v, lam, node)
-        s_fac = eval_transfer(factor, lam, node)
-        return np.linalg.solve(s_fac.conj().T, s_full.conj().T).conj().T
+    def quotient(lam, node) -> np.ndarray:
+        idx = v.grid.node_indices(node)
+        s_full, s_fac = (transfer_sweep(x, lam, idx).conj().swapaxes(-1, -2) for x in (v, factor))
+        q = np.linalg.solve(s_fac, s_full).conj().swapaxes(-1, -2)
+        return q.reshape(np.shape(lam) + idx.shape + q.shape[-2:])
 
     return ExtractionResult(
         factor=factor, quotient_transfer=quotient, eigenvalue=z, eigvec_residual=worst_drift
@@ -297,9 +300,10 @@ def extract_elementary(
 
 def residue_norm(fn, z0: complex, radius: float = 1e-3) -> float:
     """Frobenius norm of the contour residue of a matrix function at z0, by the
-    16-point trapezoid rule on the circle of `radius` around it."""
-    lams = (z0 + radius * np.exp(2j * np.pi * k / 16) for k in range(16))
-    return frob(sum(fn(lam) * (lam - z0) for lam in lams) / 16)
+    16-point trapezoid rule on the circle of `radius` around it.  `fn` takes
+    the 16 points as one array and returns their (16, m, m) stack."""
+    lams = z0 + radius * np.exp(2j * np.pi * np.arange(16) / 16)
+    return frob((fn(lams) * (lams - z0)[:, None, None]).sum(axis=0) / 16)
 
 
 def mult_integral(
@@ -318,7 +322,7 @@ def mult_integral(
     EPS_SPEC_REL * max(max_norm(K), 1); NonFinite for a lam that is not
     finite, and naming an overflowing step.
     """
-    _check_lambda(lam)
+    _check_lambda(complex(lam))
     _shapes(kernel=(kernel, kernel.shape[:1] * 2))
     c_arr = _real_c(c)
     if c_arr.shape[0] != len(kernel):
@@ -516,8 +520,7 @@ def continuous_model_evolve(
     if model.t_grid is not None:
         raise ShapeMismatch("model is already evolved")
     probe_lambdas = tuple(probe_lambdas)
-    for lam in probe_lambdas:
-        _check_lambda(lam)
+    _check_lambda(probe_lambdas)
     s1, s2 = as_matrix(sigma1, "sigma1"), as_matrix(sigma2, "sigma2")
     m = model.beta.shape[1]
     _shapes(sigma1=(s1, (m, m)), sigma2=(s2, (m, m)))

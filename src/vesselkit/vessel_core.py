@@ -37,14 +37,15 @@ from .config import DEFAULTS
 from .errors import (
     ChainMismatch,
     GridMismatch,
+    NonFinite,
     NotMinimal,
     ShapeMismatch,
     SingularSystem,
-    SpectrumClash,
 )
 from .matrix_kernel import (
     _check_hermitian,
     _check_lambda,
+    _clash,
     _fold,
     _shapes,
     _shifted_solve,
@@ -136,12 +137,12 @@ class DifferentialVessel:
     @functools.cached_property
     def _transfer_operands(self) -> tuple[np.ndarray, ...]:
         """The lam-independent operands of :func:`transfer_sweep` at every node,
-        computed on first use: A1, B^H, B sigma1, the SpectrumClash threshold
+        computed on first use: A1, -B^H, B sigma1, the SpectrumClash threshold
         of each A1 and ||B sigma1||_F.  Like the spectra, they derive from
         read-only data and never go stale."""
         a1, b = self.A1.data, self.B.data
         bs1 = b @ self.sigma1.data
-        return a1, b.conj().transpose(0, 2, 1), bs1, _spectral_guard(a1), frob(bs1)
+        return a1, -b.conj().transpose(0, 2, 1), bs1, _spectral_guard(a1), frob(bs1)
 
     def _spectra(self, nodes: np.ndarray) -> np.ndarray:
         """Eigenvalues of A1 at the node indices `nodes`, each node computed on
@@ -246,19 +247,31 @@ def transfer_sweep(v: DifferentialVessel, lams, nodes=None) -> np.ndarray:
     solve against B sigma1 over the nodes.  Raises GridMismatch for a node
     outside [0, n_steps]; SpectrumClash names the first node a lam hits.
     """
-    lams = np.asarray(lams, dtype=complex).reshape(-1)
     operands = v._transfer_operands
     if nodes is None:
         nodes = np.arange(v.grid.n_nodes)
     else:
         nodes = v.grid.node_indices(nodes).reshape(-1)
         operands = tuple(x[nodes] for x in operands)
-    a1, bh, bs1, eps_spec, bs1_norm = operands
-    spectra = v._spectra(nodes)
-    eye = np.eye(v.signal_dim, dtype=complex)
-    out = np.empty((lams.size, nodes.size) + v.sigma1.shape, dtype=complex)
+    a1, minus_bh, bs1, eps_spec, bs1_norm = operands
+    return _transfer_stack(lams, a1, minus_bh, bs1, v._spectra(nodes), eps_spec, bs1_norm, nodes)
+
+
+def _transfer_stack(lams, a, lhs, rhs, spectra, eps_spec, rhs_norm, nodes=None) -> np.ndarray:
+    """I + lhs (lam I - a)^(-1) rhs, shape (L, K, r, c), for the L values `lams`
+    (read flat) over the node stacks lhs (K, r, n) and rhs (K, n, c); with lhs
+    None, the solves.  The library's one Python loop over lam: `a` (K or 1, n,
+    n) has eigenvalues `spectra` and the guard scales `eps_spec` and `rhs_norm`
+    of :func:`_shifted_solve`, made once by the caller.  Every lam is checked
+    first, then solved in order, so errors are a per-lam loop's."""
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    _check_lambda(lams)
+    rows = rhs.shape[-2] if lhs is None else lhs.shape[-2]
+    eye = np.eye(rows, dtype=complex)
+    out = np.empty((lams.size, len(rhs), rows, rhs.shape[-1]), dtype=complex)
     for k, lam in enumerate(lams):
-        out[k] = eye - bh @ _shifted_solve(a1, lam, bs1, spectra, eps_spec, bs1_norm, nodes)
+        x = _shifted_solve(a, lam, rhs, spectra, eps_spec, rhs_norm, nodes)
+        out[k] = x if lhs is None else eye + lhs @ x
     return out
 
 
@@ -382,8 +395,9 @@ def expansivity_factor_form(v: DifferentialVessel, lam: complex, node: int) -> n
     B sigma1 B^H = -(A1 + A1^H) is substituted.
     """
     idx = v.grid.node_indices([node])
-    m = shifted_solve(v.A1.data[idx], lam, v.B.data[idx] @ v.sigma1.data[idx], v._spectra(idx),
-                      nodes=idx)[0]
+    a1, _, bs1, eps_spec, bs1_norm = (x[idx] for x in v._transfer_operands)
+    m = _transfer_stack(complex(lam), a1, None, bs1, v._spectra(idx), eps_spec, bs1_norm,
+                        idx)[0, 0]
     return -2.0 * np.real(lam) * (m.conj().T @ m)
 
 
@@ -414,27 +428,36 @@ def transfer_pde_residual_values(
     sigma2: GridOperatorFamily,
     gamma: GridOperatorFamily,
     gamma_star: GridOperatorFamily,
-    lam: complex,
+    lam,
     grid: TimeGrid,
 ) -> float:
     """Central-difference defect of the evolution equation of S(lam, .).
 
-    Max over interior nodes of
-    || dS/dt - sigma1^(-1)(sigma2 lam + gamma_star) S + S sigma1^(-1)(sigma2 lam + gamma) ||_F.
-    `s_values` holds one sample per node, as a sequence or an (N, m, m) stack.
+    Max over the values of `lam` (one or an array) and the interior nodes of
+    || dS/dt - sigma1^(-1)(sigma2 lam + gamma_star) S + S sigma1^(-1)(sigma2 lam + gamma) ||_F,
+    with `s_values` of shape np.shape(lam) + (N, m, m): one sample per node and lam.
     """
-    _check_lambda(lam)
-    if len(s_values) != grid.n_nodes:
+    lams = np.asarray(lam, dtype=complex)
+    _check_lambda(lams)
+    try:
+        s = np.asarray(s_values, dtype=complex)
+    except ValueError:
+        raise ShapeMismatch("s_values must be an array of numbers") from None
+    if s.shape[:lams.ndim] != lams.shape or s.ndim != lams.ndim + 3:
+        raise ShapeMismatch(f"s_values must be of shape lambda shape {lams.shape} + (N, m, m), "
+                            f"got {s.shape}")
+    s = s.reshape((lams.size,) + s.shape[lams.ndim:])
+    if s.shape[1] != grid.n_nodes:
         raise GridMismatch("need one transfer sample per node")
-    s = GridOperatorFamily(grid, s_values)
-    _shapes(s_values=(s, s.shape[:1] * 2))
-    _channel(grid, s.shape[0], sigma1=sigma1, sigma2=sigma2, gamma=gamma, gamma_star=gamma_star)
-    s = s.data
+    if not np.isfinite(s).all():
+        raise NonFinite("s_values contains NaN or Inf")
+    _shapes(s_values=(s, s.shape[2:3] * 2))
+    _channel(grid, s.shape[2], sigma1=sigma1, sigma2=sigma2, gamma=gamma, gamma_star=gamma_star)
     mid = slice(1, grid.n_nodes - 1)
-    s1, s2 = sigma1.data[mid], sigma2.data[mid]
-    ds = _node_derivative(s, grid.h)[mid]
-    left = _coefficient(s1, s2, gamma_star.data[mid], lam) @ s[mid]
-    right = s[mid] @ _coefficient(s1, s2, gamma.data[mid], lam)
+    s1, s2, lam = sigma1.data[mid], sigma2.data[mid], lams.reshape(-1, 1, 1, 1)
+    ds = _node_derivative(s.swapaxes(0, 1), grid.h)[mid].swapaxes(0, 1)
+    left = _coefficient(s1, s2, gamma_star.data[mid], lam) @ s[:, mid]
+    right = s[:, mid] @ _coefficient(s1, s2, gamma.data[mid], lam)
     return max_frob(ds - left + right)
 
 
@@ -569,7 +592,8 @@ def gauge_equivalence(
 
     The per-node unitary is Q2 Q1^H from the block-Arnoldi Krylov frames (see
     _krylov_basis).  Returns a GaugeMap when the frames are unitary to `tol`
-    and the transfer functions agree at the probe points; returns
+    and the transfer functions agree at the probe points (a probe lam is
+    skipped at each probe node where it clashes with either spectrum); returns
     NotEquivalent otherwise, naming the first rank-deficient node if there is
     one.  Raises NotMinimal when v1 or v2 (in that order) is rank deficient at
     `node`, and GridMismatch for a `node` off the grid.
@@ -597,21 +621,19 @@ def gauge_equivalence(
     if unitary_defect > tol:
         return NotEquivalent("gauge frame is not unitary", defect=unitary_defect)
 
-    nn = v1.grid.n_nodes
     rng = np.random.default_rng(seed)
     scale = max(v1.A1.max_norm(), v2.A1.max_norm(), 1.0)
-    transfer_defect = 0.0
-    for _ in range(probes):
+    lams = np.empty(probes, dtype=complex)
+    for k in range(probes):  # each draws its sign, then its real and imaginary parts
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        lam = complex(rng.uniform(1.0, 2.5) * scale * sign,
-                      rng.uniform(-2.0, 2.0) * scale)
-        for probe_node in sorted({0, node, nn - 1}):
-            try:
-                d = frob(eval_transfer(v1, lam, probe_node) - eval_transfer(v2, lam, probe_node))
-            except SpectrumClash:
-                continue
-            transfer_defect = max(transfer_defect, d)
-    if transfer_defect > tol:
-        return NotEquivalent("transfer functions disagree at probes", defect=transfer_defect)
+        lams[k] = complex(rng.uniform(1.0, 2.5) * scale * sign, rng.uniform(-2.0, 2.0) * scale)
+    nodes = np.array(sorted({0, node, v1.grid.n_nodes - 1}))
+    # A (lam, node) pair where either spectrum clashes is skipped; one sweep per node.
+    clash = [_clash(v._spectra(nodes), lams[:, None, None], v._transfer_operands[3][nodes])[1]
+             for v in (v1, v2)]
+    defect = max(max_frob(transfer_sweep(v1, lams[ok], j) - transfer_sweep(v2, lams[ok], j))
+                 for j, ok in zip(nodes, ~(clash[0] | clash[1]).T))
+    if defect > tol:
+        return NotEquivalent("transfer functions disagree at probes", defect=defect)
     u = GridOperatorFamily(v1.grid, u_data)
     return GaugeMap(U=u, dU=family_derivative(u))

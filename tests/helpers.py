@@ -6,8 +6,10 @@ import importlib
 import os
 
 import numpy as np
+import pytest
 
 import vesselkit as vk
+from vesselkit.errors import VesselKitError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -155,3 +157,20 @@ def perfbench_modules(monkeypatch):
     perfbench/workloads.py), imported as the benchmark imports them."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     return importlib.import_module("inputs"), importlib.import_module("workloads")
+
+
+def assert_stacked_equals_loop(fn, lams, combine=np.stack):
+    """One stacked call fn(lams) against its per-lambda loop, combine([fn(lam)
+    for lam in lams]): the same shape and bits, or, where the loop raises,
+    the same error type and message.  Returns the loop's error, else None."""
+    try:
+        loop = combine([fn(lam) for lam in lams])
+    except VesselKitError as exc:
+        with pytest.raises(type(exc)) as got:
+            fn(np.asarray(lams, dtype=complex))
+        assert str(got.value) == str(exc)
+        return exc
+    stacked = np.asarray(fn(np.asarray(lams, dtype=complex)))
+    loop = np.asarray(loop)
+    assert stacked.shape == loop.shape and stacked.tobytes() == loop.tobytes()
+    return None

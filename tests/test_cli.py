@@ -443,6 +443,34 @@ class TestReportRows:
         if tol == "1e-8":
             assert code == 0
 
+    def test_transfer_pde_rows_are_the_per_lambda_max(self, paths):
+        """verify's and realize's one stacked call give the row a per-lambda
+        loop over the reported probes gives, bit for bit."""
+        v = cli.vessel_from_document(json.loads(Path(paths["vessel"]).read_text()))
+        _, out = run_cli(["verify", paths["vessel"], "--probes", "6"])
+        rep = json.loads(out)
+        lams = [complex(*lam) for lam in rep["probes"]["lambdas"]]
+        want = max(vk.transfer_pde_residual_values(vk.transfer_at_nodes(v, lam), v.sigma1,
+                                                    v.sigma2, v.gamma, v.gamma_star, lam, v.grid)
+                   for lam in lams)
+        assert [r["value"] for r in rep["residuals"] if r["name"] == "transfer_pde"] == [want]
+
+        spec = json.loads(Path(paths["triple"]).read_text())
+        grid = cli._dec_grid(spec["grid"])
+        s1, s2, gs, c, bn = (cli._dec_family(spec[k], grid, k)
+                             for k in ("sigma1", "sigma2", "gamma_star", "C", "Bn"))
+        a_pi, a_xi, x0 = (cli._dec_complex(spec[k], 2, k) for k in ("A_pi", "A_xi", "X0"))
+        x = vk.evolve_coupling(c, a_pi, a_xi, bn, x0, s1, s2, gs, grid)
+        real = vk.zero_pole_realize(vk.NullPoleTriple(C=c, A_pi=a_pi, A_xi=a_xi, Bn=bn, X=x),
+                                    gs, s1, s2)
+        _, out = run_cli(["realize", paths["triple"], "--probes", "6"])
+        rep = json.loads(out)
+        lams = [complex(*lam) for lam in rep["probes"]["lambdas"]]
+        every = np.arange(grid.n_nodes)
+        want = max(vk.transfer_pde_residual_values(real.transfer(lam, every), s1, s2, real.gamma,
+                                                    gs, lam, grid) for lam in lams)
+        assert [r["value"] for r in rep["residuals"] if r["name"] == "transfer_pde"] == [want]
+
     def test_failed_row_exits_three(self, vessel_and_doc, tmp_path):
         v, _, _ = vessel_and_doc
         b_data = v.B.data.copy()

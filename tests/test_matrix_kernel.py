@@ -5,6 +5,7 @@ import pytest
 
 import vesselkit as vk
 import vesselkit.matrix_kernel as mk
+import vesselkit.vessel_core as core
 from vesselkit.errors import (
     NonFinite,
     NotHermitian,
@@ -14,7 +15,7 @@ from vesselkit.errors import (
 )
 from vesselkit.matrix_kernel import as_hermitian, frob, shifted_solve
 
-from helpers import rand_complex, rand_hermitian, skew_chain_vessel
+from helpers import const, rand_complex, rand_hermitian, skew_chain_vessel
 
 
 def resolvent(a, lam):
@@ -74,6 +75,47 @@ class TestNonFiniteLambda:
                              v.gamma_star, lam, v.grid)):
                 with pytest.raises(NonFinite, match=self.message(lam)):
                     call()
+
+    @pytest.fixture(scope="class")
+    def stacked_entries(self):
+        """The entries that take a lambda array, as f(lams) -> call, and the vessel."""
+        grid = vk.TimeGrid(0.0, 1.0, 20)
+        v, _ = skew_chain_vessel(grid, seed=5, n_points=2)
+        zero_pole = vk.zero_pole_realize(vk.extract_null_pole(v), v.gamma_star, v.sigma1,
+                                         v.sigma2)
+        hermitian = vk.hermitian_realize(const(np.eye(2), grid), -np.eye(2),
+                                         const(np.eye(2), grid))
+        quotient = vk.extract_elementary(v, 0).quotient_transfer
+        coeffs = (v.sigma1, v.sigma2, v.gamma, v.gamma_star)
+        return v, {
+            "zero_pole_realize.transfer": lambda lams: zero_pole.transfer(lams, [0, 5]),
+            "hermitian_realize.transfer": lambda lams: hermitian.transfer(lams, 5),
+            "quotient_transfer": lambda lams: quotient(lams, 5),
+            "transfer_sweep": lambda lams: vk.transfer_sweep(v, lams, [0, 5]),
+            "transfer_pde_residual_values": lambda lams: vk.transfer_pde_residual_values(
+                np.ones((len(lams), grid.n_nodes, 2, 2)), *coeffs, lams, grid),
+        }
+
+    @pytest.mark.parametrize("entry", ["zero_pole_realize.transfer", "hermitian_realize.transfer",
+                                       "quotient_transfer", "transfer_sweep",
+                                       "transfer_pde_residual_values"])
+    def test_lambda_arrays_are_checked_whole_first(self, stacked_entries, entry, monkeypatch):
+        """A non-finite lambda inside an array is named before any solve or
+        coefficient is formed, whatever comes before it."""
+        monkeypatch.setattr(core, "_shifted_solve", None)  # never reached
+        monkeypatch.setattr(core, "_coefficient", None)
+        for lam in self.bad:
+            with pytest.raises(NonFinite, match=self.message(lam)):
+                stacked_entries[1][entry]([2.0 + 1.0j, lam, complex(np.nan, 1.0)])
+
+    def test_empty_lambda_arrays(self, stacked_entries):
+        """No lambda: an empty stack, and a 0.0 PDE residual."""
+        v, entries = stacked_entries
+        assert entries["zero_pole_realize.transfer"]([]).shape == (0, 2, 2, 2)
+        assert entries["hermitian_realize.transfer"]([]).shape == (0, 2, 2)
+        assert entries["quotient_transfer"]([]).shape == (0, 2, 2)
+        assert entries["transfer_sweep"]([]).shape == (0, 2, 2, 2)
+        assert entries["transfer_pde_residual_values"]([]) == 0.0
 
     def test_mult_integral_and_model_probes(self):
         grid = vk.TimeGrid(0.0, 1.0, 10)

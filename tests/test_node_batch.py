@@ -439,6 +439,9 @@ class TestOneNodeRuleAndOneGridRule:
         "sylvester_residuals": lambda x, f: vk.sylvester_residuals(x["triple"], f),
         "hermitian_realize": lambda x, f: vk.hermitian_realize(
             const(np.eye(2), x["v"].grid), -np.eye(2), f),
+        "build_discrete": lambda x, f: vk.build_discrete(
+            [vk.SpectralDatum(z=-0.5 + 0.3j, b0=np.array([1.0, 0.2j]), theta=f)],
+            x["v"].gamma, x["v"].sigma1, x["v"].sigma2, x["v"].grid),
     }
 
     @pytest.mark.parametrize("entry", grid_entries)

@@ -480,6 +480,9 @@ def _shape_entries():
             lambda: vk.discrete_chain([datum], big, eye_m, zero_m, grid), wrong("gamma")),
         "build_elementary": (
             lambda: vk.build_elementary(datum, zero_m, eye_m, big, grid), wrong("sigma2")),
+        "build_discrete theta": (lambda: vk.build_discrete(
+            [vk.SpectralDatum(z=datum.z, b0=datum.b0, theta=eye_m)], zero_m, eye_m, zero_m, grid),
+            "theta must be 1 x 1, got 2 x 2"),
         "evolve_coupling": (lambda: vk.evolve_coupling(
             c, -np.eye(n), np.eye(n), bn, np.eye(n), big, zero_m, zero_m, grid), wrong("sigma1")),
         "zero_pole_realize": (
@@ -529,6 +532,12 @@ def _shape_entries():
                             "gmap must be 2 x 2, got 3 x 3"),
         "mult_integral": (lambda: vk.mult_integral(const(np.ones((2, 3)), s_grid), c_s, 1.0, 3),
                           "kernel must be 2 x 2, got 2 x 3"),
+        "transfer_pde_residual_values lambdas": (lambda: vk.transfer_pde_residual_values(
+            np.ones((2, grid.n_nodes, m, m)), eye_m, zero_m, zero_m, zero_m, [1.0, 2.0, 3.0],
+            grid), "s_values must be of shape lambda shape (3,) + (N, m, m), got (2, 11, 2, 2)"),
+        "transfer_pde_residual_values one lambda": (lambda: vk.transfer_pde_residual_values(
+            np.ones((1, grid.n_nodes, m, m)), eye_m, zero_m, zero_m, zero_m, 1.0, grid),
+            "s_values must be of shape lambda shape () + (N, m, m), got (1, 11, 2, 2)"),
         "intertwining_residual": (lambda: vk.intertwining_residual(
             np.ones((grid.n_nodes, 3, 3)), phi, phi), "s_values must be 2 x 2, got 3 x 3"),
         "GridOperatorFamily": (

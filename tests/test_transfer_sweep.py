@@ -15,7 +15,8 @@ from vesselkit.errors import (GridMismatch, NonFinite, NotHermitian, ShapeMismat
                                SpectrumClash)
 from vesselkit.matrix_kernel import frob, max_frob, shifted_solve
 
-from helpers import (SIGMA1_INDEFINITE, const, rand_complex, rand_hermitian, rand_skew,
+from helpers import (SIGMA1_INDEFINITE, assert_stacked_equals_loop, colligation_datum, const,
+                     observable_stable_pair, rand_complex, rand_hermitian, rand_skew,
                      skew_chain_vessel)
 
 
@@ -425,6 +426,9 @@ class TestCouplingSingularityIsRelative:
         assert real.singular_nodes == tuple(range(self.grid.n_nodes))
         with pytest.raises(vk.CouplingSingular):
             real.transfer(1.5 + 0.5j, 3)
+        with pytest.raises(vk.CouplingSingular):
+            real.transfer([1.5 + 0.5j, 2.0], [3])
+        assert real.transfer([], 3).shape == (0, 2, 2)  # nothing evaluated there
 
     def test_rtol_argument(self):
         triple = _triple(self.grid, np.diag([1.0, 1e-6]), 2)
@@ -616,3 +620,96 @@ class TestTransferOperands:
         v = varying_vessel(2)
         with pytest.raises(ShapeMismatch, match="^transfer_at_nodes takes one lambda"):
             vk.transfer_at_nodes(v, lam)
+
+
+def chain_vessel(n, n_steps=16, seed=21):
+    """Discrete vessel of n elementary factors (sigma2 = 0, skew gamma): every
+    condition holds, so its null-pole triple and an elementary factor extract."""
+    grid = vk.TimeGrid(0.0, 1.0, n_steps)
+    rng = np.random.default_rng(seed)
+    ims = np.linspace(-1.5, 1.5, n) + 0.05 * rng.normal(size=n)
+    data = [colligation_datum(rand_complex(rng, 2), im, SIGMA1_INDEFINITE) for im in ims]
+    zero = const(np.zeros((2, 2)), grid)
+    return vk.build_discrete(data, const(rand_skew(rng, 2, 0.5), grid),
+                             const(SIGMA1_INDEFINITE, grid), zero, grid)
+
+
+class TestOneLambdaLoop:
+    """Every lambda-stacked form is, bit for bit, its per-lambda loop at n = 1,
+    2 and 12, and a clash at one lambda raises the loop's SpectrumClash."""
+
+    lams = (1.5 + 0.5j, -0.3 + 2.0j, 4.0, 0.2 - 3.1j)
+
+    @pytest.fixture(scope="class", params=[1, 2, 12])
+    def forms(self, request):
+        n = request.param
+        v = chain_vessel(n)
+        rng = np.random.default_rng(n)
+        a1, c = observable_stable_pair(rng, n, 2)
+        t = v.grid.nodes()[:, None, None]
+        c = _family(v.grid, c + 0.3 * t * rand_complex(rng, (1, 2, n)))
+        triple = vk.extract_null_pole(v)
+        return {
+            "v": v, "a1": a1, "triple": triple,
+            "zero_pole": vk.zero_pole_realize(triple, v.gamma_star, v.sigma1, v.sigma2),
+            "hermitian": vk.hermitian_realize(c, a1, const(np.diag([1.0, 2.0]), v.grid)),
+            "extraction": vk.extract_elementary(v, 0),
+        }
+
+    @staticmethod
+    def transfer(forms, form):
+        if form == "quotient":
+            return forms["extraction"].quotient_transfer
+        return forms[form].transfer
+
+    @pytest.mark.parametrize("form", ["zero_pole", "hermitian", "quotient"])
+    @pytest.mark.parametrize("nodes", [7, [5, 0, 5], None], ids=["one", "some", "every"])
+    def test_transfer_callbacks(self, forms, form, nodes):
+        nodes = np.arange(forms["v"].grid.n_nodes) if nodes is None else nodes
+        fn = self.transfer(forms, form)
+        assert assert_stacked_equals_loop(lambda lam: fn(lam, nodes), self.lams) is None
+        assert fn(self.lams[0], nodes).shape == np.shape(nodes) + (2, 2)
+        grid_of_lams = np.reshape(self.lams, (2, 2))
+        assert same_bits(fn(grid_of_lams, nodes), fn(self.lams, nodes).reshape(
+            (2, 2) + np.shape(nodes) + (2, 2)))
+
+    def test_quotient_keeps_its_per_call_bits(self, forms):
+        v, ex = forms["v"], forms["extraction"]
+        for lam in self.lams:
+            s_full, s_fac = vk.eval_transfer(v, lam, 7), vk.eval_transfer(ex.factor, lam, 7)
+            want = np.linalg.solve(s_fac.conj().T, s_full.conj().T).conj().T
+            assert same_bits(ex.quotient_transfer(lam, 7), want)
+
+    @pytest.mark.parametrize("form", ["zero_pole", "hermitian", "quotient"])
+    def test_clash_at_one_lambda(self, forms, form):
+        pole = {"zero_pole": lambda: np.linalg.eigvals(forms["triple"].A_pi)[0],
+                "hermitian": lambda: np.linalg.eigvals(-forms["a1"])[0],
+                "quotient": lambda: np.linalg.eigvals(forms["v"].A1[3])[-1]}[form]()
+        fn = self.transfer(forms, form)
+        err = assert_stacked_equals_loop(lambda lam: fn(lam, [7, 3]),
+                                         (1.5 + 0.5j, complex(pole), 4.0))
+        assert isinstance(err, SpectrumClash)
+
+    def test_pde_residual(self, forms):
+        """One stacked residual is the max of the per-lambda residuals: on the
+        vessel's and the realization's transfers (constant sigmas, one solve of
+        node 0 per lambda) and on a vessel whose sigma1 moves."""
+        v, real = forms["v"], forms["zero_pole"]
+        every = np.arange(v.grid.n_nodes)
+        moving = varying_vessel(forms["a1"].shape[0])
+        for u in (v, moving):
+            assert_stacked_equals_loop(lambda lam, u=u: vk.transfer_pde_residual_values(
+                vk.transfer_sweep(u, lam).reshape(np.shape(lam) + (-1, 2, 2)), u.sigma1,
+                u.sigma2, u.gamma, u.gamma_star, lam, u.grid), self.lams, combine=max)
+        assert_stacked_equals_loop(lambda lam: vk.transfer_pde_residual_values(
+            real.transfer(lam, every), v.sigma1, v.sigma2, real.gamma, v.gamma_star, lam,
+            v.grid), self.lams, combine=max)
+
+    def test_residue_norm(self, forms):
+        """The 16 contour points in one call, against the per-point sum."""
+        ex = forms["extraction"]
+        z0, radius = ex.eigenvalue, 1e-8 ** 0.25 * 1e-1
+        q = lambda lam: ex.quotient_transfer(lam, 7)  # noqa: E731
+        points = (z0 + radius * np.exp(2j * np.pi * k / 16) for k in range(16))
+        want = frob(sum(q(lam) * (lam - z0) for lam in points) / 16)
+        assert vk.residue_norm(q, z0, radius) == want

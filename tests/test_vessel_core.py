@@ -423,6 +423,40 @@ class TestGauge:
         )
         assert isinstance(vk.gauge_equivalence(v, vbad, node=0), vk.NotEquivalent)
 
+    def test_probe_clash_skips_one_node_only(self, monkeypatch):
+        """The one probe lambda clashes with the spectrum at node 0 only, and v2
+        differs from v1 at node N only: the probe is skipped at node 0 and
+        still compares node N (skipping the whole lambda would see nothing)."""
+        grid = vk.TimeGrid(0.0, 1.0, 10)
+        rng = np.random.default_rng(31)
+        n, m = 3, 2
+        t = grid.nodes()[:, None, None]
+        a1 = rand_complex(rng, (1, n, n)) + t * rand_complex(rng, (1, n, n))
+        b = rand_complex(rng, (1, n, m)) + t * rand_complex(rng, (1, n, m))
+        b2 = b.copy()
+        b2[-1] *= 2.0
+        zero = const(np.zeros((m, m)), grid)
+        v1, v2 = (vk.DifferentialVessel(
+            A1=vk.GridOperatorFamily(grid, a1), A2=const(np.zeros((n, n)), grid),
+            B=vk.GridOperatorFamily(grid, bb), sigma1=const(SIGMA1_INDEFINITE, grid),
+            sigma2=zero, gamma=zero, gamma_star=zero) for bb in (b, b2))
+        z = complex(np.linalg.eigvals(a1[0])[0])
+        scale = max(v1.A1.max_norm(), 1.0)
+        draws = iter([0.25, z.real / scale, z.imag / scale])  # sign +1, then lam = z
+
+        class Draws:
+            def uniform(self, low=0.0, high=1.0):
+                return next(draws)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws())
+        verdict = vk.gauge_equivalence(v1, v2, node=0, probes=1)
+        lam = complex(z.real / scale * scale, z.imag / scale * scale)
+        with pytest.raises(SpectrumClash, match="at node 0 "):
+            vk.eval_transfer(v1, lam, 0)
+        assert frob(vk.eval_transfer(v1, lam, 10) - vk.eval_transfer(v2, lam, 10)) > 1e-3
+        assert isinstance(verdict, vk.NotEquivalent)
+        assert verdict.reason == "transfer functions disagree at probes"
+
     def test_not_minimal(self, trivial_vessel):
         with pytest.raises(NotMinimal) as info:
             vk.gauge_equivalence(trivial_vessel, trivial_vessel, node=0)
