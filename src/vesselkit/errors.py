@@ -12,7 +12,12 @@ class NumericalFailure(VesselKitError):
 
 
 class NonFinite(NumericalFailure):
-    """An input or an intermediate stage produced NaN or Inf."""
+    """An input or an intermediate stage produced NaN or Inf; ``index`` is the
+    failing slice of a stack where one is named (None otherwise)."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class NotHermitian(VesselKitError):

@@ -90,8 +90,9 @@ def _as_stack(a, name: str):
         return as_matrix(m, name)[None], None
     if min(m.shape[1:]) < 1:
         raise ShapeMismatch(f"{name} must have positive dimensions, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise NonFinite(f"{name} contains NaN or Inf")
+    finite = np.isfinite(m).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFinite(f"{name} contains NaN or Inf", int(np.argmin(finite)))
     return m, range(len(m))
 
 
@@ -138,12 +139,12 @@ def shifted_solve(a, lam: complex, rhs, spectra, nodes=None) -> np.ndarray:
     for a stack `a` (N, n, n) or one operand (1, n, n) serving every rhs.
 
     `spectra` (N, n) are the eigenvalues of the operands, computed once by a
-    caller that sweeps lam.  NonFinite for a lam that is not finite,
-    SpectrumClash for lam within ``EPS_SPEC_REL * max(||a[k]||_F, 1)`` of the
-    spectrum, SingularSystem for a residual above
-    ``1e-10 * max(||rhs[k]||, ||X[k]|| ||lam*I - a[k]||)``; both name ``nodes[k]``.
+    caller that sweeps lam.  ShapeMismatch for several lams, NonFinite for one
+    not finite, SpectrumClash for lam within ``EPS_SPEC_REL * max(||a[k]||_F, 1)``
+    of the spectrum, SingularSystem for a residual above ``1e-10 * max(||rhs[k]||,
+    ||X[k]|| ||lam*I - a[k]||)``; both name ``nodes[k]``.
     """
-    _check_lambda(lam)
+    lam = _one_lambda(lam)
     return _shifted_solve(a, lam, rhs, spectra, _spectral_guard(a), frob(rhs), nodes)
 
 
@@ -191,6 +192,14 @@ def _check_lambda(lam) -> None:
     finite = np.isfinite(z)
     if not finite.all():
         raise NonFinite(f"spectral parameter lambda={complex(z[~finite][0])} is not finite")
+
+
+def _one_lambda(lam) -> complex:
+    """The one-lambda rule: `lam` as one checked complex value, else ShapeMismatch."""
+    if np.size(lam) != 1:
+        raise ShapeMismatch(f"one lambda expected, got shape {np.shape(lam)}")
+    _check_lambda(lam)
+    return np.asarray(lam, dtype=complex).item()
 
 
 def _fold(stack, mat) -> np.ndarray:
@@ -338,7 +347,7 @@ def matrix_exp(m) -> np.ndarray:
     1-norm (Higham 2005); the slices of equal degree and scaling are evaluated
     as one stack.  `m` may be an (N, n, n) stack (N = 0 allowed): each slice
     comes out bit for bit as on its own, and the first one that overflows, or
-    whose 1-norm does, is named by its node.
+    whose 1-norm does, is named by its node and carried in NonFinite.index.
     """
     mm, nodes = _as_stack(m, "matrix_exp operand")
     _shapes(**{"matrix_exp operand": (mm, mm.shape[1:2] * 2)})
@@ -356,5 +365,5 @@ def matrix_exp(m) -> np.ndarray:
             out[group] = r
     bad = np.flatnonzero(~(finite & np.isfinite(out).all(axis=(1, 2))))
     if bad.size:
-        raise NonFinite(f"matrix_exp overflowed{_at(nodes, bad[0])}")
+        raise NonFinite(f"matrix_exp overflowed{_at(nodes, bad[0])}", int(bad[0]))
     return out[0] if nodes is None else out

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import EPS_SPEC_REL
 from .errors import GridMismatch, NonFinite, ShapeMismatch, SingularSigma1
-from .matrix_kernel import _check_lambda, _shapes, as_matrix, matrix_exp, max_frob
+from .matrix_kernel import _one_lambda, _shapes, as_matrix, matrix_exp, max_frob
 
 __all__ = [
     "TimeGrid",
@@ -421,9 +421,10 @@ def fundamental_matrix(
     that holds the same bits at every node (a time-invariant vessel) is
     marched as integrate_linear_ode marches one, and is solved at one node
     only when sigma1, sigma2 and gamma each hold the same bits at every node
-    (see _coefficient).  NonFinite for a lam that is not finite.
+    (see _coefficient).  ShapeMismatch for several lams, NonFinite for a lam
+    that is not finite.
     """
-    _check_lambda(complex(lam))
+    lam = _one_lambda(lam)
     m = sigma1.shape[0]
     _channel(grid, m, sigma1=sigma1, sigma2=sigma2, gamma=gamma)
     base_index = int(grid.node_indices(base_index))
@@ -431,7 +432,7 @@ def fundamental_matrix(
     data = _march(_coefficient(sigma1.data, sigma2.data, gamma.data, lam),
                   np.eye(m, dtype=complex), grid, base_index)
     return FundamentalMatrix(
-        lam=complex(lam), base_index=base_index, side=side, family=GridOperatorFamily(grid, data)
+        lam=lam, base_index=base_index, side=side, family=GridOperatorFamily(grid, data)
     )
 
 

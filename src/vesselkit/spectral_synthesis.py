@@ -306,90 +306,75 @@ def residue_norm(fn, z0: complex, radius: float = 1e-3) -> float:
     return frob((fn(lams) * (lams - z0)[:, None, None]).sum(axis=0) / 16)
 
 
-def mult_integral(
-    kernel: GridOperatorFamily,
-    c,
-    lam: complex,
-    s_upper: int,
-) -> np.ndarray:
+def mult_integral(kernel: GridOperatorFamily, c, lam, s_upper: int) -> np.ndarray:
     """Left-ordered exponential product of the first `s_upper` grid intervals.
 
     W = exp(K(s_{j}) ds / (lam + c(s_j))) * ... * exp(K(s_0) ds / (lam + c(s_0)))
     with the rightmost factor first; kernel values are taken left-continuous
     at the nodes.  First-order product steps only: the step defect against
-    the true product integral is O(ds).  `c` must be real (ShapeMismatch at
-    its first nonzero imaginary part).  SpectrumClash where |lam + c(s_j)| <=
-    EPS_SPEC_REL * max(max_norm(K), 1); NonFinite for a lam that is not
-    finite, and naming an overflowing step.
+    the true product integral is O(ds).  `lam` is one value or an array, and
+    the result has shape np.shape(lam) + (m, m); errors are those of
+    :func:`_ordered_products`.  `c` must be real (ShapeMismatch at its first
+    nonzero imaginary part) and finite (NonFinite).
     """
-    _check_lambda(complex(lam))
     _shapes(kernel=(kernel, kernel.shape[:1] * 2))
     c_arr = _real_c(c)
     if c_arr.shape[0] != len(kernel):
         raise ShapeMismatch("c must have one value per s node")
     s_upper = int(kernel.grid.node_indices(s_upper))
-    eps_spec = EPS_SPEC_REL * max(kernel.max_norm(), 1.0)
-    return _ordered_products(kernel.data[None, :s_upper], c_arr, [lam], kernel.grid.h,
-                             [eps_spec])[-1, 0]
+    w = _ordered_products(kernel.data[None], c_arr, lam, kernel.grid.h, s_upper)[-1]
+    return w.reshape(np.shape(lam) + w.shape[-2:])
 
 
 def _real_c(c) -> np.ndarray:
-    """`c` as a flat float array; ShapeMismatch at its first nonzero imaginary part."""
+    """`c` as a flat float array; NonFinite at its first value that is not
+    finite, then ShapeMismatch at its first nonzero imaginary part."""
     c = np.asarray(c).reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        raise NonFinite(f"c contains NaN or Inf at s node {bad[0]}")
     bad = np.flatnonzero(np.imag(c))
     if bad.size:
         raise ShapeMismatch(f"c must be real, got {c[bad[0]]} at s node {bad[0]}")
     return np.real(c).astype(float)
 
 
-def _ordered_products(kern: np.ndarray, c: np.ndarray, lams, ds: float, eps_spec) -> np.ndarray:
+def _ordered_products(kern: np.ndarray, c: np.ndarray, lams, ds: float, n_s: int) -> np.ndarray:
     """Running products W_0 = I, W_(j+1) = exp(K_j ds / (lam + c_j)) W_j over the
-    s steps of each kernel slice of `kern` (T, S, m, m), for each of `lams`:
-    one (S + 1, L T, m, m) stack, lam-major, from one matrix_exp and one
-    running product.  `eps_spec` (T,) is the clash threshold of each slice.
+    first `n_s` s steps of each kernel slice of `kern` (T, S, m, m), for each of
+    `lams` (read flat): one (n_s + 1, L T, m, m) stack, lam-major, from one
+    matrix_exp and one running product.
 
-    Errors are those of the L T products taken one at a time in that order.
-    The first that fails raises SpectrumClash at its first j with |lam + c_j|
-    <= eps_spec, once the steps before it are exponentiated, so an overflow
-    there raises NonFinite first; or NonFinite naming its overflowing step.
-    Each step factor takes one scalar division: numpy's vectorised complex
-    division rounds some of them differently.
+    Every lam is checked, then every (lam, slice t, step j) in stack order for
+    |lam + c_j| <= EPS_SPEC_REL * max(max_frob(K_t), 1): SpectrumClash names the
+    first, before any exponential.  NonFinite names the first overflowing
+    exponential's lam and step, or the first step after which a product is
+    not finite.  Each step factor takes one scalar division: numpy's
+    vectorised complex division rounds some of them differently.
     """
-    n_t, n_s, m = kern.shape[:3]
-    one = len(lams) * n_t == 1
-    cs, eps = c.tolist(), max(eps_spec)
-    scales = []
-    for lam in lams:
-        for j in range(n_s):
-            denom = lam + cs[j]
-            if abs(denom) <= eps:
-                clash = SpectrumClash(f"lambda + c(s_{j}) = {denom} too close to zero")
-                if one:
-                    matrix_exp(kern[0, :j] * np.array(scales, dtype=complex)[:, None, None])
-                else:  # the slice with the largest eps clashes
-                    _each_product(kern, c, lams, ds, eps_spec)
-                raise clash
-            scales.append(ds / denom)
-    scales = np.array(scales, dtype=complex).reshape(len(lams), 1, n_s, 1, 1)
-    eye = np.eye(m, dtype=complex)
+    lams = np.asarray(lams).reshape(-1)
+    _check_lambda(lams)
+    n_l, n_t, m = len(lams), len(kern), kern.shape[-1]
+    eps = EPS_SPEC_REL * np.maximum([max_frob(k) for k in kern], 1.0)
+    denoms = [lam + cj for lam in lams.tolist() for cj in c[:n_s].tolist()]
+    clash = np.abs(np.reshape(denoms, (n_l, 1, n_s))) <= eps[:, None]
+    if clash.any():
+        i, _, j = np.unravel_index(np.flatnonzero(clash)[0], clash.shape)
+        raise SpectrumClash(f"lambda + c(s_{j}) = {denoms[i * n_s + j]} too close to zero "
+                            f"for lambda={complex(lams[i])}")
+    scales = np.reshape([ds / d for d in denoms], (n_l, 1, n_s, 1, 1))
     try:
-        exps = matrix_exp((kern * scales).reshape(-1, m, m))
-        exps = exps.reshape(len(lams) * n_t, n_s, m, m).swapaxes(0, 1)
-        if one:  # 2-D steps take np.dot
-            return _running_product(exps[:, 0], eye, _product_blew_up)[:, None]
-        return _running_product(exps, np.broadcast_to(eye, exps.shape[1:]), _product_blew_up)
-    except NonFinite:
-        if not one:
-            _each_product(kern, c, lams, ds, eps_spec)
-        raise
-
-
-def _each_product(kern, c, lams, ds, eps_spec) -> None:
-    """:func:`_ordered_products` one product at a time, in its order, for a
-    stack in which some product fails: the first that fails raises its error."""
-    for lam in lams:
-        for t in range(len(kern)):
-            _ordered_products(kern[t:t + 1], c, [lam], ds, eps_spec[t:t + 1])
+        with np.errstate(over="ignore"):  # a step that overflows is NonFinite below
+            exps = matrix_exp((kern[:, :n_s] * scales).reshape(-1, m, m))
+    except NonFinite as exc:
+        i, j = exc.index // (n_t * n_s), exc.index % n_s
+        raise NonFinite(f"matrix_exp overflowed at s step {j} "
+                        f"for lambda={complex(lams[i])}") from None
+    exps = exps.reshape(n_l * n_t, n_s, m, m).swapaxes(0, 1)
+    eye = np.eye(m, dtype=complex)
+    if n_l * n_t == 1:  # 2-D steps take np.dot
+        return _running_product(exps[:, 0], eye, _product_blew_up)[:, None]
+    return _running_product(exps, np.broadcast_to(eye, exps.shape[1:]), _product_blew_up)
 
 
 def _product_blew_up(j: int) -> str:
@@ -444,6 +429,9 @@ class ContinuousSpectrumModel:
             raise ShapeMismatch("evolved beta must be (n_t_nodes, n_s_nodes, m, p)")
         if gam.shape != (ns,) + beta.shape[-2:-1] * 2:
             raise ShapeMismatch("gamma_s must be (n_s_nodes, m, m)")
+        for name, x in (("beta", beta), ("gamma_s", gam)):
+            if not np.isfinite(x).all():
+                raise NonFinite(f"{name} contains NaN or Inf")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma_s", gam)
@@ -536,7 +524,7 @@ def continuous_model_evolve(
     k0 = model.kernel_at(None, s1)
     worst0 = max_frob(_gamma_s_defect(q, k0[mid], p))
     allowance = (ds ** 2) * max(1.0, float(np.max(np.abs(k0))) ** 2)
-    if worst0 > consistency_tol + allowance:
+    if not worst0 <= consistency_tol + allowance:
         raise InconsistentInitialData(
             f"gamma_s equation residual {worst0:.3e} at t_start exceeds tolerance"
         )
@@ -568,15 +556,12 @@ def continuous_model_evolve(
     # (c) product-derivative law at the probe points.  Each product and its
     # guard are those of mult_integral over the kernel at that t; the products
     # of every probe lambda and t form one stack.
-    res_c = 0.0
     t_slices = sorted({0, nt // 2, nt - 1})
-    if probe_lambdas:
-        kp = kern[t_slices, :-1]
-        eps_spec = [EPS_SPEC_REL * max(max_frob(kern[i]), 1.0) for i in t_slices]
-        w = _ordered_products(kp, model.c, probe_lambdas, ds, eps_spec)
-        lam_c = np.reshape(probe_lambdas, (-1, 1, 1, 1, 1)) + model.c[:-1, None, None]
-        law = (kp / lam_c).reshape(-1, ns - 1, m, m).swapaxes(0, 1) @ w[:-1]
-        res_c = max_frob((w[1:] - w[:-1]) / ds - law)
+    w = _ordered_products(kern[t_slices], model.c, probe_lambdas, ds, ns - 1)
+    kp = kern[t_slices, :-1]
+    lam_c = np.reshape(probe_lambdas, (-1, 1, 1, 1, 1)) + model.c[:-1, None, None]
+    law = (kp / lam_c).reshape(-1, ns - 1, m, m).swapaxes(0, 1) @ w[:-1]
+    res_c = max_frob((w[1:] - w[:-1]) / ds - law)
 
     # Mixed partials at the kernel level: the s-difference of the analytic
     # t-derivative against the product-rule expansion with s-differenced

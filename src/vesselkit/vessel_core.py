@@ -47,6 +47,7 @@ from .matrix_kernel import (
     _check_lambda,
     _clash,
     _fold,
+    _one_lambda,
     _shapes,
     _shifted_solve,
     _spectral_guard,
@@ -278,18 +279,15 @@ def _transfer_stack(lams, a, lhs, rhs, spectra, eps_spec, rhs_norm, nodes=None) 
 def eval_transfer(v: DifferentialVessel, lam: complex, node: int) -> np.ndarray:
     """S(lam, node) at one grid node, for one lam and one node: ShapeMismatch
     for several (:func:`transfer_sweep` sweeps them)."""
-    if np.size(lam) != 1 or np.size(node) != 1:
-        raise ShapeMismatch("eval_transfer takes one lambda and one node; "
-                            "transfer_sweep takes several")
-    return transfer_sweep(v, lam, node)[0, 0]
+    if np.size(node) != 1:
+        raise ShapeMismatch("eval_transfer takes one node; transfer_sweep takes several")
+    return transfer_sweep(v, _one_lambda(lam), node)[0, 0]
 
 
 def transfer_at_nodes(v: DifferentialVessel, lam: complex) -> np.ndarray:
     """S(lam, node) at every grid node, shape (n_nodes, m, m), for one lam:
     ShapeMismatch for several (:func:`transfer_sweep` sweeps them)."""
-    if np.size(lam) != 1:
-        raise ShapeMismatch("transfer_at_nodes takes one lambda; transfer_sweep takes several")
-    return transfer_sweep(v, lam)[0]
+    return transfer_sweep(v, _one_lambda(lam))[0]
 
 
 def verify_vessel(v: DifferentialVessel, tol: float | None = None) -> ConditionReport:
@@ -394,10 +392,10 @@ def expansivity_factor_form(v: DifferentialVessel, lam: complex, node: int) -> n
     which is what S^H sigma1 S - sigma1 collapses to once
     B sigma1 B^H = -(A1 + A1^H) is substituted.
     """
+    lam = _one_lambda(lam)
     idx = v.grid.node_indices([node])
     a1, _, bs1, eps_spec, bs1_norm = (x[idx] for x in v._transfer_operands)
-    m = _transfer_stack(complex(lam), a1, None, bs1, v._spectra(idx), eps_spec, bs1_norm,
-                        idx)[0, 0]
+    m = _transfer_stack(lam, a1, None, bs1, v._spectra(idx), eps_spec, bs1_norm, idx)[0, 0]
     return -2.0 * np.real(lam) * (m.conj().T @ m)
 
 
@@ -463,6 +461,7 @@ def transfer_pde_residual_values(
 
 def transfer_pde_residual(v: DifferentialVessel, lam: complex) -> float:
     """PDE defect of the vessel's own transfer function (see values variant)."""
+    lam = _one_lambda(lam)
     return transfer_pde_residual_values(
         transfer_at_nodes(v, lam), v.sigma1, v.sigma2, v.gamma, v.gamma_star, lam, v.grid
     )
@@ -508,7 +507,7 @@ def simulate(v: DifferentialVessel, lam: complex, u0) -> Trajectory:
     a1, b, s1, s2 = v.A1.data, v.B.data, v.sigma1.data, v.sigma2.data
     every = np.arange(len(a1))
     bs1u = b @ s1 @ u
-    x = shifted_solve(a1, lam, bs1u, v._spectra(every), nodes=every)
+    x = shifted_solve(a1, phi.lam, bs1u, v._spectra(every), nodes=every)
     y = u - b.conj().transpose(0, 2, 1) @ x
     drive = a1 @ x + bs1u
     defect_t1 = 2.0 * _re_inner(x, drive) + _re_inner(y, s1 @ y) - _re_inner(u, s1 @ u)
@@ -519,7 +518,7 @@ def simulate(v: DifferentialVessel, lam: complex, u0) -> Trajectory:
     defect_t2 = np.max(np.abs(dxx - balance), initial=0.0)
     grid = v.grid
     return Trajectory(
-        lam=complex(lam),
+        lam=phi.lam,
         u=GridOperatorFamily(grid, u),
         x=GridOperatorFamily(grid, x),
         y=GridOperatorFamily(grid, y),

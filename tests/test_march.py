@@ -29,7 +29,8 @@ from vesselkit.errors import NonFinite, ShapeMismatch, SpectrumClash
 from vesselkit.matrix_kernel import frob, max_frob
 from vesselkit.ode_engine import _interp4
 
-from helpers import const, rand_complex, rand_hermitian, rand_skew, skew_chain_vessel
+from helpers import (assert_stacked_equals_loop, const, rand_complex, rand_hermitian, rand_skew,
+                     skew_chain_vessel)
 
 EPS = np.finfo(float).eps
 SLACK = 64.0  # round-off units allowed per unit of a norm-scaled bound
@@ -412,7 +413,8 @@ def mult_integral_reference(kernel, c, lam, s_upper, expm=vk.matrix_exp):
     for j in range(s_upper):
         denom = lam + c[j]
         if abs(denom) <= eps_spec:
-            raise SpectrumClash(f"lambda + c(s_{j}) = {denom} too close to zero")
+            raise SpectrumClash(f"lambda + c(s_{j}) = {denom} too close to zero "
+                                f"for lambda={complex(lam)}")
         step = expm(kernel[j] * (ds / denom))
         w = step @ w
         norms *= frob(step)
@@ -427,13 +429,21 @@ def assert_near_oracle(got, ref, n_steps, norms):
     assert frob(got - ref) <= SLACK * EPS * max(n_steps, 1) * norms
 
 
+def exp_calls(monkeypatch):
+    """The operand counts of every synth.matrix_exp call from here on."""
+    calls, matrix_exp = [], synth.matrix_exp
+    monkeypatch.setattr(synth, "matrix_exp", lambda m: calls.append(len(m)) or matrix_exp(m))
+    return calls
+
+
 class TestOrderedProduct:
     grid = vk.TimeGrid(0.0, 1.0, 200)
+    lams = (1.2 + 0.4j, -0.35 + 0.9j, 2.0 + 0j, 0.8 - 1.7j)
 
-    def kernel(self, seed=4):
+    def kernel(self, seed=4, m=2):
         rng = np.random.default_rng(seed)
         s = self.grid.nodes()[:, None, None]
-        k = rand_complex(rng, (2, 2), 0.8) + np.sin(3.0 * s) * rand_complex(rng, (2, 2), 0.5)
+        k = rand_complex(rng, (m, m), 0.8) + np.sin(3.0 * s) * rand_complex(rng, (m, m), 0.5)
         return vk.GridOperatorFamily(self.grid, k), 0.3 + 0.7 * np.sin(2.0 * s[:, 0, 0])
 
     @pytest.mark.parametrize("s_upper", [0, 1, 77, 200])
@@ -461,16 +471,49 @@ class TestOrderedProduct:
         assert_near_oracle(head, *mult_integral_reference(kernel, c, -0.5, 60, scipy.linalg.expm),
                            60)
 
-    def test_overflow_before_the_clash_is_reported_first(self):
-        """As in the loop, the steps before a clash are exponentiated first."""
+    def test_a_clash_is_reported_before_any_exponential(self, monkeypatch):
+        """Every step is checked before the first exponential: the clash at s_5
+        wins over the overflow of the step before it, and no exponential is
+        taken.  Without the clash, one exponential call names the overflow."""
         grid = vk.TimeGrid(0.0, 1.0, 10)
         c = np.zeros(11)
         c[[2, 5]] = 1e-4 - 0.5, -0.5  # exp(0.1 / 1e-4) overflows at s_2; s_5 clashes
-        with pytest.raises(NonFinite, match="at node 2$"):
+        calls = exp_calls(monkeypatch)
+        with pytest.raises(SpectrumClash, match=r"^lambda \+ c\(s_5\) = 0\.0 too close to zero "
+                                                r"for lambda=\(0\.5\+0j\)$"):
             vk.mult_integral(const(np.eye(1), grid), c, 0.5, 10)
-        c[2] = 0.0
-        with pytest.raises(SpectrumClash, match=r"c\(s_5\)"):
+        assert calls == []
+        c[5] = 0.0
+        with pytest.raises(NonFinite, match=r"^matrix_exp overflowed at s step 2 "
+                                            r"for lambda=\(0\.5\+0j\)$"):
             vk.mult_integral(const(np.eye(1), grid), c, 0.5, 10)
+        assert calls == [10]
+
+    def test_an_overflowing_scaled_step_names_its_lambda(self):
+        """K ds / (lam + c) = 1e3 * 1e305 / 1e-3 overflows before the
+        exponential: NonFinite names lam and the step, and numpy warns nothing."""
+        kernel = const(1e3 * np.eye(1), vk.TimeGrid(0.0, 1e305, 1))
+        with pytest.raises(NonFinite, match=r"^matrix_exp overflowed at s step 0 "
+                                            r"for lambda=\(0\.001\+0j\)$"):
+            vk.mult_integral(kernel, np.zeros(2), [2.0 + 0j, 1e-3], 1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_lambda_arrays_stack_the_per_lambda_products(self, m):
+        """A lambda array is one stacked call with the bits of the per-lambda
+        loop, shaped np.shape(lam) + (m, m); an empty array gives no product."""
+        kernel, c = self.kernel(m=m)
+        fn = lambda lam: vk.mult_integral(kernel, c, lam, 150)  # noqa: E731
+        assert assert_stacked_equals_loop(fn, self.lams) is None
+        assert assert_stacked_equals_loop(fn, np.reshape(self.lams, (2, 2)).tolist()) is None
+        assert fn(np.array([], dtype=complex)).shape == (0, m, m)
+        assert fn(np.zeros((0, 3))).shape == (0, 3, m, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_a_clash_at_one_lambda(self, m):
+        kernel, c = self.kernel(m=m)
+        lams = (1.2 + 0.4j, complex(-c[77]), 2.0 + 0j)
+        err = assert_stacked_equals_loop(lambda lam: vk.mult_integral(kernel, c, lam, 150), lams)
+        assert isinstance(err, SpectrumClash) and "c(s_77)" in str(err)
 
     def test_overflowing_product_names_its_step(self):
         """Each factor exp(1000 ds) = exp(5) is finite; their product passes
@@ -606,62 +649,72 @@ class TestContinuousModelSteps:
             vk.consistent_gamma_s(model.beta, 0.5, s1, s2, model.gamma_s[0], model.s_grid)
 
 
-def probe_reference(kern, c, lam, ds, eps_spec):
+def probe_reference(kern, c, lam, ds):
     """One probe's ordered product W_0 = I, W_(j+1) = exp(K_j ds / (lam + c_j)) W_j
-    over `kern` (S, m, m), as the loop over probes took it: the exponentials of
-    the steps before a clash first, then the clash, then the running product."""
-    scales, clash = [], None
-    for j in range(len(kern)):
-        denom = lam + c[j]
-        if abs(denom) <= eps_spec:
-            clash = SpectrumClash(f"lambda + c(s_{j}) = {denom} too close to zero")
-            break
-        scales.append(ds / denom)
-    exps = vk.matrix_exp(kern[:len(scales)] * np.array(scales, dtype=complex)[:, None, None])
-    if clash is not None:
-        raise clash
+    over `kern` (S, m, m): one exponential and one product per step."""
     w = [np.eye(kern.shape[1], dtype=complex)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, step in enumerate(exps):
-            w.append(step @ w[-1])
-            if not np.isfinite(w[-1]).all():
-                raise NonFinite(f"multiplicative integral blew up between s nodes {j} and {j + 1}")
+    for j, k in enumerate(kern):
+        w.append(vk.matrix_exp(k * (ds / (lam + c[j]))) @ w[-1])
     return np.stack(w)
 
 
-def first_probe_error(kern, c, lams, ds, eps_spec):
-    """The error of the first probe, lam-major over the slices of `kern`, that fails."""
-    for lam in lams:
-        for k, eps in zip(kern, eps_spec):
-            try:
-                probe_reference(k, c, lam, ds, eps)
-            except (SpectrumClash, NonFinite) as exc:
-                return exc
+def stack_error(kern, c, lams, ds, n_s):
+    """The error of the products of `lams` (lam-major) over the first `n_s` s
+    steps of the slices of `kern` (T, S, m, m): the first clash in (lam, slice,
+    step) order, else the first overflowing exponential in that order, else the
+    first step after which some product is not finite; None if none fails."""
+    eps = [EPS_SPEC_REL * max(max_frob(k), 1.0) for k in kern]
+    order = [(lam, t, j) for lam in lams for t in range(len(kern)) for j in range(n_s)]
+    for lam, t, j in order:
+        if abs(lam + c[j]) <= eps[t]:
+            return SpectrumClash(f"lambda + c(s_{j}) = {lam + c[j]} too close to zero "
+                                 f"for lambda={complex(lam)}")
+    for lam, t, j in order:
+        try:
+            vk.matrix_exp(kern[t, j] * (ds / (lam + c[j])))
+        except NonFinite:
+            return NonFinite(f"matrix_exp overflowed at s step {j} for lambda={complex(lam)}")
+    first = n_s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam, t, j in order:
+            w = vk.matrix_exp(kern[t, j] * (ds / (lam + c[j]))) @ (w if j else np.eye(kern.shape[-1]))
+            if not np.isfinite(w).all():
+                first = min(first, j)
+    if first < n_s:
+        return NonFinite(f"multiplicative integral blew up between s nodes {first} and {first + 1}")
     return None
+
+
+# K = 10 on 10 steps of ds = 0.1, c = 0 but for c_3 = -3 and c_5 = -2: lam = 2
+# clashes at s_5, lam = 3 + 1e-5 overflows the exponential of s_3 (e^(1e5)),
+# lam = 0.01 overflows the product (e^100 per step) and lam = 1 passes.
+FAILING_PROBES = {"passes": 1.0, "clash": 2.0, "exponential overflow": 3.0 + 1e-5,
+                  "product overflow": 0.01}
 
 
 class TestStackedProbes:
     """The probe products of continuous_model_evolve are one matrix_exp and one
     running product over every (lambda, t slice); each keeps the bits of its
-    own product, and errors come as from the loop over probes."""
+    own product.  Every (lambda, slice, step) is checked for a clash before
+    the first exponential, so errors are those of the whole stack."""
 
     lams = (2.0 + 0.7j, 1.1 - 0.4j, -0.2 + 1.5j, 3.0)
 
     def kernels(self, m, n_t=3, n_s=40, seed=8):
         rng = np.random.default_rng(seed)
-        s = np.linspace(0.0, 1.0, n_s)[:, None, None]
+        s = np.linspace(0.0, 1.0, n_s + 1)[:, None, None]
         kern = np.stack([rand_complex(rng, (m, m), 0.8) + np.sin(3.0 * s) * rand_complex(rng, (m, m))
                          for _ in range(n_t)])
-        c = 0.3 + 0.7 * np.sin(2.0 * np.linspace(0.0, 1.0, n_s + 1))
-        return kern, c, [EPS_SPEC_REL * max(max_frob(k), 1.0) for k in kern]
+        return kern, 0.3 + 0.7 * np.sin(2.0 * s[:, 0, 0])
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_stack_matches_each_probe(self, m):
-        kern, c, eps = self.kernels(m)
-        w = synth._ordered_products(kern, c, self.lams, 0.025, eps)
+        kern, c = self.kernels(m)
+        w = synth._ordered_products(kern, c, self.lams, 0.025, 40)
         assert w.shape == (41, len(self.lams) * 3, m, m)
         for p, (lam, t) in enumerate((lam, t) for lam in self.lams for t in range(3)):
-            assert same_bits(w[:, p], probe_reference(kern[t], c, lam, 0.025, eps[t]))
+            assert same_bits(w[:, p], probe_reference(kern[t, :40], c, lam, 0.025))
+        assert same_bits(synth._ordered_products(kern, c, self.lams, 0.025, 25), w[:26])
 
     def test_product_derivative_matches_the_loop_over_probes(self):
         model, s1, s2 = TestContinuousModelSteps().model()
@@ -671,51 +724,75 @@ class TestStackedProbes:
         for lam in self.lams:
             for i in (0, 9, 17):
                 k = evolved.kernel_at(i, s1)
-                w = probe_reference(k[:-1], c, lam, ds, EPS_SPEC_REL * max(max_frob(k), 1.0))
+                w = probe_reference(k[:-1], c, lam, ds)
                 law = k[:-1] / (lam + c[:-1, None, None]) @ w[:-1]
                 want = max(want, max_frob((w[1:] - w[:-1]) / ds - law))
         assert res.product_derivative == want
 
     def test_one_exponential_call_for_every_probe(self, monkeypatch):
         model, s1, s2 = TestContinuousModelSteps().model()
-        sizes = []
-        matrix_exp = synth.matrix_exp
-        monkeypatch.setattr(synth, "matrix_exp", lambda m: sizes.append(len(m)) or matrix_exp(m))
+        sizes = exp_calls(monkeypatch)
         vk.continuous_model_evolve(model, s1, s2, vk.TimeGrid(0.0, 1.0, 17),
                                    probe_lambdas=self.lams, consistency_tol=1e3)
         assert sizes == [model.s_grid.n_nodes, 3 * len(self.lams) * model.s_grid.n_steps]
 
-    # K = 10 on 10 steps of ds = 0.1, c = 0 but for c_3 = -3 and c_5 = -2: lam = 2
-    # clashes at s_5, lam = 3 + 1e-5 overflows the exponential of s_3 (e^(1e5)),
-    # lam = 0.01 overflows the product (e^100 per step) and lam = 1 passes.
-    probes = {"passes": 1.0, "clash": 2.0, "exponential overflow": 3.0 + 1e-5,
-              "product overflow": 0.01}
+    probes = FAILING_PROBES
 
     def failing_kernel(self):
         c = np.zeros(11)
         c[3], c[5] = -3.0, -2.0
-        return np.full((1, 10, 1, 1), 10.0, dtype=complex), c, [EPS_SPEC_REL * 10.0]
+        return np.full((1, 11, 1, 1), 10.0, dtype=complex), c
 
-    @pytest.mark.parametrize("order", list(itertools.permutations(probes)))
-    def test_the_first_failing_probe_raises(self, order):
-        kern, c, eps = self.failing_kernel()
+    @pytest.mark.parametrize("order", [order for r in range(1, 5)
+                                       for order in itertools.permutations(FAILING_PROBES, r)])
+    def test_the_stack_raises_its_first_failure(self, order):
+        kern, c = self.failing_kernel()
         lams = [self.probes[name] for name in order]
-        want = first_probe_error(kern, c, lams, 0.1, eps)
+        want = stack_error(kern, c, lams, 0.1, 10)
+        if want is None:
+            assert np.isfinite(synth._ordered_products(kern, c, lams, 0.1, 10)).all()
+            return
         with pytest.raises(type(want)) as got:
-            synth._ordered_products(kern, c, lams, 0.1, eps)
+            synth._ordered_products(kern, c, lams, 0.1, 10)
         assert str(got.value) == str(want)
 
-    def test_a_clash_is_not_masked_by_a_later_overflow(self):
-        kern, c, eps = self.failing_kernel()
+    def test_each_slice_has_its_own_threshold(self):
+        """|lam + c_3| = 5e-8 clashes only with the slice of norm 100 (threshold
+        1e-7), |lam + c_7| = 5e-10 with both: slice 0's step 7 comes first in
+        stack order."""
+        kern = np.stack([np.full((11, 1, 1), 0.5 + 0j), np.full((11, 1, 1), 100.0 + 0j)])
+        c = np.zeros(11)
+        c[3], c[7] = -1.0 + 5e-8, -1.0 + 5e-10
+        want = stack_error(kern, c, [1.0], 0.1, 10)
+        assert "c(s_7)" in str(want)
+        with pytest.raises(SpectrumClash) as got:
+            synth._ordered_products(kern, c, [1.0], 0.1, 10)
+        assert str(got.value) == str(want)
+        with pytest.raises(SpectrumClash, match=r"c\(s_3\)"):
+            synth._ordered_products(kern[1:], c, [1.0], 0.1, 10)
+        with pytest.raises(NonFinite, match="at s step 3 "):  # no clash: exp(1e6) overflows
+            synth._ordered_products(kern[:1], c, [1.0], 0.1, 5)
+
+    def test_a_clash_anywhere_wins_before_any_exponential(self, monkeypatch):
+        """A clash raises before the first exponential, whatever overflows
+        before it; an overflowing exponential raises from the one matrix_exp
+        call, before any product is taken."""
+        kern, c = self.failing_kernel()
         p = self.probes
-        with pytest.raises(SpectrumClash, match=r"^lambda \+ c\(s_5\) = 0.0 too close to zero$"):
-            synth._ordered_products(kern, c, [p["passes"], p["clash"],
-                                              p["exponential overflow"]], 0.1, eps)
-        with pytest.raises(NonFinite, match="^matrix_exp overflowed at node 3$"):
-            synth._ordered_products(kern, c, [p["passes"], p["exponential overflow"],
-                                              p["clash"]], 0.1, eps)
+        calls = exp_calls(monkeypatch)
+        for first in ("passes", "exponential overflow", "product overflow"):
+            with pytest.raises(SpectrumClash, match=r"^lambda \+ c\(s_5\) = 0\.0 too close to "
+                                                    r"zero for lambda=\(2\+0j\)$"):
+                synth._ordered_products(kern, c, [p[first], p["clash"]], 0.1, 10)
+        assert calls == []
+        with pytest.raises(NonFinite, match=r"^matrix_exp overflowed at s step 3 "
+                                            r"for lambda=\(3\.00001\+0j\)$"):
+            synth._ordered_products(kern, c, [p["product overflow"], p["exponential overflow"]],
+                                    0.1, 10)
+        assert calls == [20]
         with pytest.raises(NonFinite, match="between s nodes 9 and 10$"):
-            synth._ordered_products(kern, c, [p["product overflow"], p["clash"]], 0.1, eps)
+            synth._ordered_products(kern, c, [p["passes"], p["product overflow"]], 0.1, 10)
+        assert calls == [20, 20]
 
 
 def test_model_evolution_peak_memory():
@@ -1042,8 +1119,9 @@ class TestMatrixExpStack:
         exponential of the 1 x 1 slice 710 + i pi/2 has a finite real part."""
         stack = np.zeros((4, dim, dim), dtype=complex)
         stack[2] = z * np.eye(dim)
-        with pytest.raises(NonFinite, match="at node 2$"):
+        with pytest.raises(NonFinite, match="at node 2$") as got:
             vk.matrix_exp(stack)
+        assert got.value.index == 2
         with pytest.raises(NonFinite):
             vk.matrix_exp(stack[2])
 

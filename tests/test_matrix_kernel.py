@@ -5,6 +5,7 @@ import pytest
 
 import vesselkit as vk
 import vesselkit.matrix_kernel as mk
+import vesselkit.spectral_synthesis as synth
 import vesselkit.vessel_core as core
 from vesselkit.errors import (
     NonFinite,
@@ -87,7 +88,9 @@ class TestNonFiniteLambda:
                                          const(np.eye(2), grid))
         quotient = vk.extract_elementary(v, 0).quotient_transfer
         coeffs = (v.sigma1, v.sigma2, v.gamma, v.gamma_star)
+        kernel = vk.GridOperatorFamily(grid, np.broadcast_to(np.eye(2), (21, 2, 2)))
         return v, {
+            "mult_integral": lambda lams: vk.mult_integral(kernel, np.zeros(21), lams, 20),
             "zero_pole_realize.transfer": lambda lams: zero_pole.transfer(lams, [0, 5]),
             "hermitian_realize.transfer": lambda lams: hermitian.transfer(lams, 5),
             "quotient_transfer": lambda lams: quotient(lams, 5),
@@ -98,12 +101,13 @@ class TestNonFiniteLambda:
 
     @pytest.mark.parametrize("entry", ["zero_pole_realize.transfer", "hermitian_realize.transfer",
                                        "quotient_transfer", "transfer_sweep",
-                                       "transfer_pde_residual_values"])
+                                       "transfer_pde_residual_values", "mult_integral"])
     def test_lambda_arrays_are_checked_whole_first(self, stacked_entries, entry, monkeypatch):
         """A non-finite lambda inside an array is named before any solve or
         coefficient is formed, whatever comes before it."""
         monkeypatch.setattr(core, "_shifted_solve", None)  # never reached
         monkeypatch.setattr(core, "_coefficient", None)
+        monkeypatch.setattr(synth, "matrix_exp", None)
         for lam in self.bad:
             with pytest.raises(NonFinite, match=self.message(lam)):
                 stacked_entries[1][entry]([2.0 + 1.0j, lam, complex(np.nan, 1.0)])
@@ -116,6 +120,7 @@ class TestNonFiniteLambda:
         assert entries["quotient_transfer"]([]).shape == (0, 2, 2)
         assert entries["transfer_sweep"]([]).shape == (0, 2, 2, 2)
         assert entries["transfer_pde_residual_values"]([]) == 0.0
+        assert entries["mult_integral"]([]).shape == (0, 2, 2)
 
     def test_mult_integral_and_model_probes(self):
         grid = vk.TimeGrid(0.0, 1.0, 10)
@@ -129,6 +134,47 @@ class TestNonFiniteLambda:
             with pytest.raises(NonFinite, match=self.message(lam)):
                 vk.continuous_model_evolve(model, np.eye(2), np.zeros((2, 2)), grid,
                                            probe_lambdas=(2.0, lam), consistency_tol=1e3)
+
+
+class TestOneLambda:
+    """Every entry that takes one lambda names the one-lambda rule with
+    ShapeMismatch for several (it used to leak Python's TypeError), and reads a
+    size-1 array as its one value."""
+
+    @pytest.fixture(scope="class")
+    def entries(self):
+        grid = vk.TimeGrid(0.0, 1.0, 10)
+        v, _ = skew_chain_vessel(grid)
+        a = v.A1.data[:1]
+        return {
+            "fundamental_matrix": lambda lam: vk.fundamental_matrix(
+                lam, v.sigma1, v.sigma2, v.gamma, grid).family.data,
+            "input_fundamental": lambda lam: vk.input_fundamental(v, lam).family.data,
+            "output_fundamental": lambda lam: vk.output_fundamental(v, lam).family.data,
+            "simulate": lambda lam: vk.simulate(v, lam, [1.0, 0.5j]).x.data,
+            "shifted_solve": lambda lam: shifted_solve(a, lam, a, np.linalg.eigvals(a)),
+            "expansivity_factor_form": lambda lam: vk.expansivity_factor_form(v, lam, 3),
+            "expansivity_check": lambda lam: vk.expansivity_check(v, lam, 3),
+            "eval_transfer": lambda lam: vk.eval_transfer(v, lam, 3),
+            "transfer_at_nodes": lambda lam: vk.transfer_at_nodes(v, lam),
+            "transfer_pde_residual": lambda lam: vk.transfer_pde_residual(v, lam),
+        }
+
+    names = ["fundamental_matrix", "input_fundamental", "output_fundamental", "simulate",
+             "shifted_solve", "expansivity_factor_form", "expansivity_check", "eval_transfer",
+             "transfer_at_nodes", "transfer_pde_residual"]
+
+    @pytest.mark.parametrize("entry", names)
+    @pytest.mark.parametrize("lam", [[2.0, 1.0 + 1.0j], np.array([2.0, 1.0 + 1.0j])],
+                             ids=["list", "array"])
+    def test_several_lambdas_are_rejected(self, entries, entry, lam):
+        with pytest.raises(ShapeMismatch, match=r"^one lambda expected, got shape \(2,\)$"):
+            entries[entry](lam)
+
+    @pytest.mark.parametrize("entry", names)
+    def test_a_size_one_array_is_its_value(self, entries, entry):
+        got, want = entries[entry](np.array([[2.0 + 0.5j]])), entries[entry](2.0 + 0.5j)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestHermitianSqrt:
@@ -225,13 +271,15 @@ class TestMatrixExp:
     @pytest.mark.parametrize("bad", [np.inf, complex(0.0, np.inf), complex(0.0, np.nan)])
     def test_non_finite(self, bad):
         """A complex entry is finite only if both its parts are: inf or NaN in
-        the imaginary part alone is NonFinite, for a matrix and for a stack."""
+        the imaginary part alone is NonFinite, for a matrix and for a stack,
+        whose failing slice is carried in NonFinite.index."""
         with pytest.raises(NonFinite, match="^matrix_exp operand contains NaN or Inf$"):
             vk.matrix_exp(np.array([[bad]]))
         stack = np.zeros((3, 2, 2), dtype=complex)
         stack[1, 0, 1] = bad
-        with pytest.raises(NonFinite, match="^matrix_exp operand contains NaN or Inf$"):
+        with pytest.raises(NonFinite, match="^matrix_exp operand contains NaN or Inf$") as got:
             vk.matrix_exp(stack)
+        assert got.value.index == 1
         with pytest.raises(NonFinite, match="^A contains NaN or Inf$"):
             mk.as_matrix(stack[1], "A")
 

@@ -3,7 +3,8 @@ import pytest
 
 import vesselkit as vk
 import vesselkit.spectral_synthesis as synth
-from vesselkit.errors import DegenerateB, DegenerateEigenvalue, ShapeMismatch, SpectrumClash
+from vesselkit.errors import (DegenerateB, DegenerateEigenvalue, InconsistentInitialData,
+                              NonFinite, ShapeMismatch, SpectrumClash)
 from vesselkit.matrix_kernel import frob
 
 from helpers import (
@@ -447,6 +448,39 @@ class TestRealC:
         assert w_real.tobytes() == w_complex.tobytes()
         assert self.model(as_complex).c.tobytes() == self.model(list(self.c)).c.tobytes()
         assert self.model(as_complex).c.dtype == float
+
+
+class TestNonFiniteContinuousData:
+    """NaN or Inf in c, beta or gamma_s raises NonFinite naming the field (and
+    the s node of c); an infinite c used to be a silent identity step."""
+
+    grid = vk.TimeGrid(0.0, 1.0, 10)
+
+    def fields(self):
+        return {"c": np.linspace(0.0, 1.0, 11), "beta": np.ones((11, 2, 1), dtype=complex),
+                "gamma_s": np.zeros((11, 2, 2), dtype=complex)}
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, np.nan)])
+    def test_c(self, bad):
+        c = self.fields()["c"].astype(complex)
+        c[6] = bad
+        with pytest.raises(NonFinite, match="^c contains NaN or Inf at s node 6$"):
+            vk.mult_integral(const(np.eye(2), self.grid), c, 2.0 + 0.5j, 10)
+        with pytest.raises(NonFinite, match="^c contains NaN or Inf at s node 6$"):
+            vk.ContinuousSpectrumModel(s_grid=self.grid, **{**self.fields(), "c": c})
+
+    @pytest.mark.parametrize("name", ["beta", "gamma_s"])
+    def test_beta_and_gamma_s(self, name):
+        fields = self.fields()
+        fields[name][4, 1, 0] = np.nan
+        with pytest.raises(NonFinite, match=f"^{name} contains NaN or Inf$"):
+            vk.ContinuousSpectrumModel(s_grid=self.grid, **fields)
+
+    def test_a_nan_consistency_bound_fails_the_guard(self):
+        model = vk.ContinuousSpectrumModel(s_grid=self.grid, **self.fields())
+        with pytest.raises(InconsistentInitialData):
+            vk.continuous_model_evolve(model, np.eye(2), np.zeros((2, 2)), self.grid,
+                                       consistency_tol=np.nan)
 
 
 class TestContinuousModel:

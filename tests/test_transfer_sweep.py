@@ -608,17 +608,20 @@ class TestTransferOperands:
                 call()
             assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("lam, node", [([1.0 + 1.0j, 2.0], 0), (1.0 + 1.0j, [2, 3]),
-                                           ([], 0), (1.0, [])])
-    def test_eval_transfer_takes_one_lambda_and_one_node(self, lam, node):
+    @pytest.mark.parametrize("lam, node, message", [
+        ([1.0 + 1.0j, 2.0], 0, r"^one lambda expected, got shape \(2,\)$"),
+        (1.0 + 1.0j, [2, 3], "^eval_transfer takes one node"),
+        ([], 0, r"^one lambda expected, got shape \(0,\)$"),
+        (1.0, [], "^eval_transfer takes one node")])
+    def test_eval_transfer_takes_one_lambda_and_one_node(self, lam, node, message):
         v = varying_vessel(2)
-        with pytest.raises(ShapeMismatch, match="^eval_transfer takes one lambda and one node"):
+        with pytest.raises(ShapeMismatch, match=message):
             vk.eval_transfer(v, lam, node)
 
     @pytest.mark.parametrize("lam", [[1.0 + 1.0j, 2.0], []])
     def test_transfer_at_nodes_takes_one_lambda(self, lam):
         v = varying_vessel(2)
-        with pytest.raises(ShapeMismatch, match="^transfer_at_nodes takes one lambda"):
+        with pytest.raises(ShapeMismatch, match="^one lambda expected, got shape"):
             vk.transfer_at_nodes(v, lam)
 
 
